@@ -57,10 +57,6 @@ class MissingContribution(MolboError):
     """Objective contribution table does not cover an element."""
 
 
-class ExplorationStalled(MolboError):
-    """Too many consecutive failed synthesis draws."""
-
-
 class CycleDetected(MolboError):
     """Synthesis DAG update would create a cycle (signals a bug)."""
 

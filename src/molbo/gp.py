@@ -82,7 +82,8 @@ def _cholesky(mat: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(mat)
     except np.linalg.LinAlgError as exc:
         raise CholeskyFailure(
-            "covariance not positive definite; retry with 10x noise floor"
+            "covariance not positive definite; fit skips this hyperparameter "
+            "candidate and build_posterior raises"
         ) from exc
 
 

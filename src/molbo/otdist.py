@@ -18,10 +18,25 @@ Atoms with equal (element, bond profile) are interchangeable for this
 cost structure, so the solver aggregates them into classes and solves a
 much smaller transportation problem; returned plans are expanded back to
 atom level by uniform splitting, which preserves feasibility and cost.
+``solve_ot`` solves that whole class-level problem and returns the plan.
+
+``distance_vector`` needs only the optimal costs, and splits the problem
+by element.  Because ``MISMATCH_PENALTY`` exceeds 2, no optimal plan
+moves weight between elements, so the program is a sum of independent
+per-element blocks, each with its own pair of sinks.  Every block cost
+is computed in unit weights: a one-sided element costs its atom count,
+blocks of at most one-bond profiles (hydrogen, halogens) and blocks with
+a single class on one side have closed forms, and only the remaining
+blocks go to the transportation simplex.  All atoms of one element share
+one mass, so the mass-weighted block is the unit block scaled by that
+mass and one solve serves both weight modes.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +89,20 @@ class TransportPlan:
 # ---------------------------------------------------------------------------
 
 
+_Profile = tuple[tuple[str, str, str], ...]
+
+
+@dataclass(frozen=True)
+class _ElementBlock:
+    """The classes of one element in one molecule."""
+
+    mass: float                   # atomic mass shared by every atom
+    total: int                    # atom count of the element
+    counts: tuple[int, ...]       # per-class member count
+    profiles: tuple[_Profile, ...]
+    monovalent: bool              # every profile has at most one entry
+
+
 @dataclass(frozen=True)
 class _AtomClasses:
     symbols: tuple[str, ...]
@@ -84,6 +113,28 @@ class _AtomClasses:
     profile_sizes: np.ndarray     # per-class profile cardinality
     vocab: dict[tuple[str, str, str], int]
     atom_class: np.ndarray        # per-atom class index
+    blocks: dict[str, _ElementBlock]
+    total_mass: float
+
+
+def _element_blocks(
+    keys: list[tuple[str, _Profile]], members: list[tuple[int, ...]], masses: np.ndarray
+) -> dict[str, _ElementBlock]:
+    """Group the classes by element; the keys are sorted, so each
+    element's classes are contiguous."""
+    blocks = {}
+    for sym, run in itertools.groupby(range(len(keys)), key=lambda a: keys[a][0]):
+        idx = list(run)
+        counts = tuple(len(members[a]) for a in idx)
+        profiles = tuple(keys[a][1] for a in idx)
+        blocks[sym] = _ElementBlock(
+            mass=float(masses[idx[0]]),
+            total=sum(counts),
+            counts=counts,
+            profiles=profiles,
+            monovalent=all(len(p) <= 1 for p in profiles),
+        )
+    return blocks
 
 
 def _atom_classes(mol: Molecule) -> _AtomClasses:
@@ -126,6 +177,8 @@ def _atom_classes(mol: Molecule) -> _AtomClasses:
         profile_sizes=sizes,
         vocab=vocab,
         atom_class=atom_class,
+        blocks=_element_blocks(keys, members, masses),
+        total_mass=float((counts * masses).sum()),
     )
     mol._transport_classes["classes"] = out
     return out
@@ -409,22 +462,81 @@ def solve_ot(
     return float(distance), TransportPlan(u=u, cost=float(cost))
 
 
+@functools.lru_cache(maxsize=1 << 16)
+def _profile_cost(p: _Profile, q: _Profile) -> float:
+    """``c_str`` between two classes, which depends only on their bond
+    profiles (the same value ``_class_costs`` gives)."""
+    inter = sum((Counter(p) & Counter(q)).values())
+    union = len(p) + len(q) - inter
+    return 1.0 - inter / union if union else 0.0
+
+
+def _block_cost(b1: _ElementBlock, b2: _ElementBlock) -> float:
+    """Optimal unit-weight cost of one element's block with its own sinks.
+
+    Every ``c_str`` is at most 1, below the cost 2 of leaving one unit
+    unmatched on both sides, so an optimal plan matches
+    ``min(total1, total2)`` units and leaves the difference to the sinks.
+    """
+    if b1.monovalent and b2.monovalent:
+        # Distinct profiles of at most one entry cost exactly 1, so match
+        # equal classes, then every leftover unit costs 1 matched or not.
+        other = dict(zip(b2.profiles, b2.counts))
+        equal = sum(min(n, other.get(p, 0)) for p, n in zip(b1.profiles, b1.counts))
+        return float(max(b1.total, b2.total) - equal)
+    if len(b1.counts) == 1 or len(b2.counts) == 1:
+        # One class on one side: fill the other side's classes cheapest first.
+        if len(b1.counts) != 1:
+            b1, b2 = b2, b1
+        p = b1.profiles[0]
+        left = min(b1.total, b2.total)
+        cost = float(abs(b1.total - b2.total))
+        for c, n in sorted((_profile_cost(p, q), n) for q, n in zip(b2.profiles, b2.counts)):
+            take = min(n, left)
+            cost += take * c
+            left -= take
+            if left == 0:
+                break
+        return cost
+    k2 = len(b2.counts)
+    rows = [[_profile_cost(p, q) for q in b2.profiles] + [1.0] for p in b1.profiles]
+    rows.append([1.0] * k2 + [0.0])
+    supply = np.array(b1.counts + (b2.total,), dtype=float)
+    demand = np.array(b2.counts + (b1.total,), dtype=float)
+    cost, _ = solve_transport(supply, demand, np.array(rows))
+    return cost
+
+
 def distance_vector(m1: Molecule, m2: Molecule) -> np.ndarray:
     """The four dissimilarities in fixed order:
-    [unit/raw, unit/normalized, mass/raw, mass/normalized]."""
+    [unit/raw, unit/normalized, mass/raw, mass/normalized].
+
+    Equal to ``solve_ot`` in each configuration, but computed per element:
+    with ``MISMATCH_PENALTY`` above 2 no weight crosses elements, so the
+    raw cost is the sum of independent per-element block costs.  Each
+    block is solved once in unit weights; its mass-weighted cost is that
+    cost times the element's atomic mass, since every atom of the block
+    has that mass.  The normalized entries divide by the summed total
+    weights, as ``solve_ot`` does.
+    """
     _require_expanded(m1)
     _require_expanded(m2)
     if m1.canonical_form == m2.canonical_form:
         return np.zeros(4)
     cl1, cl2 = _atom_classes(m1), _atom_classes(m2)
-    c_full = _sink_costs(cl1, cl2)  # shared by both weight modes
-    out = np.empty(4)
-    y1, y2, t1, t2 = _marginals(cl1, cl2, WeightMode.UNIT)
-    cost_u, _ = solve_transport(y1, y2, c_full)
-    y1, y2, t1m, t2m = _marginals(cl1, cl2, WeightMode.MASS)
-    cost_m, _ = solve_transport(y1, y2, c_full)
-    out[0] = cost_u
-    out[1] = cost_u / (t1 + t2)
-    out[2] = cost_m
-    out[3] = cost_m / (t1m + t2m)
-    return out
+    cost_u = cost_m = 0.0
+    for sym in sorted(cl1.blocks.keys() | cl2.blocks.keys()):
+        b1, b2 = cl1.blocks.get(sym), cl2.blocks.get(sym)
+        if b1 is None or b2 is None:
+            block = b1 or b2
+            mass, cost = block.mass, float(block.total)
+        else:
+            mass, cost = b1.mass, _block_cost(b1, b2)
+        cost_u += cost
+        cost_m += mass * cost
+    return np.array([
+        cost_u,
+        cost_u / (m1.n_atoms + m2.n_atoms),
+        cost_m,
+        cost_m / (cl1.total_mass + cl2.total_mass),
+    ])

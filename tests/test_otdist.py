@@ -6,6 +6,7 @@ from scipy.optimize import linprog
 
 import oracles
 from conftest import random_molecule, relabel
+from molbo import otdist
 from molbo.errors import InvalidMolecule
 from molbo.molgraph import (
     WeightMode,
@@ -31,6 +32,14 @@ def expand(text):
 
 UNIT_RAW = DistanceConfig(WeightMode.UNIT, False)
 MASS_RAW = DistanceConfig(WeightMode.MASS, False)
+
+
+def vector_matching_solve_ot(m1, m2):
+    """distance_vector, after checking each entry against solve_ot."""
+    vec = distance_vector(m1, m2)
+    for k, cfg in enumerate(CONFIG_ORDER):
+        assert vec[k] == pytest.approx(solve_ot(m1, m2, cfg)[0], abs=1e-12)
+    return vec
 
 
 class TestBuildCosts:
@@ -159,14 +168,14 @@ class TestSolveOt:
         rng = random.Random(21)
         for _ in range(25):
             m1, m2 = random_molecule(rng), random_molecule(rng)
-            for mode in (WeightMode.UNIT, WeightMode.MASS):
+            vec = vector_matching_solve_ot(m1, m2)
+            for mode, raw in ((WeightMode.UNIT, vec[0]), (WeightMode.MASS, vec[2])):
                 mine = solve_ot(m1, m2, DistanceConfig(mode, False))[0]
-                assert mine == pytest.approx(
-                    oracles.ot_cost_inequality(m1, m2, mode), abs=1e-6
-                )
-                assert mine == pytest.approx(
-                    oracles.ot_cost_equality(m1, m2, mode), abs=1e-6
-                )
+                inequality = oracles.ot_cost_inequality(m1, m2, mode)
+                equality = oracles.ot_cost_equality(m1, m2, mode)
+                for value in (mine, raw):
+                    assert value == pytest.approx(inequality, abs=1e-6)
+                    assert value == pytest.approx(equality, abs=1e-6)
 
     def test_oracle_equivalence_on_aromatics(self):
         ring_smiles = ("c1ccccc1", "Cc1ccccc1", "n1ccccc1", "Oc1ccccc1",
@@ -174,11 +183,12 @@ class TestSolveOt:
         mols = [expand(s) for s in ring_smiles]
         for i, a in enumerate(mols):
             for b in mols[i:]:
-                for mode in (WeightMode.UNIT, WeightMode.MASS):
+                vec = vector_matching_solve_ot(a, b)
+                for mode, raw in ((WeightMode.UNIT, vec[0]), (WeightMode.MASS, vec[2])):
                     mine = solve_ot(a, b, DistanceConfig(mode, False))[0]
-                    assert mine == pytest.approx(
-                        oracles.ot_cost_equality(a, b, mode), abs=1e-6
-                    )
+                    equality = oracles.ot_cost_equality(a, b, mode)
+                    assert mine == pytest.approx(equality, abs=1e-6)
+                    assert raw == pytest.approx(equality, abs=1e-6)
 
 
 class TestDistanceVector:
@@ -193,6 +203,34 @@ class TestDistanceVector:
         masses = molecular_weight(m1, WeightMode.MASS) + molecular_weight(m2, WeightMode.MASS)
         assert vec[3] == pytest.approx(vec[2] / masses, abs=1e-12)
         assert vec[0] == pytest.approx(solve_ot(m1, m2, UNIT_RAW)[0], abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "s1, s2, solves",
+        [
+            ("C", "O", 0),  # one-sided elements, distinct monovalent H classes
+            ("CCl", "CBr", 0),  # equal H classes, one carbon class per side
+            ("FC(F)CCl", "ClCCF", 1),  # monovalent F/Cl/H, two carbon classes each
+            ("CC", "CC(C)CO", 0),  # one carbon class against four
+            ("CCCC", "CC(C)C", 1),  # two carbon classes against two
+        ],
+    )
+    def test_element_blocks_match_oracles(self, s1, s2, solves, monkeypatch):
+        m1, m2 = expand(s1), expand(s2)
+        calls = []
+        real = otdist.solve_transport
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(otdist, "solve_transport", counting)
+        distance_vector(m1, m2)
+        monkeypatch.undo()
+        assert len(calls) == solves
+        vec = vector_matching_solve_ot(m1, m2)
+        for mode, raw in ((WeightMode.UNIT, vec[0]), (WeightMode.MASS, vec[2])):
+            assert raw == pytest.approx(oracles.ot_cost_inequality(m1, m2, mode), abs=1e-6)
+            assert raw == pytest.approx(oracles.ot_cost_equality(m1, m2, mode), abs=1e-6)
 
     def test_normalized_entries_bounded(self):
         rng = random.Random(4)
