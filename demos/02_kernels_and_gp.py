@@ -31,14 +31,14 @@ cache = KernelCache()
 print("== Gram matrices ==")
 for spec in (FingerprintTanimoto(), OTExpSum((0.5, 0.0, 0.05, 0.0)), SumKernel()):
     g = gram(mols, spec, cache)
-    eigs = np.linalg.eigvalsh(g.values)
-    print(f"  {type(spec).__name__:20s} diag mean {np.diag(g.values).mean():.3f}, "
+    eigs = np.linalg.eigvalsh(g)
+    print(f"  {type(spec).__name__:20s} diag mean {np.diag(g).mean():.3f}, "
           f"eigenvalue range [{eigs[0]:+.2e}, {eigs[-1]:.2f}]")
 
 print("\n== PSD projection ==")
 g = gram(mols, OTExpSum((0.5, 0.0, 0.05, 0.0)), cache)
 projected = psd_project(g)
-print(f"  min eigenvalue after projection: {np.linalg.eigvalsh(projected.values)[0]:+.2e}")
+print(f"  min eigenvalue after projection: {np.linalg.eigvalsh(projected)[0]:+.2e}")
 
 print("\n== GP on a simple structural objective ==")
 objective = Objective(kind=ObjectiveKind.PENLOGP)

@@ -8,7 +8,6 @@ comes with a replayable synthesis recipe.
 
 from .acquisition import (
     AcquisitionKind,
-    AcquisitionState,
     EnsembleWeights,
     ei,
     ensemble_pick,
@@ -30,7 +29,6 @@ from .gp import (
 )
 from .kernel import (
     FingerprintTanimoto,
-    GramMatrix,
     KernelCache,
     OTExpSum,
     SumKernel,
@@ -48,12 +46,10 @@ from .molgraph import (
     add_explicit_hydrogens,
     atom_weight,
     bond_profile,
-    canonical_form,
     load_pool,
     molecular_weight,
     parse_smiles,
     strip_hydrogens,
-    write_smiles,
 )
 from .objectives import Band, Objective, ObjectiveKind, evaluate, objective_from_config
 from .optimizer import (

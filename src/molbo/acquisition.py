@@ -35,34 +35,6 @@ def ucb_beta_schedule(t: int) -> float:
     return max(0.5, 2.0 * math.log(t * t * math.pi * math.pi / 6.0))
 
 
-@dataclass(frozen=True)
-class AcquisitionState:
-    kind: AcquisitionKind
-    best_observed: float
-    iteration_t: int
-    ucb_beta: float
-    tt_epsilon: float
-    rng_seed: int
-
-    @classmethod
-    def for_iteration(
-        cls,
-        kind: AcquisitionKind,
-        best_observed: float,
-        iteration_t: int,
-        tt_epsilon: float = DEFAULT_TT_EPSILON,
-        rng_seed: int = 0,
-    ) -> "AcquisitionState":
-        return cls(
-            kind=kind,
-            best_observed=best_observed,
-            iteration_t=iteration_t,
-            ucb_beta=ucb_beta_schedule(iteration_t),
-            tt_epsilon=tt_epsilon,
-            rng_seed=rng_seed,
-        )
-
-
 def ei(mu, sigma, best):
     """Expected improvement over ``best``; exact max(0, mu - best) at
     sigma = 0.  Accepts scalars or arrays."""

@@ -162,7 +162,7 @@ def _cmd_gram(args) -> int:
     if not pool:
         raise ValueError("pool file contains no molecules")
     spec = _kernel_from_name(_setting(args, config, "kernel", "ot"), config)
-    matrix = gram(pool, spec, KernelCache()).values
+    matrix = gram(pool, spec, KernelCache())
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow([m.canonical_form for m in pool])

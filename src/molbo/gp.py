@@ -1,13 +1,14 @@
 """Gaussian-process regression over molecules.
 
 The covariance is ``signal_scale**2 * PSD(K) + noise_var * I`` where K is
-the raw kernel Gram over training molecules, PSD-projected once per fit;
-cross-covariances with query molecules use raw kernel values scaled by
-``signal_scale**2``.  The mean is a fitted constant.  Hyperparameters are
-chosen by maximizing the log marginal likelihood with a seeded random
-search followed by multiplicative coordinate refinement; the mean
-constant is profiled out analytically (its generalized-least-squares
-optimum given the other parameters).
+the raw kernel Gram over training molecules.  K is PSD-projected for every
+covariance that is factorized: once per likelihood candidate in a fit and
+once in ``build_posterior``.  Cross-covariances with query molecules use
+raw kernel values scaled by ``signal_scale**2``.  The mean is a fitted
+constant.  Hyperparameters are chosen by maximizing the log marginal
+likelihood with a seeded random search followed by multiplicative
+coordinate refinement; the mean constant is profiled out analytically
+(its generalized-least-squares optimum given the other parameters).
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ from .kernel import (
     ALPHA_RANGE,
     BETA_RANGE,
     FingerprintTanimoto,
-    GramMatrix,
     KernelCache,
     KernelSpec,
     OTExpSum,
     SumKernel,
+    combine,
     cross_gram,
+    features,
     gram,
     kernel_value,
     psd_project,
@@ -43,6 +45,15 @@ N_REFINE_PASSES = 3
 REFINE_FACTOR = 1.5
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+#: Search range and scale of every fitted hyperparameter: (lo, hi, log-uniform).
+_PARAM_RANGES = {
+    "noise_var": (*NOISE_RANGE, True),
+    "signal_scale": (*SIGNAL_RANGE, True),
+    "alpha1": (*ALPHA_RANGE, False),
+    "alpha2": (*ALPHA_RANGE, False),
+    **{f"beta{i}": (*BETA_RANGE, True) for i in range(4)},
+}
 
 
 @dataclass(frozen=True)
@@ -111,7 +122,7 @@ def log_marginal_likelihood(
         raise ValueError("need equally many molecules and values (at least one)")
     if cache is None:
         cache = KernelCache()
-    k_psd = psd_project(gram(mols, hyper.kernel_spec, cache)).values
+    k_psd = psd_project(gram(mols, hyper.kernel_spec, cache))
     r = ys - hyper.mean_const
     chol, white, half_logdet = _lml_terms(k_psd, r, hyper.noise_var, hyper.signal_scale)
     n = ys.shape[0]
@@ -126,98 +137,60 @@ def log_marginal_likelihood(
 class _FamilyEvaluator:
     """LML evaluation for one training set with precomputed structure.
 
-    Distances and the fingerprint Gram do not depend on the searched
-    hyperparameters, so they are assembled once; each candidate then
-    costs one eigendecomposition and one Cholesky factorization.
+    The kernel ``features`` of the training set do not depend on the
+    searched hyperparameters, so they are gathered once; each candidate
+    then costs one ``combine``, one eigendecomposition and one Cholesky
+    factorization.
     """
 
     def __init__(self, mols, ys, family: KernelSpec, cache: KernelCache):
-        self.mols = mols
         self.ys = np.asarray(ys, dtype=float)
         self.family = family
-        n = len(mols)
-        self.n = n
-        self.dist = None
-        self.k_fp = None
-        if isinstance(family, (OTExpSum, SumKernel)):
-            d = np.zeros((4, n, n))
-            for i in range(n):
-                for j in range(i + 1, n):
-                    d[:, i, j] = d[:, j, i] = cache.distance_vector(mols[i], mols[j])
-            self.dist = d
-        if isinstance(family, (FingerprintTanimoto, SumKernel)):
-            fp_spec = family if isinstance(family, FingerprintTanimoto) else family.fingerprint
-            self.k_fp = gram(mols, fp_spec, cache).values
+        self.n = len(mols)
+        self.features = features(mols, mols, family, cache)
 
     def param_names(self) -> list[str]:
         names = ["noise_var", "signal_scale"]
-        if isinstance(self.family, OTExpSum):
+        if isinstance(self.family, SumKernel):
+            names += ["alpha1", "alpha2"]
+        if isinstance(self.family, (OTExpSum, SumKernel)):
             names += [f"beta{i}" for i in range(4)]
-        elif isinstance(self.family, SumKernel):
-            names += ["alpha1", "alpha2"] + [f"beta{i}" for i in range(4)]
         return names
 
     def sample(self, rng: np.random.Generator) -> dict[str, float]:
-        def log_uniform(lo, hi):
-            return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-
-        params = {
-            "noise_var": log_uniform(*NOISE_RANGE),
-            "signal_scale": log_uniform(*SIGNAL_RANGE),
-        }
-        if isinstance(self.family, OTExpSum):
-            for i in range(4):
-                params[f"beta{i}"] = log_uniform(*BETA_RANGE)
-        elif isinstance(self.family, SumKernel):
-            params["alpha1"] = float(rng.uniform(*ALPHA_RANGE))
-            params["alpha2"] = float(rng.uniform(*ALPHA_RANGE))
-            for i in range(4):
-                params[f"beta{i}"] = log_uniform(*BETA_RANGE)
+        params = {}
+        for name in self.param_names():
+            lo, hi, log_scale = _PARAM_RANGES[name]
+            if log_scale:
+                params[name] = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+            else:
+                params[name] = float(rng.uniform(lo, hi))
         return params
 
     @staticmethod
     def clamp(name: str, value: float) -> float:
-        if name == "noise_var":
-            lo, hi = NOISE_RANGE
-        elif name == "signal_scale":
-            lo, hi = SIGNAL_RANGE
-        elif name.startswith("alpha"):
-            lo, hi = ALPHA_RANGE
-        else:
-            lo, hi = BETA_RANGE
+        lo, hi, _ = _PARAM_RANGES[name]
         return min(max(value, lo), hi)
 
     def spec_from(self, params: dict[str, float]) -> KernelSpec:
-        if isinstance(self.family, OTExpSum):
-            return OTExpSum(tuple(params[f"beta{i}"] for i in range(4)))
+        if isinstance(self.family, FingerprintTanimoto):
+            return self.family
+        ot = OTExpSum(tuple(params[f"beta{i}"] for i in range(4)))
         if isinstance(self.family, SumKernel):
             return replace(
-                self.family,
-                alpha1=params["alpha1"],
-                alpha2=params["alpha2"],
-                ot=OTExpSum(tuple(params[f"beta{i}"] for i in range(4))),
+                self.family, alpha1=params["alpha1"], alpha2=params["alpha2"], ot=ot
             )
-        return self.family
-
-    def raw_gram(self, params: dict[str, float]) -> np.ndarray:
-        if isinstance(self.family, FingerprintTanimoto):
-            return self.k_fp
-        betas = np.array([params[f"beta{i}"] for i in range(4)])
-        k_ot = np.exp(-np.tensordot(betas, self.dist, axes=1))
-        if isinstance(self.family, OTExpSum):
-            return k_ot
-        return params["alpha1"] * self.k_fp + params["alpha2"] * k_ot
+        return ot
 
     def lml(self, params: dict[str, float]) -> tuple[float, float]:
         """(log marginal likelihood, profiled mean constant)."""
-        k_psd = psd_project(GramMatrix(self.raw_gram(params))).values
-        ktilde = _covariance(k_psd, params["noise_var"], params["signal_scale"])
-        chol = _cholesky(ktilde)
-        wy = solve_triangular(chol, self.ys, lower=True)
+        k_psd = psd_project(combine(self.spec_from(params), *self.features))
+        chol, wy, half_logdet = _lml_terms(
+            k_psd, self.ys, params["noise_var"], params["signal_scale"]
+        )
         w1 = solve_triangular(chol, np.ones(self.n), lower=True)
         mean = float(w1 @ wy / (w1 @ w1))
         white = wy - mean * w1
-        half_logdet = float(np.sum(np.log(np.diag(chol))))
         value = float(-0.5 * white @ white - half_logdet - 0.5 * self.n * _LOG_2PI)
         return value, mean
 
@@ -292,10 +265,10 @@ def build_posterior(
     ys = np.asarray(ys, dtype=float)
     if cache is None:
         cache = KernelCache()
-    k_psd = psd_project(gram(mols, hyper.kernel_spec, cache)).values
-    ktilde = _covariance(k_psd, hyper.noise_var, hyper.signal_scale)
-    chol = _cholesky(ktilde)
-    white = solve_triangular(chol, ys - hyper.mean_const, lower=True)
+    k_psd = psd_project(gram(mols, hyper.kernel_spec, cache))
+    chol, white, _ = _lml_terms(
+        k_psd, ys - hyper.mean_const, hyper.noise_var, hyper.signal_scale
+    )
     alpha_vec = solve_triangular(chol.T, white, lower=False)
     return GpPosterior(
         train_molecules=list(mols),

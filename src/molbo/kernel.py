@@ -1,10 +1,15 @@
-"""Kernel families over molecules and Gram-matrix machinery.
+"""Kernel families over molecules and the one place they are computed.
 
 Three families: Tanimoto similarity of path fingerprints, an exponential
 sum over the four transport dissimilarities (``exp(-sum_i beta_i d_i)``),
-and their weighted sum ``alpha1 * k_fp + alpha2 * k_ot``.  The transport
-kernel is not known to be positive definite, so training Gram matrices
-are projected onto the PSD cone by eigenvalue clamping before GP use;
+and their weighted sum ``alpha1 * k_fp + alpha2 * k_ot``.  Every kernel
+value goes through two steps: ``features`` gathers a block's
+hyperparameter-free inputs (transport distances, Tanimoto values) from a
+``KernelCache``, and ``combine`` turns them into kernel values for a spec.
+``gram``, ``cross_gram``, ``kernel_value`` and the GP fit all use them, so
+a pair has one value wherever it is computed.  The transport kernel is
+not known to be positive definite, so training Gram matrices are
+projected onto the PSD cone by eigenvalue clamping before GP use;
 cross-covariances keep raw kernel values.
 """
 
@@ -71,12 +76,6 @@ class SumKernel:
 KernelSpec = FingerprintTanimoto | OTExpSum | SumKernel
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    values: np.ndarray
-    psd_projected: bool = False
-
-
 class KernelCache:
     """Memo for pairwise distance vectors and per-molecule fingerprints.
 
@@ -107,42 +106,46 @@ class KernelCache:
         return fp
 
 
-def kernel_value(
-    x: Molecule, y: Molecule, spec: KernelSpec, cache: KernelCache | None = None
-) -> float:
-    """Kernel between two molecules under the given family."""
-    if cache is None:
-        cache = KernelCache()
-    if isinstance(spec, FingerprintTanimoto):
-        return tanimoto(cache.fingerprint(x, spec), cache.fingerprint(y, spec))
-    if isinstance(spec, OTExpSum):
-        d = cache.distance_vector(x, y)
-        return float(np.exp(-float(np.dot(spec.betas, d))))
-    if isinstance(spec, SumKernel):
-        return spec.alpha1 * kernel_value(x, y, spec.fingerprint, cache) + (
-            spec.alpha2 * kernel_value(x, y, spec.ot, cache)
-        )
-    raise TypeError(f"unknown kernel spec: {spec!r}")
+def features(
+    rows: list[Molecule], cols: list[Molecule], spec: KernelSpec, cache: KernelCache
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Hyperparameter-free inputs of the ``rows`` x ``cols`` kernel block.
 
-
-def gram(
-    mols: list[Molecule], spec: KernelSpec, cache: KernelCache | None = None
-) -> GramMatrix:
-    """Pairwise kernel matrix; deterministic, symmetric by construction.
-
-    Pair evaluations are independent and could fan out to workers; this
-    implementation fills the upper triangle sequentially.
+    Returns ``(dist, k_fp)``: the ``4 x r x c`` transport-distance tensor
+    (transport and sum families) and the ``r x c`` Tanimoto block
+    (fingerprint and sum families), each ``None`` where the family does
+    not use it.
     """
-    if not mols:
-        raise ValueError("gram() needs at least one molecule")
-    if cache is None:
-        cache = KernelCache()
-    n = len(mols)
-    values = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            values[i, j] = values[j, i] = kernel_value(mols[i], mols[j], spec, cache)
-    return GramMatrix(values=values, psd_projected=False)
+    dist = k_fp = None
+    if isinstance(spec, (OTExpSum, SumKernel)):
+        flat = np.array([cache.distance_vector(x, y) for x in rows for y in cols])
+        dist = flat.reshape(len(rows), len(cols), 4).transpose(2, 0, 1)
+    fp_spec = spec.fingerprint if isinstance(spec, SumKernel) else spec
+    if isinstance(fp_spec, FingerprintTanimoto):
+        row_fps = [cache.fingerprint(x, fp_spec) for x in rows]
+        col_fps = [cache.fingerprint(y, fp_spec) for y in cols]
+        k_fp = np.reshape(
+            [tanimoto(a, b) for a in row_fps for b in col_fps], (len(rows), len(cols))
+        )
+    return dist, k_fp
+
+
+def combine(
+    spec: KernelSpec, dist: np.ndarray | None, k_fp: np.ndarray | None
+) -> np.ndarray:
+    """Kernel values of a block from its ``features``.
+
+    The exponent is a fixed-order elementwise sum, so a pair gets the same
+    bits in a block of any shape.
+    """
+    if isinstance(spec, FingerprintTanimoto):
+        return k_fp
+    if isinstance(spec, OTExpSum):
+        b0, b1, b2, b3 = spec.betas
+        return np.exp(-(b0 * dist[0] + b1 * dist[1] + b2 * dist[2] + b3 * dist[3]))
+    if isinstance(spec, SumKernel):
+        return spec.alpha1 * k_fp + spec.alpha2 * combine(spec.ot, dist, None)
+    raise TypeError(f"unknown kernel spec: {spec!r}")
 
 
 def cross_gram(
@@ -154,21 +157,32 @@ def cross_gram(
     """Raw kernel values between two molecule lists (no projection)."""
     if cache is None:
         cache = KernelCache()
-    out = np.empty((len(rows), len(cols)))
-    for i, x in enumerate(rows):
-        for j, y in enumerate(cols):
-            out[i, j] = kernel_value(x, y, spec, cache)
-    return out
+    return combine(spec, *features(rows, cols, spec, cache))
 
 
-def psd_project(g: GramMatrix, floor: float = DEFAULT_PSD_FLOOR) -> GramMatrix:
+def gram(
+    mols: list[Molecule], spec: KernelSpec, cache: KernelCache | None = None
+) -> np.ndarray:
+    """Raw pairwise kernel matrix of ``mols``; symmetric bit for bit."""
+    if not mols:
+        raise ValueError("gram() needs at least one molecule")
+    return cross_gram(mols, mols, spec, cache)
+
+
+def kernel_value(
+    x: Molecule, y: Molecule, spec: KernelSpec, cache: KernelCache | None = None
+) -> float:
+    """Kernel between two molecules: the one entry of a 1 x 1 block."""
+    return float(cross_gram([x], [y], spec, cache)[0, 0])
+
+
+def psd_project(values: np.ndarray, floor: float = DEFAULT_PSD_FLOOR) -> np.ndarray:
     """Clamp eigenvalues below ``floor`` up to it and reconstruct.
 
     Identity (up to the floor) on matrices already in the cone.
     """
     if floor < 0:
         raise ValueError("floor must be nonnegative")
-    values = g.values
     if not np.allclose(values, values.T, atol=1e-12, rtol=0.0):
         raise ValueError("psd_project expects a symmetric matrix")
     try:
@@ -176,8 +190,7 @@ def psd_project(g: GramMatrix, floor: float = DEFAULT_PSD_FLOOR) -> GramMatrix:
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
     if w[0] >= floor:
-        return GramMatrix(values=values.copy(), psd_projected=True)
+        return values.copy()
     w = np.maximum(w, floor)
     projected = (v * w) @ v.T
-    projected = (projected + projected.T) / 2.0
-    return GramMatrix(values=projected, psd_projected=True)
+    return (projected + projected.T) / 2.0

@@ -742,17 +742,6 @@ def _emit(n, symbols, adj, orders, aromatic, ranks):
     return "".join(out), visit_seq
 
 
-def canonical_form(mol: Molecule) -> str:
-    """Canonical text form of a molecule (heavy-atom canonical SMILES)."""
-    return mol.canonical_form
-
-
-def write_smiles(mol: Molecule) -> str:
-    """Deterministic SMILES over heavy atoms; re-parsing preserves the
-    canonical form."""
-    return mol.canonical_form
-
-
 # ---------------------------------------------------------------------------
 # Pool files
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import oracles
 from molbo.acquisition import (
     AcquisitionKind,
-    AcquisitionState,
     EnsembleWeights,
     ei,
     ensemble_pick,
@@ -143,9 +142,3 @@ class TestEnsemble:
         weights.update(AcquisitionKind.UCB, improved=False)
         assert np.allclose(weights.probabilities(), 1 / 3)
 
-
-def test_acquisition_state_schedule():
-    state = AcquisitionState.for_iteration(AcquisitionKind.EI, 0.7, 3)
-    assert state.ucb_beta == ucb_beta_schedule(3)
-    assert state.kind is AcquisitionKind.EI
-    assert 0 < state.tt_epsilon < 1

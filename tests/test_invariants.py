@@ -58,7 +58,7 @@ def test_posterior_factor_identities():
                           mean_const=0.2, signal_scale=1.5)
     cache = KernelCache()
     gp = build_posterior(mols, ys, hyper, cache)
-    k_psd = psd_project(gram(mols, hyper.kernel_spec, cache)).values
+    k_psd = psd_project(gram(mols, hyper.kernel_spec, cache))
     ktilde = hyper.signal_scale**2 * k_psd + hyper.noise_var * np.eye(6)
     assert np.abs(gp.chol_factor @ gp.chol_factor.T - ktilde).max() <= 1e-8
     assert np.abs(ktilde @ gp.alpha_vec - (ys - hyper.mean_const)).max() <= 1e-8

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import random_molecule
+from molbo.fingerprint import tanimoto
+from molbo.gp import _FamilyEvaluator
 from molbo.kernel import (
     FingerprintTanimoto,
-    GramMatrix,
     KernelCache,
     OTExpSum,
     SumKernel,
+    combine,
+    cross_gram,
     gram,
     kernel_value,
     psd_project,
@@ -63,18 +66,18 @@ class TestKernelValue:
 class TestGram:
     def test_single_molecule(self):
         g = gram([expand("CCO")], OTExpSum())
-        assert g.values.shape == (1, 1)
-        assert g.values[0, 0] == 1.0
+        assert g.shape == (1, 1)
+        assert g[0, 0] == 1.0
 
     def test_ot_diagonal_ones(self):
         mols = [expand(s) for s in ("C", "CC", "CCO", "CC(C)C")]
         g = gram(mols, OTExpSum((0.3, 1.0, 0.02, 1.0)))
-        assert np.allclose(np.diag(g.values), 1.0)
+        assert np.allclose(np.diag(g), 1.0)
 
     def test_symmetric(self):
         mols = [expand(s) for s in ("C", "CC", "CCO", "CC(C)C", "CCCN")]
         g = gram(mols, SumKernel())
-        assert np.abs(g.values - g.values.T).max() <= 1e-12
+        assert np.abs(g - g.T).max() <= 1e-12
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -86,23 +89,22 @@ class TestPsdProject:
         rng = np.random.default_rng(0)
         a = rng.normal(size=(6, 6))
         psd = a @ a.T
-        out = psd_project(GramMatrix(psd), floor=0.0)
-        assert out.psd_projected
-        assert np.abs(out.values - psd).max() <= 1e-10
+        out = psd_project(psd, floor=0.0)
+        assert np.abs(out - psd).max() <= 1e-10
 
     def test_hand_derived_two_by_two(self):
         # eigenvalues 3 and -1 with eigenvectors (1,1)/sqrt2, (1,-1)/sqrt2
-        g = GramMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        g = np.array([[1.0, 2.0], [2.0, 1.0]])
         out = psd_project(g, floor=0.0)
-        assert np.abs(out.values - np.array([[1.5, 1.5], [1.5, 1.5]])).max() <= 1e-9
+        assert np.abs(out - np.array([[1.5, 1.5], [1.5, 1.5]])).max() <= 1e-9
 
     def test_random_indefinite_matrices(self):
         rng = np.random.default_rng(1)
         for _ in range(30):
             a = rng.normal(size=(20, 20))
             sym = (a + a.T) / 2
-            out = psd_project(GramMatrix(sym))
-            assert np.linalg.eigvalsh(out.values)[0] >= -1e-8
+            out = psd_project(sym)
+            assert np.linalg.eigvalsh(out)[0] >= -1e-8
 
     def test_quadratic_form_after_projection(self):
         rng = np.random.default_rng(2)
@@ -110,15 +112,15 @@ class TestPsdProject:
         g = psd_project(gram(mols, OTExpSum((0.5, 1, 0.02, 1))))
         for _ in range(50):
             z = rng.normal(size=6)
-            assert z @ g.values @ z >= -1e-6 * (z @ z)
+            assert z @ g @ z >= -1e-6 * (z @ z)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
-            psd_project(GramMatrix(np.array([[1.0, 0.5], [0.2, 1.0]])))
+            psd_project(np.array([[1.0, 0.5], [0.2, 1.0]]))
 
     def test_rejects_negative_floor(self):
         with pytest.raises(ValueError):
-            psd_project(GramMatrix(np.eye(2)), floor=-1.0)
+            psd_project(np.eye(2), floor=-1.0)
 
 
 def test_cache_shares_isomorphic_entries():
@@ -127,3 +129,65 @@ def test_cache_shares_isomorphic_entries():
     v1 = cache.distance_vector(a1, expand("CC"))
     v2 = cache.distance_vector(a2, expand("CC"))
     assert v1 is v2  # same canonical pair hits the same entry
+
+
+FAMILIES = [
+    FingerprintTanimoto(),
+    OTExpSum((0.5, 1.0, 0.02, 1.0)),
+    SumKernel(alpha1=2.0, alpha2=3.0, ot=OTExpSum((0.3, 2.0, 0.01, 0.5))),
+]
+
+
+@pytest.fixture(scope="module")
+def corpus_mols(corpus):
+    return [expand(s) for s in corpus]
+
+
+@pytest.fixture(scope="module")
+def corpus_cache():
+    return KernelCache()
+
+
+def per_pair_reference(x, y, spec, cache):
+    """Per-pair formulas the block computation replaced."""
+    if isinstance(spec, FingerprintTanimoto):
+        return tanimoto(cache.fingerprint(x, spec), cache.fingerprint(y, spec))
+    if isinstance(spec, OTExpSum):
+        return float(np.exp(-float(np.dot(spec.betas, cache.distance_vector(x, y)))))
+    return spec.alpha1 * per_pair_reference(x, y, spec.fingerprint, cache) + (
+        spec.alpha2 * per_pair_reference(x, y, spec.ot, cache)
+    )
+
+
+@pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: type(s).__name__)
+class TestOneValuePerPair:
+    """A pair gets the same bits from every path that computes it."""
+
+    def test_gram_is_symmetric_cross_gram(self, spec, corpus_mols, corpus_cache):
+        g = gram(corpus_mols, spec, corpus_cache)
+        assert np.array_equal(g, cross_gram(corpus_mols, corpus_mols, spec, corpus_cache))
+        assert np.array_equal(g, g.T)
+
+    def test_kernel_value_is_gram_entry(self, spec, corpus_mols, corpus_cache):
+        g = gram(corpus_mols, spec, corpus_cache)
+        for i, x in enumerate(corpus_mols):
+            for j, y in enumerate(corpus_mols):
+                assert kernel_value(x, y, spec, corpus_cache) == g[i, j], (i, j)
+
+    def test_fit_gram_is_gram(self, spec, corpus_mols, corpus_cache):
+        ys = np.zeros(len(corpus_mols))
+        ev = _FamilyEvaluator(corpus_mols, ys, spec, corpus_cache)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            fitted = ev.spec_from(ev.sample(rng))
+            assert np.array_equal(
+                combine(fitted, *ev.features), gram(corpus_mols, fitted, corpus_cache)
+            )
+
+    def test_matches_per_pair_formula(self, spec, corpus_mols, corpus_cache):
+        g = gram(corpus_mols, spec, corpus_cache)
+        want = np.array([
+            [per_pair_reference(x, y, spec, corpus_cache) for y in corpus_mols]
+            for x in corpus_mols
+        ])
+        assert np.all(np.abs(g - want) <= 1e-12 * np.abs(want))
