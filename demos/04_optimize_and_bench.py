@@ -15,7 +15,7 @@ from molbo import (
     OracleKind,
     OTExpSum,
     RunConfig,
-    chembo_run,
+    run,
     run_bench,
 )
 
@@ -36,7 +36,7 @@ base = RunConfig(
 )
 
 print("== One guided run, in detail ==")
-result = chembo_run(base)
+result = run(base)
 for rec in result.records:
     print(f"  iter {rec.iteration:2d} [{rec.acquisition_used:4s}] value {rec.value:+.0f} "
           f"pool {rec.pool_size_after:3d}  {rec.molecule[:40]}")

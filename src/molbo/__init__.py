@@ -57,9 +57,7 @@ from .optimizer import (
     Method,
     RunConfig,
     RunResult,
-    chembo_run,
     explore_acquisition,
-    rand_run,
     run,
 )
 from .otdist import (

@@ -1,25 +1,30 @@
-"""The main Bayesian-optimization loop and the random-search baseline.
+"""The Bayesian-optimization run: one skeleton, a guided and a random body.
 
-Each outer iteration refits the GP on everything evaluated so far, picks
-an acquisition from the adaptive ensemble, and optimizes it by a random
-walk on the synthesis graph: repeatedly draw a reagent subset and a
-condition subset, ask the oracle for products, and keep novel molecules
-until the required number of successful steps; the iteration then
-evaluates the acquisition argmax over the whole (persistent) pool.  The
-baseline shares the exploration dynamics but spends its budget
-evaluating the objective on every new unique product directly.
+``run`` is the one skeleton.  It bootstraps on the initial pool, writes
+the log header, rates molecules (one ``EvaluationRecord`` per rating,
+logged as it is made, best-so-far tracked) and returns the
+``RunResult``.  Only the choice of what to rate next differs by method:
 
-Randomness flows from a single seed split into two child streams: one
-drives exploration draws (shared verbatim by both methods, so paired
-seeds explore identically), the other drives model fitting and
-acquisition sampling.
+- the guided body refits the GP each iteration on everything rated so
+  far, picks an acquisition from the adaptive ensemble, and optimizes it
+  by a random walk on the synthesis graph (repeatedly draw a reagent
+  subset and a condition subset, ask the oracle for products, and keep
+  novel molecules until the required number of successful steps); it
+  then rates the acquisition argmax over the whole (persistent) pool;
+- the random body runs the same walk and rates every new unique product
+  directly.
+
+Both bodies draw from the one walk generator ``_walk``.  Randomness flows
+from a single seed split into two child streams: one drives exploration
+draws (shared verbatim by both methods, so paired seeds explore
+identically), the other drives model fitting and acquisition sampling.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import json
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,7 +92,6 @@ class EvaluationRecord:
     value: float
     acquisition_used: str | None
     pool_size_after: int
-    wall_ms: int
 
 
 @dataclass
@@ -113,26 +117,50 @@ class RunResult:
 # ---------------------------------------------------------------------------
 
 
-def _draw_step(pool, keys, past, conditions, oracle, rng):
-    """One Rand-Select draw: returns (new products, reagents, conditions,
-    template) with an empty product list on failure."""
-    size = 2 if rng.random() < REAGENT_PAIR_PROBABILITY else 1
-    size = min(size, len(pool))
-    idx = rng.choice(len(pool), size=size, replace=False)
-    reagents = [pool[int(k)] for k in idx]
-    q_size = min(int(rng.integers(1, 3)), len(conditions))
-    q_idx = rng.choice(len(conditions), size=q_size, replace=False)
-    conds = [conditions[int(k)] for k in sorted(q_idx)]
-    outcome = synthesize_detailed(reagents, conds, oracle)
-    if outcome is None:
-        return [], reagents, conds, None
-    products, template = outcome
-    new = [
-        p
-        for p in sorted(products, key=lambda m: m.canonical_form)
-        if p.canonical_form not in keys and p.canonical_form not in past
-    ]
-    return new, reagents, conds, template
+def _walk(pool, conditions, past, oracle, rng, dag, max_failures, step):
+    """Rand-Select walk on the synthesis graph, one draw at a time.
+
+    A draw picks one or two reagents from ``pool`` and one or two
+    conditions and asks the oracle for products.  It succeeds when a
+    product lies outside ``past`` and the pool: the draw is recorded in
+    ``dag`` (if given) as ``step``, the new molecules are appended to
+    ``pool`` and yielded.  The walk returns after ``max_failures``
+    consecutive failed draws.  Nothing is drawn until the consumer asks
+    for the next success, so a consumer that stops asking leaves the RNG
+    stream and the DAG untouched.
+    """
+    conditions = tuple(conditions)
+    keys = {m.canonical_form for m in pool}
+    failures = 0
+    while failures < max_failures:
+        size = 2 if rng.random() < REAGENT_PAIR_PROBABILITY else 1
+        size = min(size, len(pool))
+        idx = rng.choice(len(pool), size=size, replace=False)
+        reagents = [pool[int(k)] for k in idx]
+        q_size = min(int(rng.integers(1, 3)), len(conditions))
+        q_idx = rng.choice(len(conditions), size=q_size, replace=False)
+        conds = [conditions[int(k)] for k in sorted(q_idx)]
+        outcome = synthesize_detailed(reagents, conds, oracle)
+        new = []
+        if outcome is not None:
+            products, template = outcome
+            new = [
+                p
+                for p in sorted(products, key=lambda m: m.canonical_form)
+                if p.canonical_form not in keys and p.canonical_form not in past
+            ]
+        if not new:
+            failures += 1
+            continue
+        failures = 0
+        if dag is not None:
+            record_synthesis(
+                dag, new, [r.canonical_form for r in reagents], template, conds, step
+            )
+        step += 1
+        pool.extend(new)
+        keys.update(p.canonical_form for p in new)
+        yield new
 
 
 def explore_acquisition(
@@ -158,32 +186,8 @@ def explore_acquisition(
     """
     if not pool:
         raise ValueError("pool must not be empty")
-    conditions = tuple(conditions)
-    keys = {m.canonical_form for m in pool}
-    successes = 0
-    failures = 0
-    step = start_step
-    stalled = False
-    while successes < n:
-        if failures >= STALL_FACTOR * n:
-            stalled = True
-            break
-        new, reagents, conds, template = _draw_step(
-            pool, keys, past, conditions, oracle, rng
-        )
-        if not new:
-            failures += 1
-            continue
-        failures = 0
-        successes += 1
-        if dag is not None:
-            record_synthesis(
-                dag, new, [r.canonical_form for r in reagents], template, conds, step
-            )
-        for p in new:
-            pool.append(p)
-            keys.add(p.canonical_form)
-        step += 1
+    walk = _walk(pool, conditions, past, oracle, rng, dag, STALL_FACTOR * n, start_step)
+    successes = sum(1 for _ in itertools.islice(walk, n))
 
     candidates = [m for m in pool if m.canonical_form not in past]
     if not candidates:
@@ -196,7 +200,7 @@ def explore_acquisition(
             and candidates[i].canonical_form < candidates[best_idx].canonical_form
         ):
             best_idx = i
-    return candidates[best_idx], stalled, successes
+    return candidates[best_idx], successes < n, successes
 
 
 # ---------------------------------------------------------------------------
@@ -336,85 +340,112 @@ def _make_scorer(kind, gp_post, best, t, model_rng):
     return scorer
 
 
-def chembo_run(cfg: RunConfig, log_path=None) -> RunResult:
-    """The GP-guided loop: bootstrap on the initial pool, then for each
-    of ``budget_t`` iterations refit the GP, sample an acquisition from
-    the ensemble, explore, and evaluate the acquisition argmax."""
-    if cfg.method is not Method.CHEMBO:
-        raise ValueError("chembo_run requires method=chembo")
+def _guided(cfg, pool, dag, evaluated, molecules, rate, explore_rng, model_rng) -> bool:
+    """The GP-guided body: each of ``budget_t`` iterations refits the GP,
+    samples an acquisition from the ensemble, explores, and rates the
+    acquisition argmax.  Returns whether any walk stalled."""
+    cache = KernelCache()
+    weights = EnsembleWeights()
+    prev_hyper: GpHyperparams | None = None
+    next_step = 1
+    any_stall = False
+    for t in range(1, cfg.budget_t + 1):
+        train_keys = list(evaluated)
+        train_mols = [molecules[k] for k in train_keys]
+        train_ys = np.array([evaluated[k] for k in train_keys])
+        if len(train_mols) >= 3:
+            try:
+                hyper = fit(train_mols, train_ys, cfg.kernel_family, model_rng, cache)
+            except FitFailure:
+                if prev_hyper is None:
+                    raise
+                hyper = prev_hyper
+        else:
+            hyper = _default_hyper(cfg, train_ys)
+        prev_hyper = hyper
+        gp_post = build_posterior(train_mols, train_ys, hyper, cache)
+
+        kind = ensemble_pick(weights, model_rng)
+        scorer = _make_scorer(kind, gp_post, max(evaluated.values()), t, model_rng)
+        candidate, stalled, steps = explore_acquisition(
+            pool,
+            cfg.conditions,
+            set(evaluated),
+            cfg.explorer_steps,
+            cfg.oracle,
+            scorer,
+            explore_rng,
+            dag=dag,
+            start_step=next_step,
+        )
+        next_step += steps
+        any_stall = any_stall or stalled
+        weights.update(kind, rate(candidate, kind.value))
+    return any_stall
+
+
+def _random(cfg, pool, dag, evaluated, rate, explore_rng) -> bool:
+    """The random-search body: one walk for the whole run, every new
+    product rated directly, one budget unit per rating, until ``budget_t``
+    ratings are spent.  The walk stalls after ``100 * explorer_steps``
+    consecutive failed draws.  Returns whether it stalled first."""
+    left = cfg.budget_t
+    if left == 0:
+        return False
+    walk = _walk(pool, cfg.conditions, evaluated, cfg.oracle, explore_rng, dag,
+                 STALL_FACTOR * cfg.explorer_steps, 1)
+    for new in walk:
+        for mol in new:
+            rate(mol, None)
+            left -= 1
+            if left == 0:
+                return False
+    return True
+
+
+def run(cfg: RunConfig, log_path=None) -> RunResult:
+    """Bootstrap on the initial pool, then spend ``budget_t`` ratings with
+    the body ``cfg.method`` names, logging each record as it is made."""
     explore_rng, model_rng = _streams(cfg.seed)
     pool, dag, evaluated, molecules = _bootstrap(cfg)
     initial_evaluations = list(evaluated.items())
     writer = RunLogWriter(log_path) if log_path else None
     if writer:
         writer.write_header(cfg, initial_evaluations)
-
-    cache = KernelCache()
-    weights = EnsembleWeights()
     records: list[EvaluationRecord] = []
     best_key = max(evaluated, key=lambda k: (evaluated[k], k))
-    best_value = evaluated[best_key]
-    prev_hyper: GpHyperparams | None = None
-    next_step = 1
-    any_stall = False
+
+    def rate(mol: Molecule, acquisition_used: str | None) -> bool:
+        """Record one rating (a stalled guided walk may offer a molecule
+        already rated; its value is reused) and return whether it beats
+        the best so far."""
+        nonlocal best_key
+        key = mol.canonical_form
+        if key not in evaluated:
+            evaluated[key] = evaluate(cfg.objective, mol)
+            molecules[key] = mol
+        value = evaluated[key]
+        improved = value > evaluated[best_key]
+        if improved:
+            best_key = key
+        rec = EvaluationRecord(
+            iteration=len(records) + 1,
+            molecule=key,
+            value=value,
+            acquisition_used=acquisition_used,
+            pool_size_after=len(pool),
+        )
+        records.append(rec)
+        if writer:
+            writer.write_record(rec)
+        return improved
 
     try:
-        for t in range(1, cfg.budget_t + 1):
-            tic = time.perf_counter()
-            train_keys = list(evaluated)
-            train_mols = [molecules[k] for k in train_keys]
-            train_ys = np.array([evaluated[k] for k in train_keys])
-            if len(train_mols) >= 3:
-                try:
-                    hyper = fit(train_mols, train_ys, cfg.kernel_family, model_rng, cache)
-                except FitFailure:
-                    if prev_hyper is None:
-                        raise
-                    hyper = prev_hyper
-            else:
-                hyper = _default_hyper(cfg, train_ys)
-            prev_hyper = hyper
-            gp_post = build_posterior(train_mols, train_ys, hyper, cache)
-
-            kind = ensemble_pick(weights, model_rng)
-            scorer = _make_scorer(kind, gp_post, best_value, t, model_rng)
-            candidate, stalled, steps = explore_acquisition(
-                pool,
-                cfg.conditions,
-                set(evaluated),
-                cfg.explorer_steps,
-                cfg.oracle,
-                scorer,
-                explore_rng,
-                dag=dag,
-                start_step=next_step,
-            )
-            next_step += steps
-            any_stall = any_stall or stalled
-
-            key = candidate.canonical_form
-            if key in evaluated:  # stalled walk with nothing new to rate
-                value = evaluated[key]
-            else:
-                value = evaluate(cfg.objective, candidate)
-                evaluated[key] = value
-                molecules[key] = candidate
-            improved = value > best_value
-            if improved:
-                best_key, best_value = key, value
-            weights.update(kind, improved)
-
-            rec = EvaluationRecord(
-                iteration=t,
-                molecule=key,
-                value=value,
-                acquisition_used=kind.value,
-                pool_size_after=len(pool),
-                wall_ms=int((time.perf_counter() - tic) * 1000),
-            )
-            records.append(rec)
-            if writer:
-                writer.write_record(rec)
+        if cfg.method is Method.CHEMBO:
+            stalled = _guided(cfg, pool, dag, evaluated, molecules, rate,
+                              explore_rng, model_rng)
+        else:
+            stalled = _random(cfg, pool, dag, evaluated, rate, explore_rng)
     finally:
         if writer:
             writer.close()
@@ -422,91 +453,8 @@ def chembo_run(cfg: RunConfig, log_path=None) -> RunResult:
     return RunResult(
         records=records,
         best_molecule=best_key,
-        best_value=best_value,
-        dag=dag,
-        initial_evaluations=initial_evaluations,
-        stalled=any_stall,
-    )
-
-
-def rand_run(cfg: RunConfig, log_path=None) -> RunResult:
-    """Random-search baseline: identical exploration dynamics, but every
-    new unique product is rated directly with the objective, one budget
-    unit per rating, until ``budget_t`` ratings are spent."""
-    if cfg.method is not Method.RAND:
-        raise ValueError("rand_run requires method=rand")
-    explore_rng, _ = _streams(cfg.seed)
-    pool, dag, evaluated, molecules = _bootstrap(cfg)
-    initial_evaluations = list(evaluated.items())
-    writer = RunLogWriter(log_path) if log_path else None
-    if writer:
-        writer.write_header(cfg, initial_evaluations)
-
-    records: list[EvaluationRecord] = []
-    best_key = max(evaluated, key=lambda k: (evaluated[k], k))
-    best_value = evaluated[best_key]
-    keys = {m.canonical_form for m in pool}
-    conditions = tuple(cfg.conditions)
-    iteration = 0
-    failures = 0
-    step = 1
-    stalled = False
-
-    try:
-        while iteration < cfg.budget_t:
-            if failures >= STALL_FACTOR * cfg.explorer_steps:
-                stalled = True
-                break
-            tic = time.perf_counter()
-            new, reagents, conds, template = _draw_step(
-                pool, keys, set(evaluated), conditions, cfg.oracle, explore_rng
-            )
-            if not new:
-                failures += 1
-                continue
-            failures = 0
-            record_synthesis(
-                dag, new, [r.canonical_form for r in reagents], template, conds, step
-            )
-            step += 1
-            for p in new:
-                pool.append(p)
-                keys.add(p.canonical_form)
-            for p in new:
-                if iteration >= cfg.budget_t:
-                    break
-                iteration += 1
-                value = evaluate(cfg.objective, p)
-                evaluated[p.canonical_form] = value
-                molecules[p.canonical_form] = p
-                if value > best_value:
-                    best_key, best_value = p.canonical_form, value
-                rec = EvaluationRecord(
-                    iteration=iteration,
-                    molecule=p.canonical_form,
-                    value=value,
-                    acquisition_used=None,
-                    pool_size_after=len(pool),
-                    wall_ms=int((time.perf_counter() - tic) * 1000),
-                )
-                records.append(rec)
-                if writer:
-                    writer.write_record(rec)
-    finally:
-        if writer:
-            writer.close()
-
-    return RunResult(
-        records=records,
-        best_molecule=best_key,
-        best_value=best_value,
+        best_value=evaluated[best_key],
         dag=dag,
         initial_evaluations=initial_evaluations,
         stalled=stalled,
     )
-
-
-def run(cfg: RunConfig, log_path=None) -> RunResult:
-    if cfg.method is Method.CHEMBO:
-        return chembo_run(cfg, log_path)
-    return rand_run(cfg, log_path)

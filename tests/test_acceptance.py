@@ -33,7 +33,7 @@ from molbo.molgraph import (
     parse_smiles,
 )
 from molbo.objectives import Objective, ObjectiveKind
-from molbo.optimizer import Method, RunConfig, chembo_run, explore_acquisition
+from molbo.optimizer import Method, RunConfig, explore_acquisition, run
 from molbo.otdist import CONFIG_ORDER, DistanceConfig, build_costs, solve_ot
 from molbo.synthesis import Condition, OracleKind, SynthesisDag, recipe, replay_recipe
 
@@ -233,7 +233,7 @@ def test_explorer_and_dag_properties():
         conditions=(Condition("join"),),
         explorer_steps=10,
     )
-    result = chembo_run(cfg)
+    result = run(cfg)
     rated = [k for k, _ in result.initial_evaluations]
     rated += [r.molecule for r in result.records]
     assert len(rated) == len(set(rated)) == len(JOIN_POOL) + 5

@@ -57,11 +57,11 @@ class TestAggregation:
         spec = BenchSpec(methods=("rand",), seeds=(5, 6, 7), base=base_config())
         result = run_bench(spec, workers=1)
         only = {5: None}
-        from molbo.optimizer import rand_run
+        from molbo.optimizer import run
 
         for seed in (5, 6, 7):
             cfg = method_config(base_config(), "rand", seed)
-            only[seed] = rand_run(cfg).best_so_far()
+            only[seed] = run(cfg).best_so_far()
         curves = np.array([only[s] for s in (5, 6, 7)])
         assert np.allclose(result["rand"]["mean"], curves.mean(axis=0))
         want_stderr = curves.std(axis=0, ddof=1) / np.sqrt(3)
@@ -119,10 +119,10 @@ def _pool_products(tmp_path, seed):
         data = json.loads(path.read_text())
         return {n["molecule"] for n in data["nodes"]}
     # fall back: recompute the guided run's synthesized set
-    from molbo.optimizer import chembo_run
+    from molbo.optimizer import run
 
     cfg = method_config(base_config(budget=2, steps=5), "chembo-ot", seed)
-    result = chembo_run(cfg)
+    result = run(cfg)
     return set(result.dag.nodes)
 
 

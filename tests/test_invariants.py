@@ -10,7 +10,7 @@ from molbo.gp import GpHyperparams, build_posterior
 from molbo.kernel import KernelCache, OTExpSum, gram, psd_project
 from molbo.molgraph import BondOrder, PERIODIC_TABLE
 from molbo.objectives import Objective, ObjectiveKind
-from molbo.optimizer import Method, RunConfig, chembo_run
+from molbo.optimizer import Method, RunConfig, run
 from molbo.synthesis import Condition, OracleKind, synthesize
 from molbo.molgraph import add_explicit_hydrogens, parse_smiles
 
@@ -85,7 +85,7 @@ def test_run_result_best_is_max_over_all_evaluations():
         conditions=(Condition("join"),),
         explorer_steps=5,
     )
-    result = chembo_run(cfg)
+    result = run(cfg)
     values = [v for _, v in result.initial_evaluations]
     values += [r.value for r in result.records]
     assert result.best_value == max(values)
