@@ -15,7 +15,7 @@ from molbo import (
     parse_smiles,
     recipe,
     replay_recipe,
-    synthesize,
+    synthesize_detailed,
 )
 from molbo.synthesis import recipe_to_graph_text
 
@@ -33,12 +33,13 @@ cases = [
     ("N-alkylation", "CN", "CCl", {"base"}),
 ]
 for name, a, b, conds in cases:
-    products = synthesize([expand(a), expand(b)], conds, OracleKind.TEMPLATE)
+    products, _ = synthesize_detailed([expand(a), expand(b)], conds, OracleKind.TEMPLATE)
     made = ", ".join(sorted(m.canonical_form for m in products))
     print(f"  {name:18s} {a} + {b} under {sorted(conds)} -> {made}")
 
 print("\n  wrong conditions give Null:",
-      synthesize([expand("CC(=O)O"), expand("CCO")], {"base"}, OracleKind.TEMPLATE))
+      synthesize_detailed([expand("CC(=O)O"), expand("CCO")], {"base"},
+                          OracleKind.TEMPLATE))
 
 print("\n== Random walk on the synthesis graph ==")
 pool_smiles = ["CC(=O)O", "CCO", "CN", "CCBr", "CC=O", "OCCO", "NCCN", "CCCl"]

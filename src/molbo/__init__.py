@@ -83,7 +83,7 @@ from .synthesis import (
     recipe,
     record_synthesis,
     replay_recipe,
-    synthesize,
+    synthesize_detailed,
 )
 
 __version__ = "0.1.0"

@@ -214,6 +214,7 @@ def _cmd_optimize(args) -> int:
         "best_value": result.best_value,
         "best_molecule": result.best_molecule,
         "evaluations": len(result.initial_evaluations) + len(result.records),
+        "stalled": result.stalled,
     }, sort_keys=True))
     return EXIT_OK
 

@@ -138,20 +138,27 @@ class Molecule:
 
     ``atoms`` is a tuple of Elements (list position is the atom index);
     ``bonds`` maps sorted index pairs to bond orders.  Valence and
-    connectivity invariants are checked at construction.  Instances
-    cache derived data (canonical form, hydrogen expansion, per-atom
-    bond profiles); operations are pure and safe to call concurrently.
+    connectivity invariants are checked at construction, which also keeps
+    every atom's bond-order sum.  Instances cache derived data, each
+    built on first use: the canonical form and canonical heavy order, the
+    hydrogen expansion, the heavy skeleton, per-atom bond profiles,
+    transport classes and functional-group sites (``_sites``, filled by
+    ``molbo.synthesis``).  Operations are pure and safe to call
+    concurrently.
     """
 
     __slots__ = (
         "atoms",
         "bonds",
         "_adjacency",
+        "_bond_sums",
         "_canonical",
         "_canonical_heavy_order",
         "_expanded",
         "_is_expanded",
         "_profiles",
+        "_sites",
+        "_skeleton",
         "_transport_classes",
     )
 
@@ -181,6 +188,8 @@ class Molecule:
         self._expanded = None
         self._is_expanded = None
         self._profiles = None
+        self._sites = {}
+        self._skeleton = None
         self._transport_classes = {}
         self._check_connected()
         self._check_valence()
@@ -204,8 +213,9 @@ class Molecule:
             raise MultiFragmentInput("molecule graph is disconnected")
 
     def _check_valence(self):
+        self._bond_sums = tuple(_bond_sum(nbrs) for nbrs in self._adjacency)
         for i, elem in enumerate(self.atoms):
-            s = self.bond_order_sum(i)
+            s = self._bond_sums[i]
             if s > elem.default_valence:
                 raise ValenceExceeded(
                     f"atom {i} ({elem.symbol}) carries bond order {s} > {elem.default_valence}"
@@ -231,12 +241,7 @@ class Molecule:
 
     def bond_order_sum(self, i: int) -> int:
         """Effective bond-order sum at atom i (aromatic sums are floored)."""
-        s = 0.0
-        aromatic = False
-        for _, order in self._adjacency[i]:
-            s += order.valence_contribution
-            aromatic = aromatic or order is BondOrder.AROMATIC
-        return int(s + 1e-9) if aromatic else int(round(s))
+        return self._bond_sums[i]
 
     def free_valence(self, i: int) -> int:
         s = self.bond_order_sum(i)
@@ -264,6 +269,15 @@ class Molecule:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Molecule({self.canonical_form!r}, atoms={self.n_atoms})"
+
+
+def _bond_sum(neighbors) -> int:
+    s = 0.0
+    aromatic = False
+    for _, order in neighbors:
+        s += order.valence_contribution
+        aromatic = aromatic or order is BondOrder.AROMATIC
+    return int(s + 1e-9) if aromatic else int(round(s))
 
 
 def molecular_weight(mol: Molecule, mode: WeightMode) -> float:
@@ -479,9 +493,20 @@ def add_explicit_hydrogens(mol: Molecule) -> Molecule:
 
 
 def strip_hydrogens(mol: Molecule) -> Molecule:
-    """Heavy-atom skeleton of a molecule (inverse of hydrogen expansion)."""
+    """Heavy-atom skeleton of a molecule (inverse of hydrogen expansion).
+
+    The skeleton is built once per molecule and cached; a molecule
+    without hydrogens is its own skeleton.  It shares the molecule's
+    canonical form and canonical heavy order (remapped to its own
+    indices) instead of canonicalising again: the heavy-index map is
+    monotone and the skeleton keeps the heavy bonds in their order, so
+    canonicalisation sees the same input.
+    """
+    if mol._skeleton is not None:
+        return mol._skeleton
     heavy = mol.heavy_indices()
     if len(heavy) == mol.n_atoms:
+        mol._skeleton = mol
         return mol
     if not heavy:
         raise InvalidMolecule("molecule has no heavy atoms")
@@ -491,7 +516,11 @@ def strip_hydrogens(mol: Molecule) -> Molecule:
         for (i, j), order in mol.bonds.items()
         if i in remap and j in remap
     }
-    return Molecule([mol.atoms[i] for i in heavy], bonds)
+    skeleton = Molecule([mol.atoms[i] for i in heavy], bonds)
+    skeleton._canonical = mol.canonical_form
+    skeleton._canonical_heavy_order = tuple(remap[i] for i in mol.canonical_heavy_order())
+    mol._skeleton = skeleton
+    return skeleton
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Synthesis oracles, the synthesis DAG, and recipe extraction.
 
-The oracle contract is a function from (reagents, process conditions) to
-a predicted product set, or Null when no reaction applies.  Two
-deterministic oracles implement it:
+The oracle contract, ``synthesize_detailed``, maps (reagents, process
+conditions) to a predicted product set and the name of the rule that
+fired, or None when no reaction applies.  Two deterministic oracles
+implement it:
 
 * TemplateOracle: a fixed library of five bimolecular rewrite rules
   (esterification, amide coupling, Williamson ether, imine formation,
@@ -69,6 +70,14 @@ def _condition_ids(conditions) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 # Functional-group patterns (heavy-skeleton matching)
 # ---------------------------------------------------------------------------
+
+
+def _sites(mol: Molecule, pattern: Callable) -> list[tuple] | int | None:
+    """``pattern(mol)``, computed once per skeleton and kept on it."""
+    memo = mol._sites
+    if pattern not in memo:
+        memo[pattern] = pattern(mol)
+    return memo[pattern]
 
 
 def _canonical_rank(mol: Molecule) -> dict[int, int]:
@@ -294,11 +303,14 @@ def _join_site(mol: Molecule) -> int | None:
 
 
 def synthesize_detailed(reagents, conditions, oracle: OracleKind):
-    """Like :func:`synthesize` but also reports which rule fired:
-    returns ``(products, template name)`` or None."""
+    """The oracle: ``(products, name of the rule that fired)`` for the
+    reagents under the conditions, or None when no reaction applies.
+    Products are hydrogen-expanded.  Functional-group sites are looked
+    up once per reagent skeleton and reused by later draws.
+    """
     reagents = list(reagents)
     if not 1 <= len(reagents) <= 3:
-        raise ValueError("synthesize takes one to three reagents")
+        raise ValueError("synthesize_detailed takes one to three reagents")
     cond_ids = _condition_ids(conditions)
     heavy = [strip_hydrogens(m) for m in reagents]
 
@@ -306,7 +318,7 @@ def synthesize_detailed(reagents, conditions, oracle: OracleKind):
         if len(heavy) != 2 or "join" not in cond_ids:
             return None
         a, b = heavy
-        site_a, site_b = _join_site(a), _join_site(b)
+        site_a, site_b = _sites(a, _join_site), _sites(b, _join_site)
         if site_a is None or site_b is None:
             return None
         product = _combine(a, b, set(), set(), [(site_a, site_b, BondOrder.SINGLE)])
@@ -319,10 +331,10 @@ def synthesize_detailed(reagents, conditions, oracle: OracleKind):
             if not template.required_conditions <= cond_ids:
                 continue
             for i, j in ((0, 1), (1, 0)):
-                sites_a = template.required_groups[0](heavy[i])
+                sites_a = _sites(heavy[i], template.required_groups[0])
                 if not sites_a:
                     continue
-                sites_b = template.required_groups[1](heavy[j])
+                sites_b = _sites(heavy[j], template.required_groups[1])
                 if not sites_b:
                     continue
                 try:
@@ -335,14 +347,6 @@ def synthesize_detailed(reagents, conditions, oracle: OracleKind):
         return None
 
     raise ValueError(f"unknown oracle {oracle!r}")
-
-
-def synthesize(reagents, conditions, oracle: OracleKind):
-    """Predicted product set for the reagents under the conditions, or
-    None when no reaction applies.  Products are hydrogen-expanded.
-    """
-    outcome = synthesize_detailed(reagents, conditions, oracle)
-    return None if outcome is None else outcome[0]
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +463,10 @@ def replay_recipe(steps: list[RecipeStep], oracle: OracleKind) -> Molecule:
             last = made[step.molecule]
             continue
         reagents = [made[p] for p in step.parents]
-        products = synthesize(reagents, step.conditions, oracle)
-        if products is None:
+        outcome = synthesize_detailed(reagents, step.conditions, oracle)
+        if outcome is None:
             raise InvalidMolecule(f"recipe step for {step.molecule!r} failed to fire")
+        products = outcome[0]
         match = next(
             (p for p in products if p.canonical_form == step.molecule), None
         )

@@ -1,6 +1,7 @@
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from molbo.errors import InvalidMolecule, MultiFragmentInput, ValenceExceeded
@@ -9,7 +10,11 @@ from molbo.molgraph import (
     Molecule,
     PERIODIC_TABLE,
     add_explicit_hydrogens,
+    load_pool,
+    parse_smiles,
 )
+from molbo.optimizer import explore_acquisition
+from molbo.synthesis import CONDITION_LIBRARY, Condition, OracleKind
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -28,6 +33,28 @@ def small_pool_path() -> Path:
 @pytest.fixture(scope="session")
 def template_pool_path() -> Path:
     return DATA_DIR / "pool_template.smi"
+
+
+@pytest.fixture(scope="session")
+def cached_molecules(corpus) -> list[Molecule]:
+    """The corpus (heavy, expanded, and expanded with hydrogens among the
+    heavy atoms) plus the pools of one walk per oracle; the walks have
+    filled the skeleton and site caches of every molecule they drew."""
+    heavy = [parse_smiles(text) for text in corpus]
+    expanded = [add_explicit_hydrogens(m) for m in heavy]
+    rng = random.Random(0)
+    molecules = heavy + expanded + [relabel(m, rng) for m in expanded]
+    walks = (
+        (DATA_DIR / "pool_small.smi", OracleKind.JOIN, (Condition("join"),), 30),
+        (DATA_DIR / "pool_template.smi", OracleKind.TEMPLATE, CONDITION_LIBRARY, 15),
+    )
+    for path, oracle, conditions, n in walks:
+        pool = [add_explicit_hydrogens(m) for m in load_pool(path)]
+        explore_acquisition(pool, conditions, set(), n, oracle,
+                            lambda cands: np.zeros(len(cands)),
+                            np.random.default_rng(5))
+        molecules += pool
+    return molecules
 
 
 def relabel(mol: Molecule, rng: random.Random) -> Molecule:

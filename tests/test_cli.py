@@ -85,11 +85,24 @@ class TestOptimize:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         summary = json.loads(out)
-        assert set(summary) == {"best_value", "best_molecule", "evaluations"}
+        assert set(summary) == {"best_value", "best_molecule", "evaluations", "stalled"}
         assert summary["evaluations"] == 10 + 2
+        assert summary["stalled"] is False
         assert out_path.exists()
         dag = load_dag(str(out_path)[: -len(".jsonl")] + ".dag.json")
         assert summary["best_molecule"] in dag.nodes
+
+    def test_summary_reports_stall(self, capsys, join_args):
+        # no rule of the template library fires on the small join pool, so
+        # the random baseline rates nothing beyond the pool
+        argv, out_path = join_args(out_name="stall.jsonl", oracle="template",
+                                   method="rand")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        summary = json.loads(out)
+        assert summary["stalled"] is True
+        assert summary["evaluations"] == 10
+        assert len(out_path.read_text().splitlines()) == 1  # the header only
 
     def test_budget_zero_returns_pool_max(self, capsys, join_args):
         argv, _ = join_args(out_name="zero.jsonl", budget="0")

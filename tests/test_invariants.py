@@ -11,7 +11,7 @@ from molbo.kernel import KernelCache, OTExpSum, gram, psd_project
 from molbo.molgraph import BondOrder, PERIODIC_TABLE
 from molbo.objectives import Objective, ObjectiveKind
 from molbo.optimizer import Method, RunConfig, run
-from molbo.synthesis import Condition, OracleKind, synthesize
+from molbo.synthesis import Condition, OracleKind, synthesize_detailed
 from molbo.molgraph import add_explicit_hydrogens, parse_smiles
 
 
@@ -67,10 +67,10 @@ def test_posterior_factor_identities():
 def test_unknown_condition_rejected():
     mol = add_explicit_hydrogens(parse_smiles("C"))
     with pytest.raises(ValueError):
-        synthesize([mol, mol], {"plasma"}, OracleKind.JOIN)
+        synthesize_detailed([mol, mol], {"plasma"}, OracleKind.JOIN)
     with pytest.raises(ValueError):
-        Condition("join") and synthesize([mol, mol], {Condition("warp")},
-                                         OracleKind.JOIN)
+        Condition("join") and synthesize_detailed([mol, mol], {Condition("warp")},
+                                                  OracleKind.JOIN)
 
 
 def test_run_result_best_is_max_over_all_evaluations():

@@ -13,8 +13,10 @@ from molbo.errors import (
 )
 from molbo.molgraph import (
     BondOrder,
+    Molecule,
     PERIODIC_TABLE,
     WeightMode,
+    _canonicalize,
     add_explicit_hydrogens,
     atom_weight,
     bond_profile,
@@ -255,3 +257,41 @@ def test_pool_file_loading(tmp_path):
         parse_smiles("CCO").canonical_form,
         parse_smiles("CC").canonical_form,
     ]
+
+
+def _fresh_skeleton(mol):
+    """The heavy skeleton built from scratch, with no cache filled."""
+    heavy = mol.heavy_indices()
+    remap = {old: new for new, old in enumerate(heavy)}
+    bonds = {(remap[i], remap[j]): order for (i, j), order in mol.bonds.items()
+             if i in remap and j in remap}
+    return Molecule([mol.atoms[i] for i in heavy], bonds)
+
+
+def _summed_bond_orders(mol, i):
+    s, aromatic = 0.0, False
+    for _, order in mol.neighbors(i):
+        s += order.valence_contribution
+        aromatic = aromatic or order is BondOrder.AROMATIC
+    return int(s + 1e-9) if aromatic else int(round(s))
+
+
+class TestCachedSkeleton:
+    def test_equals_fresh_skeleton(self, cached_molecules):
+        for mol in cached_molecules:
+            skeleton = strip_hydrogens(mol)
+            assert strip_hydrogens(mol) is skeleton
+            fresh = _fresh_skeleton(mol)
+            assert skeleton.atoms == fresh.atoms
+            assert list(skeleton.bonds.items()) == list(fresh.bonds.items())
+            assert (skeleton.canonical_form, skeleton.canonical_heavy_order()) == \
+                _canonicalize(fresh)
+
+    def test_hydrogen_free_molecule_is_its_own_skeleton(self):
+        mol = parse_smiles("O=S=O")
+        assert strip_hydrogens(add_explicit_hydrogens(mol)) is mol
+
+    def test_bond_sums_match_summed_orders(self, cached_molecules):
+        for mol in cached_molecules:
+            for i in range(mol.n_atoms):
+                assert mol.bond_order_sum(i) == _summed_bond_orders(mol, i)

@@ -5,10 +5,17 @@ import pytest
 
 from molbo import optimizer
 from molbo.kernel import OTExpSum
-from molbo.molgraph import add_explicit_hydrogens, parse_smiles
+from molbo.molgraph import add_explicit_hydrogens, load_pool, parse_smiles
 from molbo.objectives import Objective, ObjectiveKind
 from molbo.optimizer import Method, RunConfig, explore_acquisition, run
-from molbo.synthesis import Condition, OracleKind, SynthesisDag, recipe, replay_recipe
+from molbo.synthesis import (
+    CONDITION_LIBRARY,
+    Condition,
+    OracleKind,
+    SynthesisDag,
+    recipe,
+    replay_recipe,
+)
 
 JOIN_POOL = ("C", "N", "O", "CC", "CO", "CN", "CCO", "CCC", "CCN", "COC")
 HEAVY_10 = Objective(kind=ObjectiveKind.HEAVY_ATOM_TARGET, target=10)
@@ -165,6 +172,25 @@ class TestRandRun:
             (4, "C(CN)O", -6, 14),
             (5, "C(C)(C)(C(C)(C)N)C(C)O", 0, 15),
             (6, "C(O)O", -7, 16),
+        ]
+
+    def test_pinned_template_trajectory(self, template_pool_path):
+        # the template oracle fires four of its five rules here; heavy-atom
+        # values and numpy's Generator stream involve no BLAS
+        pool = tuple(m.canonical_form for m in load_pool(template_pool_path))
+        result = run(join_config(initial_pool=pool, budget_t=8, method=Method.RAND,
+                                 oracle=OracleKind.TEMPLATE,
+                                 conditions=CONDITION_LIBRARY))
+        assert [(r.iteration, r.molecule, r.value, r.pool_size_after)
+                for r in result.records] == [
+            (1, "C(CC(O)=O)C(NC)=O", -1, 11),
+            (2, "C(C)(NC)=O", -5, 12),
+            (3, "O(CC)C(C)=O", -4, 13),
+            (4, "C(CCC(O)=O)(OCC)=O", 0, 14),
+            (5, "O(CC)CC", -5, 15),
+            (6, "C(C)=NC", -6, 16),
+            (7, "C(CC(OC)=O)C(OCC)=O", -1, 17),
+            (8, "C(CCC(O)=O)(NCCN)=O", -1, 18),
         ]
 
     def test_paired_seed_shares_exploration_stream(self):

@@ -1,12 +1,15 @@
 import pytest
 
 from molbo.errors import CycleDetected, UnknownMolecule
-from molbo.molgraph import add_explicit_hydrogens, parse_smiles
+from molbo.molgraph import Molecule, add_explicit_hydrogens, parse_smiles, strip_hydrogens
 from molbo.synthesis import (
     CONDITION_LIBRARY,
     Condition,
     OracleKind,
     SynthesisDag,
+    TEMPLATE_LIBRARY,
+    _join_site,
+    _sites,
     dag_from_json,
     dag_to_json,
     recipe,
@@ -14,7 +17,7 @@ from molbo.synthesis import (
     recipe_to_json,
     record_synthesis,
     replay_recipe,
-    synthesize,
+    synthesize_detailed,
 )
 
 
@@ -28,7 +31,10 @@ def canon(text):
 
 class TestJoinOracle:
     def test_methane_pair_gives_ethane(self):
-        products = synthesize([expand("C"), expand("C")], {"join"}, OracleKind.JOIN)
+        products, template = synthesize_detailed(
+            [expand("C"), expand("C")], {"join"}, OracleKind.JOIN
+        )
+        assert template == "join"
         assert products is not None and len(products) == 1
         ethane = next(iter(products))
         assert ethane.canonical_form == canon("CC")
@@ -36,97 +42,105 @@ class TestJoinOracle:
         assert len(ethane.bonds) == 7
 
     def test_needs_join_condition(self):
-        assert synthesize([expand("C"), expand("C")], {"heat"}, OracleKind.JOIN) is None
+        assert synthesize_detailed(
+            [expand("C"), expand("C")], {"heat"}, OracleKind.JOIN
+        ) is None
 
     def test_needs_two_reagents(self):
-        assert synthesize([expand("C")], {"join"}, OracleKind.JOIN) is None
+        assert synthesize_detailed([expand("C")], {"join"}, OracleKind.JOIN) is None
 
     def test_empty_conditions_null(self):
-        assert synthesize([expand("C"), expand("C")], set(), OracleKind.JOIN) is None
+        assert synthesize_detailed(
+            [expand("C"), expand("C")], set(), OracleKind.JOIN
+        ) is None
 
     def test_pure(self):
         args = ([expand("CCO"), expand("CN")], {"join"}, OracleKind.JOIN)
-        first = {m.canonical_form for m in synthesize(*args)}
-        second = {m.canonical_form for m in synthesize(*args)}
+        first = {m.canonical_form for m in synthesize_detailed(*args)[0]}
+        second = {m.canonical_form for m in synthesize_detailed(*args)[0]}
         assert first == second
 
     def test_products_are_valid_expanded_molecules(self):
-        products = synthesize([expand("CCO"), expand("CCN")], {"join"}, OracleKind.JOIN)
+        products = synthesize_detailed(
+            [expand("CCO"), expand("CCN")], {"join"}, OracleKind.JOIN
+        )[0]
         for p in products:
             assert p.is_expanded()
 
 
 class TestTemplateOracle:
     def test_esterification(self):
-        products = synthesize(
+        products = synthesize_detailed(
             [expand("CC(=O)O"), expand("CCO")], {"acid_cat"}, OracleKind.TEMPLATE
-        )
+        )[0]
         assert {m.canonical_form for m in products} == {canon("CC(=O)OCC")}
 
     def test_esterification_reagent_order_irrelevant(self):
-        products = synthesize(
+        products = synthesize_detailed(
             [expand("CCO"), expand("CC(=O)O")], {"acid_cat"}, OracleKind.TEMPLATE
-        )
+        )[0]
         assert {m.canonical_form for m in products} == {canon("CC(=O)OCC")}
 
     def test_amide_coupling(self):
-        products = synthesize(
+        products = synthesize_detailed(
             [expand("CC(=O)O"), expand("CN")], {"heat"}, OracleKind.TEMPLATE
-        )
+        )[0]
         assert {m.canonical_form for m in products} == {canon("CC(=O)NC")}
 
     def test_williamson_ether(self):
-        products = synthesize(
+        products = synthesize_detailed(
             [expand("CCO"), expand("CBr")], {"base"}, OracleKind.TEMPLATE
-        )
+        )[0]
         assert {m.canonical_form for m in products} == {canon("CCOC")}
 
     def test_imine_formation(self):
-        products = synthesize(
+        products = synthesize_detailed(
             [expand("CC=O"), expand("CN")], {"acid_cat"}, OracleKind.TEMPLATE
-        )
+        )[0]
         assert {m.canonical_form for m in products} == {canon("CC=NC")}
 
     def test_n_alkylation(self):
-        products = synthesize(
+        products = synthesize_detailed(
             [expand("CN"), expand("CCl")], {"base"}, OracleKind.TEMPLATE
-        )
+        )[0]
         assert {m.canonical_form for m in products} == {canon("CNC")}
 
     def test_condition_gating(self):
         # ester partners under the wrong condition do not react
-        assert synthesize(
+        assert synthesize_detailed(
             [expand("CC(=O)O"), expand("CCO")], {"base"}, OracleKind.TEMPLATE
         ) is None
 
     def test_empty_conditions_null(self):
-        assert synthesize(
+        assert synthesize_detailed(
             [expand("CC(=O)O"), expand("CCO")], set(), OracleKind.TEMPLATE
         ) is None
 
     def test_library_order_breaks_overlaps(self):
         # acid + amino-alcohol under acid_cat: esterification fires first
-        products = synthesize(
+        products = synthesize_detailed(
             [expand("CC(=O)O"), expand("NCCO")], {"acid_cat"}, OracleKind.TEMPLATE
-        )
+        )[0]
         assert {m.canonical_form for m in products} == {canon("CC(=O)OCCN")}
 
     def test_smallest_canonical_site_fires(self):
         # diol partner: the rewrite is deterministic across spellings
-        a = synthesize([expand("CC(=O)O"), expand("OCCCO")], {"acid_cat"},
-                       OracleKind.TEMPLATE)
-        b = synthesize([expand("CC(=O)O"), expand("OCCCO")], {"acid_cat"},
-                       OracleKind.TEMPLATE)
+        a = synthesize_detailed([expand("CC(=O)O"), expand("OCCCO")], {"acid_cat"},
+                                OracleKind.TEMPLATE)[0]
+        b = synthesize_detailed([expand("CC(=O)O"), expand("OCCCO")], {"acid_cat"},
+                                OracleKind.TEMPLATE)[0]
         assert {m.canonical_form for m in a} == {m.canonical_form for m in b}
 
     def test_single_reagent_never_fires(self):
-        assert synthesize([expand("CC(=O)O")], {"acid_cat"}, OracleKind.TEMPLATE) is None
+        assert synthesize_detailed(
+            [expand("CC(=O)O")], {"acid_cat"}, OracleKind.TEMPLATE
+        ) is None
 
     def test_reagent_count_validated(self):
         with pytest.raises(ValueError):
-            synthesize([], {"join"}, OracleKind.JOIN)
+            synthesize_detailed([], {"join"}, OracleKind.JOIN)
         with pytest.raises(ValueError):
-            synthesize([expand("C")] * 4, {"join"}, OracleKind.JOIN)
+            synthesize_detailed([expand("C")] * 4, {"join"}, OracleKind.JOIN)
 
 
 class TestDag:
@@ -178,7 +192,7 @@ class TestRecipe:
         current = mols["C"]
         partners = [mols["N"], mols["O"], mols["N"]]
         for step, partner in enumerate(partners, start=1):
-            products = synthesize([current, partner], {"join"}, OracleKind.JOIN)
+            products = synthesize_detailed([current, partner], {"join"}, OracleKind.JOIN)[0]
             product = next(iter(products))
             record_synthesis(dag, [product],
                              [current.canonical_form, partner.canonical_form],
@@ -265,3 +279,17 @@ def test_condition_library_contents():
     ids = {c.id for c in CONDITION_LIBRARY}
     assert ids == {"acid_cat", "base", "heat", "pd_cat", "neat", "join"}
     assert Condition("acid_cat") in CONDITION_LIBRARY
+
+
+def test_memoised_sites_equal_direct_lookups(cached_molecules):
+    patterns = {_join_site}
+    patterns.update(g for t in TEMPLATE_LIBRARY for g in t.required_groups)
+    filled = 0
+    for mol in cached_molecules:
+        skeleton = strip_hydrogens(mol)
+        filled += bool(skeleton._sites)
+        # a skeleton built from scratch canonicalises on its own
+        fresh = Molecule(skeleton.atoms, skeleton.bonds)
+        for pattern in patterns:
+            assert _sites(skeleton, pattern) == pattern(fresh)
+    assert filled >= 20  # the walks looked sites up on their reagents
