@@ -23,7 +23,6 @@ from .gp import (
     GpPosterior,
     build_posterior,
     fit,
-    log_marginal_likelihood,
     posterior,
     posterior_batch,
 )
@@ -33,12 +32,10 @@ from .kernel import (
     OTExpSum,
     SumKernel,
     gram,
-    kernel_value,
     psd_project,
 )
 from .molgraph import (
     BondOrder,
-    BondProfile,
     Element,
     Molecule,
     PERIODIC_TABLE,

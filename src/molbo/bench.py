@@ -5,8 +5,9 @@ aggregates best-so-far curves into per-iteration mean and standard
 error.  Seeds are paired: the same seed drives the same exploration
 randomness in every method, which reduces comparison variance relative
 to fully independent runs.  Runs may execute in separate worker
-processes (``MOLBO_THREADS`` caps the worker count); aggregation is
-deterministic either way because each run depends only on its own seed.
+processes (one per core unless ``workers`` says otherwise); aggregation
+is deterministic either way because each run depends only on its own
+seed.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -51,13 +53,6 @@ def method_config(base: RunConfig, method: str, seed: int) -> RunConfig:
         "chembo-sum": SumKernel(),
     }[method]
     return replace(base, method=Method.CHEMBO, kernel_family=kernel, seed=seed)
-
-
-def _worker_count(requested: int | None, n_jobs: int) -> int:
-    cap = os.environ.get("MOLBO_THREADS")
-    limit = int(cap) if cap else (os.cpu_count() or 1)
-    want = requested if requested is not None else limit
-    return max(1, min(want, limit, n_jobs))
 
 
 def _run_job(job):
@@ -103,34 +98,23 @@ def run_bench(
     if log_dir:
         Path(log_dir).mkdir(parents=True, exist_ok=True)
 
-    partial_path = f"{out_path}.partial.jsonl" if out_path else None
-    partial_fh = open(partial_path, "w", encoding="utf-8") if partial_path else None
-
     curves: dict[str, dict[int, list[float]]] = {m: {} for m in spec.methods}
-    n_workers = _worker_count(workers, len(jobs))
-    try:
+    n_workers = workers if workers is not None else (os.cpu_count() or 1)
+    n_workers = max(1, min(n_workers, len(jobs)))
+    with ExitStack() as stack:
+        partial_fh = None
+        if out_path:
+            partial_path = f"{out_path}.partial.jsonl"
+            partial_fh = stack.enter_context(open(partial_path, "w", encoding="utf-8"))
+        job_map = map
         if n_workers > 1:
-            with ProcessPoolExecutor(max_workers=n_workers) as pool:
-                outcomes = pool.map(_run_job, jobs)
-                for method, seed, curve in outcomes:
-                    curves[method][seed] = curve
-                    if partial_fh:
-                        partial_fh.write(json.dumps(
-                            {"method": method, "seed": seed, "curve": curve}))
-                        partial_fh.write("\n")
-                        partial_fh.flush()
-        else:
-            for job in jobs:
-                method, seed, curve = _run_job(job)
-                curves[method][seed] = curve
-                if partial_fh:
-                    partial_fh.write(json.dumps(
-                        {"method": method, "seed": seed, "curve": curve}))
-                    partial_fh.write("\n")
-                    partial_fh.flush()
-    finally:
-        if partial_fh:
-            partial_fh.close()
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=n_workers))
+            job_map = pool.map
+        for method, seed, curve in job_map(_run_job, jobs):
+            curves[method][seed] = curve
+            if partial_fh:
+                record = {"method": method, "seed": seed, "curve": curve}
+                print(json.dumps(record), file=partial_fh, flush=True)
 
     result = {}
     for method in spec.methods:

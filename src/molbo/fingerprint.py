@@ -37,9 +37,6 @@ class Fingerprint:
     n_bits: int
     max_path_len: int
 
-    def popcount(self) -> int:
-        return bin(self.bits).count("1")
-
 
 def path_descriptors(mol: Molecule, max_path_len: int) -> set[str]:
     """Distinct descriptor strings of all simple heavy-atom paths with

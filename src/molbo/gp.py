@@ -4,11 +4,15 @@ The covariance is ``signal_scale**2 * PSD(K) + noise_var * I`` where K is
 the raw kernel Gram over training molecules.  K is PSD-projected for every
 covariance that is factorized: once per likelihood candidate in a fit and
 once in ``build_posterior``.  Cross-covariances with query molecules use
-raw kernel values scaled by ``signal_scale**2``.  The mean is a fitted
-constant.  Hyperparameters are chosen by maximizing the log marginal
-likelihood with a seeded random search followed by multiplicative
-coordinate refinement; the mean constant is profiled out analytically
-(its generalized-least-squares optimum given the other parameters).
+raw kernel values scaled by ``signal_scale**2``; the prior variance of
+every query is ``signal_scale**2`` times the kernel's closed-form
+``diagonal``.  The mean is a fitted constant.  Hyperparameters are
+chosen by maximizing the log marginal likelihood with a seeded random
+search followed by multiplicative coordinate refinement; the mean
+constant is profiled out analytically (its generalized-least-squares
+optimum given the other parameters).  ``build_posterior`` reports the
+log marginal likelihood of its hyperparameters from the same Cholesky
+factor that scores queries.
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ from .kernel import (
     SumKernel,
     combine,
     cross_gram,
+    diagonal,
     features,
     gram,
-    kernel_value,
     psd_project,
 )
 from .molgraph import Molecule
@@ -72,14 +76,15 @@ class GpHyperparams:
 
 @dataclass
 class GpPosterior:
-    """Fitted GP state: Cholesky factor of the training covariance and the
-    dual weights solving it against the centered targets."""
+    """Fitted GP state: Cholesky factor of the training covariance, the
+    dual weights solving it against the centered targets, and the log
+    marginal likelihood of the targets under ``hyper``."""
 
     train_molecules: list[Molecule]
-    train_values: np.ndarray
     hyper: GpHyperparams
     chol_factor: np.ndarray
     alpha_vec: np.ndarray
+    lml: float
     cache: KernelCache
 
 
@@ -109,23 +114,10 @@ def _lml_terms(
     return chol, white, half_logdet
 
 
-def log_marginal_likelihood(
-    mols: list[Molecule],
-    ys,
-    hyper: GpHyperparams,
-    cache: KernelCache | None = None,
-) -> float:
-    """Gaussian log evidence of the observations under the prior,
-    computed via Cholesky factorization."""
-    ys = np.asarray(ys, dtype=float)
-    if len(mols) != ys.shape[0] or ys.shape[0] < 1:
-        raise ValueError("need equally many molecules and values (at least one)")
-    if cache is None:
-        cache = KernelCache()
-    k_psd = psd_project(gram(mols, hyper.kernel_spec, cache))
-    r = ys - hyper.mean_const
-    chol, white, half_logdet = _lml_terms(k_psd, r, hyper.noise_var, hyper.signal_scale)
-    n = ys.shape[0]
+def _lml(white: np.ndarray, half_logdet: float) -> float:
+    """Gaussian log evidence from the whitened residuals and the
+    log-determinant half-term of their covariance."""
+    n = white.shape[0]
     return float(-0.5 * white @ white - half_logdet - 0.5 * n * _LOG_2PI)
 
 
@@ -190,9 +182,7 @@ class _FamilyEvaluator:
         )
         w1 = solve_triangular(chol, np.ones(self.n), lower=True)
         mean = float(w1 @ wy / (w1 @ w1))
-        white = wy - mean * w1
-        value = float(-0.5 * white @ white - half_logdet - 0.5 * self.n * _LOG_2PI)
-        return value, mean
+        return _lml(wy - mean * w1, half_logdet), mean
 
 
 def fit(
@@ -261,21 +251,24 @@ def build_posterior(
     hyper: GpHyperparams,
     cache: KernelCache | None = None,
 ) -> GpPosterior:
-    """Factorize the training covariance and precompute dual weights."""
+    """Factorize the training covariance, precompute dual weights and
+    compute the log marginal likelihood of ``ys`` under ``hyper``."""
     ys = np.asarray(ys, dtype=float)
+    if len(mols) != ys.shape[0] or ys.shape[0] < 1:
+        raise ValueError("need equally many molecules and values (at least one)")
     if cache is None:
         cache = KernelCache()
     k_psd = psd_project(gram(mols, hyper.kernel_spec, cache))
-    chol, white, _ = _lml_terms(
+    chol, white, half_logdet = _lml_terms(
         k_psd, ys - hyper.mean_const, hyper.noise_var, hyper.signal_scale
     )
     alpha_vec = solve_triangular(chol.T, white, lower=False)
     return GpPosterior(
         train_molecules=list(mols),
-        train_values=ys,
         hyper=hyper,
         chol_factor=chol,
         alpha_vec=alpha_vec,
+        lml=_lml(white, half_logdet),
         cache=cache,
     )
 
@@ -287,7 +280,7 @@ def posterior_batch(gp: GpPosterior, xs: list[Molecule]) -> tuple[np.ndarray, np
     k_cross = s2 * cross_gram(gp.train_molecules, xs, hyper.kernel_spec, gp.cache)
     mu = hyper.mean_const + k_cross.T @ gp.alpha_vec
     w = solve_triangular(gp.chol_factor, k_cross, lower=True)
-    prior = np.array([s2 * kernel_value(x, x, hyper.kernel_spec, gp.cache) for x in xs])
+    prior = s2 * diagonal(hyper.kernel_spec)
     var = np.maximum(0.0, prior - np.sum(w * w, axis=0))
     return mu, var
 

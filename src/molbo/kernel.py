@@ -6,10 +6,11 @@ and their weighted sum ``alpha1 * k_fp + alpha2 * k_ot``.  Every kernel
 value goes through two steps: ``features`` gathers a block's
 hyperparameter-free inputs (transport distances, Tanimoto values) from a
 ``KernelCache``, and ``combine`` turns them into kernel values for a spec.
-``gram``, ``cross_gram``, ``kernel_value`` and the GP fit all use them, so
-a pair has one value wherever it is computed.  The transport kernel is
-not known to be positive definite, so training Gram matrices are
-projected onto the PSD cone by eigenvalue clamping before GP use;
+``gram``, ``cross_gram`` and the GP fit all use them, so a pair has one
+value wherever it is computed; ``diagonal`` is ``combine`` on the
+closed-form features of a molecule against itself.  The transport
+kernel is not known to be positive definite, so training Gram matrices
+are projected onto the PSD cone by eigenvalue clamping before GP use;
 cross-covariances keep raw kernel values.
 """
 
@@ -169,11 +170,14 @@ def gram(
     return cross_gram(mols, mols, spec, cache)
 
 
-def kernel_value(
-    x: Molecule, y: Molecule, spec: KernelSpec, cache: KernelCache | None = None
-) -> float:
-    """Kernel between two molecules: the one entry of a 1 x 1 block."""
-    return float(cross_gram([x], [y], spec, cache)[0, 0])
+def diagonal(spec: KernelSpec) -> float:
+    """Kernel value of any molecule with itself, the same for every molecule.
+
+    Exact, because the features of a molecule against itself are
+    constants: ``distance_vector(x, x)`` returns ``np.zeros(4)`` and
+    ``tanimoto(a, a)`` is exactly 1.0.
+    """
+    return float(combine(spec, np.zeros((4, 1, 1)), np.ones((1, 1)))[0, 0])
 
 
 def psd_project(values: np.ndarray, floor: float = DEFAULT_PSD_FLOOR) -> np.ndarray:

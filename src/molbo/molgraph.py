@@ -116,23 +116,6 @@ def atom_weight(element: Element, mode: WeightMode) -> float:
     return element.atomic_mass
 
 
-@dataclass(frozen=True)
-class BondProfile:
-    """Multiset of (bond order, endpoint element pair) around one atom.
-
-    Entries are sorted ``(order symbol, low element, high element)``
-    triples, one per incident bond.
-    """
-
-    entries: tuple[tuple[str, str, str], ...]
-
-    def counter(self) -> Counter:
-        return Counter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 class Molecule:
     """Immutable connected graph of atoms and bonds.
 
@@ -285,8 +268,10 @@ def molecular_weight(mol: Molecule, mode: WeightMode) -> float:
     return float(sum(atom_weight(a, mode) for a in mol.atoms))
 
 
-def bond_profile(mol: Molecule, atom_index: int) -> BondProfile:
-    """Multiset of (order, sorted endpoint elements) over incident bonds."""
+def bond_profile(mol: Molecule, atom_index: int) -> tuple[tuple[str, str, str], ...]:
+    """Multiset of (bond order, endpoint element pair) around one atom:
+    sorted ``(order symbol, low element, high element)`` triples, one per
+    incident bond."""
     if not (0 <= atom_index < mol.n_atoms):
         raise InvalidMolecule(f"atom index {atom_index} out of range")
     if mol._profiles is None:
@@ -298,7 +283,7 @@ def bond_profile(mol: Molecule, atom_index: int) -> BondProfile:
                 sym_j = mol.atoms[j].symbol
                 lo, hi = (sym_i, sym_j) if sym_i <= sym_j else (sym_j, sym_i)
                 entries.append((order.symbol, lo, hi))
-            profiles.append(BondProfile(tuple(sorted(entries))))
+            profiles.append(tuple(sorted(entries)))
         mol._profiles = tuple(profiles)
     return mol._profiles[atom_index]
 

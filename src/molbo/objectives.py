@@ -20,7 +20,6 @@ Shipped kinds:
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -208,8 +207,3 @@ def objective_from_config(
                 floor=float(raw.get("floor", 0.05)),
             )
     return Objective(kind=kind, target=target, contributions=contributions, qed_bands=bands)
-
-
-def load_objective_config(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)

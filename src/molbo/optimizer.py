@@ -53,7 +53,10 @@ from .synthesis import (
     synthesize_detailed,
 )
 
-REAGENT_PAIR_PROBABILITY = 0.8  # else a single-reagent self-transformation attempt
+# Chance that a draw takes two reagents rather than one.  Neither oracle
+# fires on one reagent, so one-reagent draws always fail; they stay because
+# they are part of the seeded exploration stream.
+REAGENT_PAIR_PROBABILITY = 0.8
 STALL_FACTOR = 100
 
 

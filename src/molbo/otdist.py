@@ -143,7 +143,7 @@ def _atom_classes(mol: Molecule) -> _AtomClasses:
         return cached
     groups: dict[tuple, list[int]] = {}
     for i in range(mol.n_atoms):
-        key = (mol.atoms[i].symbol, bond_profile(mol, i).entries)
+        key = (mol.atoms[i].symbol, bond_profile(mol, i))
         groups.setdefault(key, []).append(i)
     keys = sorted(groups)
     vocab: dict[tuple[str, str, str], int] = {}

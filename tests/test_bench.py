@@ -126,9 +126,8 @@ def _pool_products(tmp_path, seed):
     return set(result.dag.nodes)
 
 
-def test_worker_parallel_results_match_sequential(tmp_path, monkeypatch):
+def test_worker_parallel_results_match_sequential(tmp_path):
     spec = BenchSpec(methods=("rand",), seeds=(8, 9, 10), base=base_config())
     sequential = run_bench(spec, workers=1)
-    monkeypatch.setenv("MOLBO_THREADS", "2")
     parallel = run_bench(spec, workers=2)
     assert sequential == parallel

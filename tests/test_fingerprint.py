@@ -22,7 +22,7 @@ def expand(text):
 class TestPathFingerprint:
     def test_methane_single_bit(self):
         fp = path_fingerprint(expand("C"), 2048, 7)
-        assert fp.popcount() == 1
+        assert fp.bits.bit_count() == 1
 
     def test_determinism(self):
         a = path_fingerprint(expand("CC(=O)OCC"), 2048, 7)
@@ -36,8 +36,8 @@ class TestPathFingerprint:
 
     def test_ethanol_popcount_bounded_by_descriptors(self):
         fp = path_fingerprint(expand("CCO"), 2048, 2)
-        assert fp.popcount() <= 5
-        assert fp.popcount() == 5  # no collisions at 2048 bits for 5 strings
+        assert fp.bits.bit_count() <= 5
+        assert fp.bits.bit_count() == 5  # no collisions at 2048 bits for 5 strings
 
     def test_hydrogens_never_enter_paths(self):
         heavy_only = path_descriptors(expand("CCO"), 7)

@@ -10,11 +10,10 @@ from molbo.gp import (
     GpHyperparams,
     build_posterior,
     fit,
-    log_marginal_likelihood,
     posterior,
     posterior_batch,
 )
-from molbo.kernel import KernelCache, OTExpSum, gram, kernel_value, psd_project
+from molbo.kernel import KernelCache, OTExpSum, diagonal, gram, psd_project
 from molbo.molgraph import add_explicit_hydrogens, parse_smiles
 
 BETAS = (0.5, 0.0, 0.05, 0.0)
@@ -42,7 +41,7 @@ class TestLogMarginalLikelihood:
     def test_single_point_closed_form(self):
         mol = expand("CCO")
         h = hyper(noise=1e-8, mean=0.5, signal=1.0)
-        got = log_marginal_likelihood([mol], [0.5], h)
+        got = build_posterior([mol], [0.5], h).lml
         # unit kernel value, zero residual: -0.5 log(2 pi (1 + 1e-8))
         assert got == pytest.approx(-0.5 * math.log(2 * math.pi * (1 + 1e-8)), abs=1e-10)
 
@@ -58,7 +57,7 @@ class TestLogMarginalLikelihood:
                 k_psd = psd_project(gram(mols, h.kernel_spec, cache))
                 want = oracles.dense_lml(k_psd, ys, h.mean_const, h.noise_var,
                                          h.signal_scale)
-                assert log_marginal_likelihood(mols, ys, h, cache) == pytest.approx(
+                assert build_posterior(mols, ys, h, cache).lml == pytest.approx(
                     want, abs=1e-8
                 )
 
@@ -68,8 +67,8 @@ class TestLogMarginalLikelihood:
         ys = np.array([0.3, -0.2, 0.8, 0.1])
         h = hyper(noise=0.1, mean=0.0)
         n = len(mols)
-        base = log_marginal_likelihood(mols, ys, h)
-        doubled = log_marginal_likelihood(mols, 2 * ys, h)
+        base = build_posterior(mols, ys, h).lml
+        doubled = build_posterior(mols, 2 * ys, h).lml
         cache = KernelCache()
         k_psd = psd_project(gram(mols, h.kernel_spec, cache))
         logdet_part = oracles.dense_lml(k_psd, np.zeros(n), 0.0, h.noise_var,
@@ -79,8 +78,10 @@ class TestLogMarginalLikelihood:
         assert quad_doubled == pytest.approx(4 * quad_base, rel=1e-9)
 
     def test_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            log_marginal_likelihood([expand("C")], [1.0, 2.0], hyper())
+        with pytest.raises(ValueError, match="equally many"):
+            build_posterior([expand("C")], [1.0, 2.0], hyper())
+        with pytest.raises(ValueError, match="equally many"):
+            build_posterior([], [], hyper())
 
 
 class TestPosterior:
@@ -103,7 +104,7 @@ class TestPosterior:
         gp = build_posterior(mols, ys, h)
         mu, var = posterior(gp, expand("S=C=S"))
         assert mu == pytest.approx(1.25, abs=1e-3)
-        assert var == pytest.approx(4.0 * kernel_value(expand("S=C=S"), expand("S=C=S"), spec), abs=1e-3)
+        assert var == pytest.approx(4.0 * diagonal(spec), abs=1e-3)
 
     def test_variance_nonnegative_everywhere(self):
         rng = random.Random(4)
@@ -123,7 +124,7 @@ class TestPosterior:
         for _ in range(40):
             q = random_molecule(rng)
             _, var = posterior(gp, q)
-            prior = h.signal_scale**2 * kernel_value(q, q, h.kernel_spec)
+            prior = h.signal_scale**2 * diagonal(h.kernel_spec)
             assert var <= prior + 1e-8
 
     def test_adding_a_point_never_increases_variance(self):
@@ -172,8 +173,8 @@ class TestFit:
         cov = true.signal_scale**2 * k + true.noise_var * np.eye(len(mols))
         ys = np.linalg.cholesky(cov) @ nprng.standard_normal(len(mols))
         fitted = fit(mols, ys, OTExpSum(), np.random.default_rng(1), cache)
-        lml_true = log_marginal_likelihood(mols, ys, true, cache)
-        lml_fit = log_marginal_likelihood(mols, ys, fitted, cache)
+        lml_true = build_posterior(mols, ys, true, cache).lml
+        lml_fit = build_posterior(mols, ys, fitted, cache).lml
         assert lml_fit >= lml_true - 0.1
 
     def test_needs_three_points(self):

@@ -13,8 +13,8 @@ from molbo.kernel import (
     SumKernel,
     combine,
     cross_gram,
+    diagonal,
     gram,
-    kernel_value,
     psd_project,
 )
 from molbo.molgraph import add_explicit_hydrogens, parse_smiles
@@ -24,34 +24,38 @@ def expand(text):
     return add_explicit_hydrogens(parse_smiles(text))
 
 
+def pair_value(a, b, spec):
+    return cross_gram([a], [b], spec)[0, 0]
+
+
 class TestKernelValue:
     def test_ot_self_similarity_is_one(self):
         mol = expand("CC(=O)O")
-        assert kernel_value(mol, mol, OTExpSum((1, 2, 3, 4))) == 1.0
+        assert pair_value(mol, mol, OTExpSum((1, 2, 3, 4))) == 1.0
 
     def test_ot_zero_betas(self):
         a, b = expand("C"), expand("CCCCO")
-        assert kernel_value(a, b, OTExpSum((0, 0, 0, 0))) == 1.0
+        assert pair_value(a, b, OTExpSum((0, 0, 0, 0))) == 1.0
 
     def test_sum_degenerates_to_tanimoto(self):
         a, b = expand("CCO"), expand("CCC")
         spec = SumKernel(alpha1=1.0, alpha2=0.0)
-        assert kernel_value(a, b, spec) == pytest.approx(
-            kernel_value(a, b, spec.fingerprint), abs=1e-15
+        assert pair_value(a, b, spec) == pytest.approx(
+            pair_value(a, b, spec.fingerprint), abs=1e-15
         )
 
     def test_symmetry_and_ranges(self):
         rng = random.Random(1)
         for _ in range(10):
             a, b = random_molecule(rng), random_molecule(rng)
-            ot = kernel_value(a, b, OTExpSum((0.5, 1.0, 0.02, 1.0)))
-            fp = kernel_value(a, b, FingerprintTanimoto())
-            both = kernel_value(a, b, SumKernel(alpha1=2.0, alpha2=3.0))
+            ot = pair_value(a, b, OTExpSum((0.5, 1.0, 0.02, 1.0)))
+            fp = pair_value(a, b, FingerprintTanimoto())
+            both = pair_value(a, b, SumKernel(alpha1=2.0, alpha2=3.0))
             assert 0.0 < ot <= 1.0
             assert 0.0 <= fp <= 1.0
             assert 0.0 <= both <= 5.0
             assert ot == pytest.approx(
-                kernel_value(b, a, OTExpSum((0.5, 1.0, 0.02, 1.0))), abs=1e-12
+                pair_value(b, a, OTExpSum((0.5, 1.0, 0.02, 1.0))), abs=1e-12
             )
 
     def test_beta_validation(self):
@@ -168,11 +172,18 @@ class TestOneValuePerPair:
         assert np.array_equal(g, cross_gram(corpus_mols, corpus_mols, spec, corpus_cache))
         assert np.array_equal(g, g.T)
 
-    def test_kernel_value_is_gram_entry(self, spec, corpus_mols, corpus_cache):
+    def test_diagonal_is_gram_diagonal(self, spec, corpus_mols, corpus_cache):
         g = gram(corpus_mols, spec, corpus_cache)
+        assert np.all(np.diag(g) == diagonal(spec))
+
+    def test_blocks_are_gram_slices(self, spec, corpus_mols, corpus_cache):
+        g = gram(corpus_mols, spec, corpus_cache)
+        n = len(corpus_mols)
         for i, x in enumerate(corpus_mols):
-            for j, y in enumerate(corpus_mols):
-                assert kernel_value(x, y, spec, corpus_cache) == g[i, j], (i, j)
+            row = cross_gram([x], corpus_mols, spec, corpus_cache)
+            assert np.array_equal(row[0], g[i]), i
+            y = corpus_mols[n - 1 - i]
+            assert cross_gram([x], [y], spec, corpus_cache)[0, 0] == g[i, n - 1 - i], i
 
     def test_fit_gram_is_gram(self, spec, corpus_mols, corpus_cache):
         ys = np.zeros(len(corpus_mols))

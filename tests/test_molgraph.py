@@ -216,17 +216,17 @@ class TestBondProfile:
     def test_methane_center(self):
         mol = add_explicit_hydrogens(parse_smiles("C"))
         prof = bond_profile(mol, 0)
-        assert prof.entries == (("-", "C", "H"),) * 4
+        assert prof == (("-", "C", "H"),) * 4
 
     def test_ethanol_oxygen(self):
         mol = add_explicit_hydrogens(parse_smiles("CCO"))
         oxygen = next(i for i, a in enumerate(mol.atoms) if a.symbol == "O")
-        assert bond_profile(mol, oxygen).entries == (("-", "C", "O"), ("-", "H", "O"))
+        assert bond_profile(mol, oxygen) == (("-", "C", "O"), ("-", "H", "O"))
 
     def test_formic_acid_carbon(self):
         mol = add_explicit_hydrogens(parse_smiles("OC=O"))
         carbon = next(i for i, a in enumerate(mol.atoms) if a.symbol == "C")
-        assert sorted(bond_profile(mol, carbon).entries) == [
+        assert sorted(bond_profile(mol, carbon)) == [
             ("-", "C", "H"),
             ("-", "C", "O"),
             ("=", "C", "O"),
