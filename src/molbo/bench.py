@@ -62,19 +62,6 @@ def _run_job(job):
     return method, seed, result.best_so_far().tolist()
 
 
-def curve_from_log(path) -> list[float]:
-    """Best-so-far curve recomputed from a run-log file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        best = max(v for _, v in header["initial_evaluations"])
-        curve = [best]
-        for line in fh:
-            rec = json.loads(line)
-            best = max(best, rec["value"])
-            curve.append(best)
-    return curve
-
-
 def run_bench(
     spec: BenchSpec,
     out_path=None,

@@ -10,7 +10,8 @@ logged as it is made, best-so-far tracked) and returns the
   by a random walk on the synthesis graph (repeatedly draw a reagent
   subset and a condition subset, ask the oracle for products, and keep
   novel molecules until the required number of successful steps); it
-  then rates the acquisition argmax over the whole (persistent) pool;
+  then rates the acquisition argmax over the unrated molecules of the
+  whole (persistent) pool, and ends the run, stalled, when none is left;
 - the random body runs the same walk and rates every new unique product
   directly.
 
@@ -182,10 +183,10 @@ def explore_acquisition(
     Runs until ``n`` successful steps (a success adds at least one
     molecule outside ``past`` and the pool); products are appended to
     ``pool`` in place so growth persists across outer iterations.  After
-    ``100 * n`` consecutive failed draws the walk stops early and the
-    argmax is taken over the current pool with the stalled flag set.
+    ``100 * n`` consecutive failed draws the walk stops early, stalled.
+    The argmax is over pool molecules outside ``past`` (None if none).
 
-    Returns ``(best candidate, stalled, steps taken)``.
+    Returns ``(best candidate or None, stalled, steps taken)``.
     """
     if not pool:
         raise ValueError("pool must not be empty")
@@ -194,7 +195,7 @@ def explore_acquisition(
 
     candidates = [m for m in pool if m.canonical_form not in past]
     if not candidates:
-        candidates = list(pool)
+        return None, successes < n, successes
     scores = np.asarray(scorer(candidates), dtype=float)
     best_idx = 0
     for i in range(1, len(candidates)):
@@ -346,7 +347,8 @@ def _make_scorer(kind, gp_post, best, t, model_rng):
 def _guided(cfg, pool, dag, evaluated, molecules, rate, explore_rng, model_rng) -> bool:
     """The GP-guided body: each of ``budget_t`` iterations refits the GP,
     samples an acquisition from the ensemble, explores, and rates the
-    acquisition argmax.  Returns whether any walk stalled."""
+    acquisition argmax.  A walk that leaves no unrated molecule ends the
+    run.  Returns whether any walk stalled."""
     cache = KernelCache()
     weights = EnsembleWeights()
     prev_hyper: GpHyperparams | None = None
@@ -381,6 +383,8 @@ def _guided(cfg, pool, dag, evaluated, molecules, rate, explore_rng, model_rng) 
             dag=dag,
             start_step=next_step,
         )
+        if candidate is None:
+            return True
         next_step += steps
         any_stall = any_stall or stalled
         weights.update(kind, rate(candidate, kind.value))
@@ -419,15 +423,12 @@ def run(cfg: RunConfig, log_path=None) -> RunResult:
     best_key = max(evaluated, key=lambda k: (evaluated[k], k))
 
     def rate(mol: Molecule, acquisition_used: str | None) -> bool:
-        """Record one rating (a stalled guided walk may offer a molecule
-        already rated; its value is reused) and return whether it beats
-        the best so far."""
+        """Rate a molecule not rated before, record it and return
+        whether it beats the best so far."""
         nonlocal best_key
         key = mol.canonical_form
-        if key not in evaluated:
-            evaluated[key] = evaluate(cfg.objective, mol)
-            molecules[key] = mol
-        value = evaluated[key]
+        value = evaluated[key] = evaluate(cfg.objective, mol)
+        molecules[key] = mol
         improved = value > evaluated[best_key]
         if improved:
             best_key = key

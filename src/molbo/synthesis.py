@@ -2,17 +2,18 @@
 
 The oracle contract, ``synthesize_detailed``, maps (reagents, process
 conditions) to a predicted product set and the name of the rule that
-fired, or None when no reaction applies.  Two deterministic oracles
-implement it:
+fired, or None when no reaction applies.  One deterministic rule loop
+serves both oracles, each a library of ``ReactionTemplate`` rules gated
+on required conditions:
 
-* TemplateOracle: a fixed library of five bimolecular rewrite rules
-  (esterification, amide coupling, Williamson ether, imine formation,
-  N-alkylation), each gated on required conditions.  Rules fire in
-  library order; when a functional group matches several sites, the one
-  with the smallest canonical atom rank fires.  Condensation byproducts
-  (water, HX) are dropped.
-* JoinOracle (testing): under the ``join`` condition, bonds the first
-  free-valence heavy atom (canonical order) of each of two reagents.
+* TEMPLATE: five bimolecular rewrite rules (esterification, amide
+  coupling, Williamson ether, imine formation, N-alkylation); the
+  condensation byproducts (water, HX) are dropped.
+* JOIN (testing): one rule that, under the ``join`` condition, bonds the
+  first free-valence heavy atom (canonical order) of two reagents.
+
+Rules fire in library order; when a functional group matches several
+sites, the one with the smallest canonical atom rank fires.
 
 Every product node in the DAG keeps the reagents that produced it, so a
 recipe is the target's ancestor closure in topological order.
@@ -72,7 +73,7 @@ def _condition_ids(conditions) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 
 
-def _sites(mol: Molecule, pattern: Callable) -> list[tuple] | int | None:
+def _sites(mol: Molecule, pattern: Callable) -> list[tuple]:
     """``pattern(mol)``, computed once per skeleton and kept on it."""
     memo = mol._sites
     if pattern not in memo:
@@ -218,40 +219,21 @@ def _combine(
     return Molecule(atoms, bonds)
 
 
-def _esterify(acid: Molecule, alcohol: Molecule, sites) -> Molecule:
-    (c, _o_dbl, o_hydroxyl), (o_alc,) = sites
-    return _combine(acid, alcohol, {o_hydroxyl}, set(), [(c, o_alc, BondOrder.SINGLE)])
-
-
-def _amide(acid: Molecule, amine: Molecule, sites) -> Molecule:
-    (c, _o_dbl, o_hydroxyl), (n,) = sites
-    return _combine(acid, amine, {o_hydroxyl}, set(), [(c, n, BondOrder.SINGLE)])
-
-
-def _ether(alcohol: Molecule, halide: Molecule, sites) -> Molecule:
-    (o,), (c, x) = sites
-    return _combine(alcohol, halide, set(), {x}, [(o, c, BondOrder.SINGLE)])
-
-
-def _imine(aldehyde: Molecule, amine: Molecule, sites) -> Molecule:
-    (c, o_dbl), (n,) = sites
-    return _combine(aldehyde, amine, {o_dbl}, set(), [(c, n, BondOrder.DOUBLE)])
-
-
-def _n_alkylate(amine: Molecule, halide: Molecule, sites) -> Molecule:
-    (n,), (c, x) = sites
-    return _combine(amine, halide, set(), {x}, [(n, c, BondOrder.SINGLE)])
-
-
 GroupPattern = Callable[[Molecule], list[tuple]]
 
 
 @dataclass(frozen=True)
 class ReactionTemplate:
+    """A two-reagent rule as data: it bonds the first atom of reagent 0's
+    first ``required_groups[0]`` site to that of reagent 1's first
+    ``required_groups[1]`` site with a bond of ``order``, and drops the
+    ``leaving`` atom, ``(reagent, position in its site)``, if not None."""
+
     name: str
     required_groups: tuple[GroupPattern, ...]
     required_conditions: frozenset[str]
-    transform: Callable
+    order: BondOrder = BondOrder.SINGLE
+    leaving: tuple[int, int] | None = None
 
 
 TEMPLATE_LIBRARY: tuple[ReactionTemplate, ...] = (
@@ -259,47 +241,55 @@ TEMPLATE_LIBRARY: tuple[ReactionTemplate, ...] = (
         "esterification",
         (find_carboxylic_acids, find_alcohols),
         frozenset({"acid_cat"}),
-        _esterify,
+        leaving=(0, 2),
     ),
     ReactionTemplate(
         "amide_coupling",
         (find_carboxylic_acids, find_primary_amines),
         frozenset({"heat"}),
-        _amide,
+        leaving=(0, 2),
     ),
     ReactionTemplate(
         "williamson_ether",
         (find_alcohols, find_halide_carbons),
         frozenset({"base"}),
-        _ether,
+        leaving=(1, 1),
     ),
     ReactionTemplate(
         "imine_formation",
         (find_aldehydes, find_primary_amines),
         frozenset({"acid_cat"}),
-        _imine,
+        order=BondOrder.DOUBLE,
+        leaving=(0, 1),
     ),
     ReactionTemplate(
         "n_alkylation",
         (find_amines_with_h, find_halide_carbons),
         frozenset({"base"}),
-        _n_alkylate,
+        leaving=(1, 1),
     ),
 )
 
-JOIN_TEMPLATE_NAME = "join"
+
+def _join_site(mol: Molecule) -> list[tuple[int]]:
+    """The first free-valence heavy atom in canonical order, if any."""
+    for atom in mol.canonical_heavy_order():
+        if mol.free_valence(atom) >= 1:
+            return [(atom,)]
+    return []
+
+
+_LIBRARIES = {
+    OracleKind.TEMPLATE: TEMPLATE_LIBRARY,
+    OracleKind.JOIN: (
+        ReactionTemplate("join", (_join_site, _join_site), frozenset({"join"})),
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
 # Oracles
 # ---------------------------------------------------------------------------
-
-
-def _join_site(mol: Molecule) -> int | None:
-    for atom in mol.canonical_heavy_order():
-        if mol.free_valence(atom) >= 1:
-            return atom
-    return None
 
 
 def synthesize_detailed(reagents, conditions, oracle: OracleKind):
@@ -313,40 +303,33 @@ def synthesize_detailed(reagents, conditions, oracle: OracleKind):
         raise ValueError("synthesize_detailed takes one to three reagents")
     cond_ids = _condition_ids(conditions)
     heavy = [strip_hydrogens(m) for m in reagents]
-
-    if oracle is OracleKind.JOIN:
-        if len(heavy) != 2 or "join" not in cond_ids:
-            return None
-        a, b = heavy
-        site_a, site_b = _sites(a, _join_site), _sites(b, _join_site)
-        if site_a is None or site_b is None:
-            return None
-        product = _combine(a, b, set(), set(), [(site_a, site_b, BondOrder.SINGLE)])
-        return {add_explicit_hydrogens(product)}, JOIN_TEMPLATE_NAME
-
-    if oracle is OracleKind.TEMPLATE:
-        if len(heavy) != 2:
-            return None
-        for template in TEMPLATE_LIBRARY:
-            if not template.required_conditions <= cond_ids:
-                continue
-            for i, j in ((0, 1), (1, 0)):
-                sites_a = _sites(heavy[i], template.required_groups[0])
-                if not sites_a:
-                    continue
-                sites_b = _sites(heavy[j], template.required_groups[1])
-                if not sites_b:
-                    continue
-                try:
-                    product = template.transform(
-                        heavy[i], heavy[j], (sites_a[0], sites_b[0])
-                    )
-                except (ValenceExceeded, InvalidMolecule):
-                    continue  # template reports no-fire on invalid output
-                return {add_explicit_hydrogens(product)}, template.name
+    library = _LIBRARIES.get(oracle)
+    if library is None:
+        raise ValueError(f"unknown oracle {oracle!r}")
+    if len(heavy) != 2:
         return None
-
-    raise ValueError(f"unknown oracle {oracle!r}")
+    for template in library:
+        if not template.required_conditions <= cond_ids:
+            continue
+        for i, j in ((0, 1), (1, 0)):
+            sites_a = _sites(heavy[i], template.required_groups[0])
+            if not sites_a:
+                continue
+            sites_b = _sites(heavy[j], template.required_groups[1])
+            if not sites_b:
+                continue
+            sites = (sites_a[0], sites_b[0])
+            drop = (set(), set())
+            if template.leaving is not None:
+                side, pos = template.leaving
+                drop[side].add(sites[side][pos])
+            bond = (sites[0][0], sites[1][0], template.order)
+            try:
+                product = _combine(heavy[i], heavy[j], drop[0], drop[1], [bond])
+            except (ValenceExceeded, InvalidMolecule):
+                continue  # template reports no-fire on invalid output
+            return {add_explicit_hydrogens(product)}, template.name
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +346,10 @@ class SynthesisNode:
     step: int
 
 
+def _canon(molecule) -> str:
+    return molecule if isinstance(molecule, str) else molecule.canonical_form
+
+
 class SynthesisDag:
     """Provenance of every synthesized molecule, keyed by canonical form."""
 
@@ -370,22 +357,12 @@ class SynthesisDag:
         self.nodes: dict[str, SynthesisNode] = {}
 
     def add_initial(self, molecule) -> SynthesisNode:
-        canon = molecule if isinstance(molecule, str) else molecule.canonical_form
+        canon = _canon(molecule)
         node = self.nodes.get(canon)
         if node is None:
             node = SynthesisNode(canon, (), None, frozenset(), 0)
             self.nodes[canon] = node
         return node
-
-    def __contains__(self, canon: str) -> bool:
-        return canon in self.nodes
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-
-def _canon(molecule) -> str:
-    return molecule if isinstance(molecule, str) else molecule.canonical_form
 
 
 def record_synthesis(

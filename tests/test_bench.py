@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from molbo.bench import BenchSpec, curve_from_log, method_config, run_bench
+from molbo.bench import BenchSpec, method_config, run_bench
 from molbo.kernel import FingerprintTanimoto, OTExpSum, SumKernel
 from molbo.objectives import Objective, ObjectiveKind
 from molbo.optimizer import Method, RunConfig
@@ -92,10 +92,10 @@ class TestAggregation:
         result = run_bench(spec, log_dir=tmp_path, workers=1)
         for k, seed in enumerate(spec.seeds):
             log = tmp_path / f"rand_seed{seed}.jsonl"
-            curve = curve_from_log(log)
+            curve = _curve_from_log(log)
             per_seed = result["rand"]["final_values"][k]
             assert curve[-1] == per_seed
-        curves = np.array([curve_from_log(tmp_path / f"rand_seed{s}.jsonl")
+        curves = np.array([_curve_from_log(tmp_path / f"rand_seed{s}.jsonl")
                            for s in spec.seeds])
         assert np.allclose(result["rand"]["mean"], curves.mean(axis=0))
 
@@ -111,6 +111,15 @@ class TestAggregation:
             # every molecule the baseline rated was also synthesized by the
             # guided run's identical exploration stream
             assert set(rd).issubset(set(cb) | _pool_products(tmp_path, seed))
+
+
+def _curve_from_log(path):
+    """Best-so-far curve recomputed from a run log's JSONL lines."""
+    header, *records = [json.loads(ln) for ln in path.read_text().splitlines()]
+    curve = [max(v for _, v in header["initial_evaluations"])]
+    for rec in records:
+        curve.append(max(curve[-1], rec["value"]))
+    return curve
 
 
 def _pool_products(tmp_path, seed):

@@ -88,6 +88,21 @@ class TestExploreAcquisition:
         assert steps == 0
         assert best.canonical_form == pool[-1].canonical_form
 
+    def test_stall_with_every_molecule_rated_returns_none(self):
+        pool = expanded_pool()
+        past = {m.canonical_form for m in pool}
+
+        def scorer(cands):
+            pytest.fail("a walk with no unrated molecule scored candidates")
+
+        best, stalled, steps = explore_acquisition(
+            pool, (Condition("join"),), past, 2, OracleKind.TEMPLATE,
+            scorer, np.random.default_rng(0),
+        )
+        assert best is None
+        assert stalled
+        assert steps == 0
+
     def test_past_molecules_never_returned(self):
         pool = expanded_pool()
         past = {m.canonical_form for m in pool}
@@ -221,12 +236,12 @@ class TestStalledRun:
 
         monkeypatch.setattr(optimizer, "evaluate", counting_evaluate)
         initial = sorted(m.canonical_form for m in expanded_pool())
-        for method, n_records in ((Method.CHEMBO, 3), (Method.RAND, 0)):
+        for method in (Method.CHEMBO, Method.RAND):
             rated.clear()
             result = run(join_config(method=method, oracle=OracleKind.TEMPLATE,
                                      budget_t=3, explorer_steps=2))
             assert result.stalled
-            assert len(result.records) == n_records
+            assert result.records == []
             assert sorted(rated) == initial
             assert sorted(result.dag.nodes) == initial
 

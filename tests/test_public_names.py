@@ -1,22 +1,25 @@
-"""Every name the package exports is used by the program, not only by tests.
+"""Every name the package defines is used by the program, not only by tests.
 
-A reference is a use of the name (or of an attribute, import or string
-constant equal to it) in ``src/molbo`` outside ``__init__.py`` and
-outside the top-level statement that defines it, or anywhere in
-``demos/`` or ``perfbench/``.
+A reference to a definition is a use of its name (or of an attribute,
+import or string constant equal to it) outside the definition itself,
+in ``src/molbo`` outside ``__init__.py``, or anywhere in ``demos/`` or
+``perfbench/``.  A top-level definition is its whole statement; a method
+is its ``def``.
 """
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import molbo
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "molbo"
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _defined(stmt: ast.stmt) -> set[str]:
-    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+    if isinstance(stmt, (*FUNCTIONS, ast.ClassDef)):
         return {stmt.name}
     if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
         targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
@@ -24,31 +27,66 @@ def _defined(stmt: ast.stmt) -> set[str]:
     return set()
 
 
-def _used(node: ast.AST) -> set[str]:
-    names = set()
-    for n in ast.walk(node):
-        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-            names.add(n.id)
-        elif isinstance(n, ast.Attribute):
-            names.add(n.attr)
-        elif isinstance(n, ast.alias):
-            names.add(n.asname or n.name)
-        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
-            names.add(n.value)
-    return names
+def _definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """Each name a top-level statement defines, and each non-dunder
+    method of a top-level class, with the node that defines it."""
+    found = []
+    for stmt in tree.body:
+        found += [(name, stmt) for name in _defined(stmt)]
+        if isinstance(stmt, ast.ClassDef):
+            found += [
+                (item.name, item)
+                for item in stmt.body
+                if isinstance(item, FUNCTIONS)
+                and not (item.name.startswith("__") and item.name.endswith("__"))
+            ]
+    return found
 
 
-def _program_references() -> set[str]:
-    refs = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            refs |= _used(stmt) - _defined(stmt)
+def _used(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.asname or node.name
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def _uses(node: ast.AST, enclosing: tuple, out: dict) -> None:
+    """Map each used name to the tuples of nodes enclosing its uses."""
+    name = _used(node)
+    if name is not None:
+        out[name].append(enclosing)
+    for child in ast.iter_child_nodes(node):
+        _uses(child, enclosing + (child,), out)
+
+
+def _scan():
+    """The package's definitions and the program's uses."""
+    definitions, uses = [], defaultdict(list)
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     for folder in ("demos", "perfbench"):
-        for path in sorted((ROOT / folder).glob("*.py")):
-            refs |= _used(ast.parse(path.read_text(encoding="utf-8")))
-    return refs
+        paths += sorted((ROOT / folder).glob("*.py"))
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.parent == PACKAGE:
+            definitions += _definitions(tree)
+        _uses(tree, (), uses)
+    return definitions, uses
+
+
+def _unreferenced(keep) -> list[str]:
+    """Names of the definitions ``keep(name, node)`` selects that no use
+    outside the definition itself refers to."""
+    definitions, uses = _scan()
+    return [
+        name
+        for name, node in definitions
+        if keep(name, node) and all(node in enclosing for enclosing in uses[name])
+    ]
 
 
 def _exported() -> list[str]:
@@ -62,7 +100,11 @@ def _exported() -> list[str]:
 
 
 def test_every_exported_name_has_a_program_reference():
-    refs = _program_references()
-    exported = _exported()
+    exported = set(_exported())
     assert exported
-    assert [name for name in exported if name not in refs] == []
+    assert _unreferenced(lambda name, node: name in exported) == []
+
+
+def test_every_function_class_and_method_has_a_program_reference():
+    kinds = (*FUNCTIONS, ast.ClassDef)
+    assert _unreferenced(lambda name, node: isinstance(node, kinds)) == []

@@ -1,7 +1,17 @@
+import hashlib
+import itertools
+import json
+
 import pytest
 
 from molbo.errors import CycleDetected, UnknownMolecule
-from molbo.molgraph import Molecule, add_explicit_hydrogens, parse_smiles, strip_hydrogens
+from molbo.molgraph import (
+    Molecule,
+    add_explicit_hydrogens,
+    load_pool,
+    parse_smiles,
+    strip_hydrogens,
+)
 from molbo.synthesis import (
     CONDITION_LIBRARY,
     Condition,
@@ -293,3 +303,36 @@ def test_memoised_sites_equal_direct_lookups(cached_molecules):
         for pattern in patterns:
             assert _sites(skeleton, pattern) == pattern(fresh)
     assert filled >= 20  # the walks looked sites up on their reagents
+
+
+# The acceptance join pool, and a reagent with no free valence.
+JOIN_POOL = ("C", "N", "O", "CC", "CO", "CN", "CCO", "CCC", "CCN", "COC")
+SATURATED = "FC(F)(F)F"
+
+
+def test_reaction_table_is_pinned(template_pool_path):
+    """Every ordered reagent pair under every condition subset of size
+    0-2, for both oracles: how many calls fire, and a digest of each
+    call's sorted products and rule name (or None)."""
+    texts = [m.canonical_form for m in load_pool(template_pool_path)]
+    texts += [canon(t) for t in JOIN_POOL + (SATURATED,)]
+    reagents = [expand(t) for t in dict.fromkeys(texts)]
+    ids = [c.id for c in CONDITION_LIBRARY]
+    subsets = [set(q) for k in range(3) for q in itertools.combinations(ids, k)]
+    outcomes = []
+    for oracle in OracleKind:
+        for a, b in itertools.product(reagents, repeat=2):
+            for conditions in subsets:
+                outcome = synthesize_detailed([a, b], conditions, oracle)
+                if outcome is not None:
+                    products, name = outcome
+                    outcome = [sorted(p.canonical_form for p in products), name]
+                outcomes.append(outcome)
+    fired = sum(o is not None for o in outcomes)
+    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    assert len(reagents) == 18 and len(subsets) == 22
+    assert (fired, digest) == (
+        2082, "2ed0b3ebf3737d686be42126998b6bf50432531e3bc45101b1e262a4e686f552")
+    for pair in ([SATURATED, "C"], ["C", SATURATED]):
+        assert synthesize_detailed([expand(t) for t in pair], {"join"},
+                                   OracleKind.JOIN) is None
