@@ -40,33 +40,31 @@ class Fingerprint:
 
 def path_descriptors(mol: Molecule, max_path_len: int) -> set[str]:
     """Distinct descriptor strings of all simple heavy-atom paths with
-    0..max_path_len bonds."""
+    0..max_path_len bonds, each read in its smaller direction in one pass."""
     symbols = {i: mol.atoms[i].symbol for i in mol.heavy_indices()}
-    heavy_adj = {
-        i: [(j, order.symbol) for j, order in mol.neighbors(i) if j in symbols]
+    steps = {
+        i: [(j, order.symbol + symbols[j], symbols[j] + order.symbol)
+            for j, order in mol.neighbors(i) if j in symbols]
         for i in symbols
     }
-    descriptors: set[str] = set()
+    descriptors = set(symbols.values())
+    on_path: set[int] = set()
 
-    def extend(path: list[int], tokens: list[str]):
-        descriptors.add(min("".join(tokens), "".join(reversed(tokens))))
-        if (len(path) - 1) >= max_path_len:
-            return
-        tail = path[-1]
-        on_path = set(path)
-        for j, bond_sym in heavy_adj[tail]:
+    def extend(tail: int, fwd: str, rev: str, bonds_left: int):
+        on_path.add(tail)
+        for j, fwd_step, rev_step in steps[tail]:
             if j in on_path:
                 continue
-            path.append(j)
-            tokens.append(bond_sym)
-            tokens.append(symbols[j])
-            extend(path, tokens)
-            tokens.pop()
-            tokens.pop()
-            path.pop()
+            f = fwd + fwd_step
+            r = rev_step + rev
+            descriptors.add(f if f <= r else r)
+            if bonds_left > 1:
+                extend(j, f, r, bonds_left - 1)
+        on_path.remove(tail)
 
-    for start in symbols:
-        extend([start], [symbols[start]])
+    if max_path_len > 0:
+        for start, sym in symbols.items():
+            extend(start, sym, sym, max_path_len)
     return descriptors
 
 
@@ -98,4 +96,4 @@ def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
     if union == 0:
         return 1.0
     inter = a.bits & b.bits
-    return bin(inter).count("1") / bin(union).count("1")
+    return inter.bit_count() / union.bit_count()

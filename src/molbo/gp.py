@@ -1,12 +1,11 @@
 """Gaussian-process regression over molecules.
 
 The covariance is ``signal_scale**2 * PSD(K) + noise_var * I`` where K is
-the raw kernel Gram over training molecules.  K is PSD-projected for every
-covariance that is factorized: once per likelihood candidate in a fit and
-once in ``build_posterior``.  Cross-covariances with query molecules use
-raw kernel values scaled by ``signal_scale**2``; the prior variance of
-every query is ``signal_scale**2`` times the kernel's closed-form
-``diagonal``.  The mean is a fitted constant.  Hyperparameters are
+the raw kernel Gram over training molecules.  K is PSD-projected once per
+distinct kernel spec in a fit and once in ``build_posterior``.
+Cross-covariances with query molecules use raw kernel values scaled by
+``signal_scale**2``; the prior variance of every query is
+``signal_scale**2`` times the kernel's closed-form ``diagonal``.  The mean is a fitted constant.  Hyperparameters are
 chosen by maximizing the log marginal likelihood with a seeded random
 search followed by multiplicative coordinate refinement; the mean
 constant is profiled out analytically (its generalized-least-squares
@@ -130,9 +129,11 @@ class _FamilyEvaluator:
     """LML evaluation for one training set with precomputed structure.
 
     The kernel ``features`` of the training set do not depend on the
-    searched hyperparameters, so they are gathered once; each candidate
-    then costs one ``combine``, one eigendecomposition and one Cholesky
-    factorization.
+    searched hyperparameters, so they are gathered once.  The projected
+    Gram of the last kernel spec is kept, so a candidate that moves only
+    ``noise_var`` or ``signal_scale`` (every fingerprint candidate) costs
+    one Cholesky factorization; any other costs one ``combine`` and one
+    eigendecomposition more.
     """
 
     def __init__(self, mols, ys, family: KernelSpec, cache: KernelCache):
@@ -140,6 +141,7 @@ class _FamilyEvaluator:
         self.family = family
         self.n = len(mols)
         self.features = features(mols, mols, family, cache)
+        self._projected: tuple[KernelSpec, np.ndarray] | None = None
 
     def param_names(self) -> list[str]:
         names = ["noise_var", "signal_scale"]
@@ -176,7 +178,10 @@ class _FamilyEvaluator:
 
     def lml(self, params: dict[str, float]) -> tuple[float, float]:
         """(log marginal likelihood, profiled mean constant)."""
-        k_psd = psd_project(combine(self.spec_from(params), *self.features))
+        spec = self.spec_from(params)
+        if self._projected is None or self._projected[0] != spec:
+            self._projected = (spec, psd_project(combine(spec, *self.features)))
+        k_psd = self._projected[1]
         chol, wy, half_logdet = _lml_terms(
             k_psd, self.ys, params["noise_var"], params["signal_scale"]
         )

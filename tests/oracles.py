@@ -5,7 +5,8 @@ are checked against scipy's generic dense LP (both the original
 inequality program with the explicit non-matching term and the balanced
 equality reformulation), the GP marginal likelihood against a direct
 inverse/determinant formula, and expected improvement against plain
-Monte Carlo.
+Monte Carlo.  Fingerprint path descriptors are checked against the
+plain enumeration that joins each path's tokens in both directions.
 """
 
 import numpy as np
@@ -87,3 +88,28 @@ def mc_expected_improvement(mu: float, sigma: float, best: float,
     draws = mu + sigma * rng.standard_normal(n_samples)
     improvement = np.maximum(0.0, draws - best)
     return float(improvement.mean()), float(improvement.std(ddof=1) / np.sqrt(n_samples))
+
+
+def path_descriptors_two_way(mol: Molecule, max_path_len: int) -> set[str]:
+    """Every simple heavy-atom path with 0..max_path_len bonds, its token
+    list joined forwards and backwards and the smaller string kept."""
+    symbols = {i: mol.atoms[i].symbol for i in mol.heavy_indices()}
+    heavy_adj = {
+        i: [(j, order.symbol) for j, order in mol.neighbors(i) if j in symbols]
+        for i in symbols
+    }
+    descriptors: set[str] = set()
+
+    def extend(path: list[int], tokens: list[str]):
+        descriptors.add(min("".join(tokens), "".join(reversed(tokens))))
+        if (len(path) - 1) >= max_path_len:
+            return
+        on_path = set(path)
+        for j, bond_sym in heavy_adj[path[-1]]:
+            if j in on_path:
+                continue
+            extend(path + [j], tokens + [bond_sym, symbols[j]])
+
+    for start in symbols:
+        extend([start], [symbols[start]])
+    return descriptors

@@ -1,9 +1,11 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import random_molecule, relabel
 from molbo.errors import LengthMismatch
 from molbo.fingerprint import (
@@ -33,6 +35,27 @@ class TestPathFingerprint:
         # simple paths of ethanol up to two bonds, heavy atoms only
         descriptors = path_descriptors(expand("CCO"), 2)
         assert descriptors == {"C", "O", "C-C", "C-O", "C-C-O"}
+
+    def test_zero_bonds_gives_the_symbols_alone(self):
+        assert path_descriptors(expand("CCO"), 0) == {"C", "O"}
+
+    def test_equals_two_way_enumeration(self, cached_molecules):
+        # rings, expanded forms, relabellings and walk products
+        for max_path_len in range(11):
+            for mol in cached_molecules:
+                expected = oracles.path_descriptors_two_way(mol, max_path_len)
+                assert path_descriptors(mol, max_path_len) == expected
+
+    @pytest.mark.parametrize("n_bits,max_path_len,digest", [
+        (2048, 7, "61f663498bb8a2e32927d91ccd5edd9aaf4ae414cd81f58469cf0c77d91c21e0"),
+        (512, 5, "d57b4a7d3f54405fac58ff68ef3f3eb823027c54315fdf84573731ccce070089"),
+    ])
+    def test_corpus_bits_pinned(self, corpus, n_bits, max_path_len, digest):
+        # the FNV-1a hash and the path set are pure integer and string
+        # work, so these digests hold on any machine
+        bits = [path_fingerprint(expand(text), n_bits, max_path_len).bits
+                for text in corpus]
+        assert hashlib.sha256(repr(bits).encode()).hexdigest() == digest
 
     def test_ethanol_popcount_bounded_by_descriptors(self):
         fp = path_fingerprint(expand("CCO"), 2048, 2)

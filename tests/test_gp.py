@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from conftest import random_molecule
+from molbo import gp
 from molbo.gp import (
     GpHyperparams,
     build_posterior,
@@ -13,7 +14,14 @@ from molbo.gp import (
     posterior,
     posterior_batch,
 )
-from molbo.kernel import KernelCache, OTExpSum, diagonal, gram, psd_project
+from molbo.kernel import (
+    FingerprintTanimoto,
+    KernelCache,
+    OTExpSum,
+    diagonal,
+    gram,
+    psd_project,
+)
 from molbo.molgraph import add_explicit_hydrogens, parse_smiles
 
 BETAS = (0.5, 0.0, 0.05, 0.0)
@@ -188,3 +196,53 @@ class TestFit:
 
         with pytest.raises(CholeskyFailure):
             _cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+class TestProjectionsPerFit:
+    """``fit`` projects once per distinct kernel spec; the hyperparameters
+    it returns are pinned from the fit that projected every candidate."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"projections": 0, "candidates": 0}
+        project, lml = gp.psd_project, gp._FamilyEvaluator.lml
+
+        def counting_project(*args, **kwargs):
+            counts["projections"] += 1
+            return project(*args, **kwargs)
+
+        def counting_lml(self, params):
+            counts["candidates"] += 1
+            return lml(self, params)
+
+        monkeypatch.setattr(gp, "psd_project", counting_project)
+        monkeypatch.setattr(gp._FamilyEvaluator, "lml", counting_lml)
+        return counts
+
+    @staticmethod
+    def fit_six(family):
+        mols = distinct_molecules(random.Random(8), 6)
+        return fit(mols, np.linspace(0, 1, 6), family, np.random.default_rng(42))
+
+    @staticmethod
+    def assert_pinned(h, spec, noise_var, mean_const, signal_scale):
+        # the searched values are drawn and stepped exactly; the profiled
+        # mean passes through two triangular solves
+        assert (h.kernel_spec, h.noise_var, h.signal_scale) == \
+            (spec, noise_var, signal_scale)
+        assert h.mean_const == pytest.approx(mean_const, rel=1e-12)
+
+    def test_fingerprint_fit_projects_once(self, counts):
+        h = self.fit_six(FingerprintTanimoto())
+        assert counts["projections"] == 1
+        assert counts["candidates"] > 1
+        self.assert_pinned(h, FingerprintTanimoto(), 0.10126315950706156,
+                           0.49999576481800656, 0.00436072269340382)
+
+    def test_ot_fit_skips_projections(self, counts):
+        h = self.fit_six(OTExpSum())
+        assert counts["projections"] < counts["candidates"]
+        spec = OTExpSum((0.027120122956401073, 0.028414169822439567,
+                         4.888012128896659, 0.07221713612899108))
+        self.assert_pinned(h, spec, 0.11081971916484543, 0.5000000000000001,
+                           0.010584096155025492)
