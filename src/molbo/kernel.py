@@ -187,7 +187,11 @@ def psd_project(values: np.ndarray, floor: float = DEFAULT_PSD_FLOOR) -> np.ndar
     """
     if floor < 0:
         raise ValueError("floor must be nonnegative")
-    if not np.allclose(values, values.T, atol=1e-12, rtol=0.0):
+    # The plain comparison decides the common case fast; allclose keeps
+    # the verdict on inf and NaN entries, where the difference is NaN.
+    if not (np.abs(values - values.T) <= 1e-12).all() and not np.allclose(
+        values, values.T, atol=1e-12, rtol=0.0
+    ):
         raise ValueError("psd_project expects a symmetric matrix")
     try:
         w, v = np.linalg.eigh(values)

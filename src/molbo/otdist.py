@@ -24,10 +24,13 @@ atom level by uniform splitting, which preserves feasibility and cost.
 by element.  Because ``MISMATCH_PENALTY`` exceeds 2, no optimal plan
 moves weight between elements, so the program is a sum of independent
 per-element blocks, each with its own pair of sinks.  Every block cost
-is computed in unit weights: a one-sided element costs its atom count,
-blocks of at most one-bond profiles (hydrogen, halogens) and blocks with
-a single class on one side have closed forms, and only the remaining
-blocks go to the transportation simplex.  All atoms of one element share
+is computed in unit weights: a one-sided element costs its atom count.
+A shared element first matches the units of equal bond profiles at cost
+0, which some optimal plan does because ``c_str`` is a metric; the
+residual classes then have closed forms when one side is empty, when
+every profile has at most one bond (hydrogen, halogens) or when one side
+has a single class, and only residuals with two or more classes on both
+sides go to the transportation simplex.  All atoms of one element share
 one mass, so the mass-weighted block is the unit block scaled by that
 mass and one solve serves both weight modes.
 """
@@ -474,35 +477,58 @@ def _profile_cost(p: _Profile, q: _Profile) -> float:
 def _block_cost(b1: _ElementBlock, b2: _ElementBlock) -> float:
     """Optimal unit-weight cost of one element's block with its own sinks.
 
+    Equal profiles are matched first, at cost 0: ``min(n_p, m_p)`` units
+    of every profile ``p`` the two sides share.  This is exact.  Take an
+    optimal plan that matches fewer; some unit of ``p`` on side 1 then
+    goes to ``j != p`` and some unit of ``p`` on side 2 comes from
+    ``i != p`` (either may be a sink).  Rerouting them as ``p -> p`` and
+    ``i -> j`` changes the cost by ``c(i, j) - c(i, p) - c(p, j)``, which
+    is never positive: ``c_str`` (one minus multiset Jaccard) is a metric
+    between classes, and a sink costs 1 to every class and 0 to the other
+    sink.  Repeating the exchange yields an optimal plan with the
+    pre-matching.  What is left is the residual block with its own sinks,
+    each sink smaller by the matched units, which the sink-to-sink cell
+    carried at cost 0.
+
     Every ``c_str`` is at most 1, below the cost 2 of leaving one unit
-    unmatched on both sides, so an optimal plan matches
-    ``min(total1, total2)`` units and leaves the difference to the sinks.
+    unmatched on both sides, so the residual plan matches
+    ``min(t1, t2)`` units and leaves the difference to the sinks.
     """
+    other = dict(zip(b2.profiles, b2.counts))
+    r1 = []
+    for p, n in zip(b1.profiles, b1.counts):
+        m = other.get(p, 0)
+        if n > m:
+            r1.append((p, n - m))
+        if m:
+            other[p] = max(m - n, 0)
+    r2 = [(q, m) for q, m in other.items() if m]
+    t1 = sum(n for _, n in r1)
+    t2 = sum(m for _, m in r2)
+    if not (r1 and r2):
+        return float(t1 + t2)
     if b1.monovalent and b2.monovalent:
-        # Distinct profiles of at most one entry cost exactly 1, so match
-        # equal classes, then every leftover unit costs 1 matched or not.
-        other = dict(zip(b2.profiles, b2.counts))
-        equal = sum(min(n, other.get(p, 0)) for p, n in zip(b1.profiles, b1.counts))
-        return float(max(b1.total, b2.total) - equal)
-    if len(b1.counts) == 1 or len(b2.counts) == 1:
+        # Distinct profiles of at most one entry cost exactly 1, so every
+        # residual unit costs 1 matched or not.
+        return float(max(t1, t2))
+    if len(r1) == 1 or len(r2) == 1:
         # One class on one side: fill the other side's classes cheapest first.
-        if len(b1.counts) != 1:
-            b1, b2 = b2, b1
-        p = b1.profiles[0]
-        left = min(b1.total, b2.total)
-        cost = float(abs(b1.total - b2.total))
-        for c, n in sorted((_profile_cost(p, q), n) for q, n in zip(b2.profiles, b2.counts)):
+        if len(r1) != 1:
+            r1, r2 = r2, r1
+        p = r1[0][0]
+        left = min(t1, t2)
+        cost = float(abs(t1 - t2))
+        for c, n in sorted((_profile_cost(p, q), n) for q, n in r2):
             take = min(n, left)
             cost += take * c
             left -= take
             if left == 0:
                 break
         return cost
-    k2 = len(b2.counts)
-    rows = [[_profile_cost(p, q) for q in b2.profiles] + [1.0] for p in b1.profiles]
-    rows.append([1.0] * k2 + [0.0])
-    supply = np.array(b1.counts + (b2.total,), dtype=float)
-    demand = np.array(b2.counts + (b1.total,), dtype=float)
+    rows = [[_profile_cost(p, q) for q, _ in r2] + [1.0] for p, _ in r1]
+    rows.append([1.0] * len(r2) + [0.0])
+    supply = np.array([n for _, n in r1] + [t2], dtype=float)
+    demand = np.array([m for _, m in r2] + [t1], dtype=float)
     cost, _ = solve_transport(supply, demand, np.array(rows))
     return cost
 

@@ -6,14 +6,16 @@ inequality program with the explicit non-matching term and the balanced
 equality reformulation), the GP marginal likelihood against a direct
 inverse/determinant formula, and expected improvement against plain
 Monte Carlo.  Fingerprint path descriptors are checked against the
-plain enumeration that joins each path's tokens in both directions.
+plain enumeration that joins each path's tokens in both directions, and
+per-element OT block costs against the transportation simplex on the
+whole block, without matching equal bond profiles first.
 """
 
 import numpy as np
 from scipy.optimize import linprog
 
 from molbo.molgraph import Molecule, WeightMode, atom_weight
-from molbo.otdist import build_costs
+from molbo.otdist import _profile_cost, build_costs, solve_transport
 
 
 def _weights(mol: Molecule, mode: WeightMode) -> np.ndarray:
@@ -113,3 +115,33 @@ def path_descriptors_two_way(mol: Molecule, max_path_len: int) -> set[str]:
     for start in symbols:
         extend([start], [symbols[start]])
     return descriptors
+
+
+def block_cost_whole(b1, b2) -> float:
+    """Unit-weight cost of one element's block with its own sinks: closed
+    forms for monovalent blocks and for one class on one side, otherwise
+    the simplex on every class of both sides."""
+    if b1.monovalent and b2.monovalent:
+        other = dict(zip(b2.profiles, b2.counts))
+        equal = sum(min(n, other.get(p, 0)) for p, n in zip(b1.profiles, b1.counts))
+        return float(max(b1.total, b2.total) - equal)
+    if len(b1.counts) == 1 or len(b2.counts) == 1:
+        if len(b1.counts) != 1:
+            b1, b2 = b2, b1
+        p = b1.profiles[0]
+        left = min(b1.total, b2.total)
+        cost = float(abs(b1.total - b2.total))
+        for c, n in sorted((_profile_cost(p, q), n) for q, n in zip(b2.profiles, b2.counts)):
+            take = min(n, left)
+            cost += take * c
+            left -= take
+            if left == 0:
+                break
+        return cost
+    k2 = len(b2.counts)
+    rows = [[_profile_cost(p, q) for q in b2.profiles] + [1.0] for p in b1.profiles]
+    rows.append([1.0] * k2 + [0.0])
+    supply = np.array(b1.counts + (b2.total,), dtype=float)
+    demand = np.array(b2.counts + (b1.total,), dtype=float)
+    cost, _ = solve_transport(supply, demand, np.array(rows))
+    return cost

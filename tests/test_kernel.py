@@ -122,6 +122,20 @@ class TestPsdProject:
         with pytest.raises(ValueError):
             psd_project(np.array([[1.0, 0.5], [0.2, 1.0]]))
 
+    @pytest.mark.parametrize("rows", [
+        [[1.0, 0.5], [0.5 + 2e-12, 1.0]],
+        [[1.0, np.nan], [np.nan, 1.0]],
+        [[1.0, 0.5], [np.nan, 1.0]],
+        [[np.nan, 0.5], [0.5, 1.0]],
+    ])
+    def test_rejects_asymmetric_and_nan_entries(self, rows):
+        with pytest.raises(ValueError):
+            psd_project(np.array(rows))
+
+    def test_accepts_asymmetry_within_tolerance(self):
+        g = np.array([[2.0, 0.5], [0.5 + 5e-13, 2.0]])
+        assert np.array_equal(psd_project(g, floor=0.0), g)
+
     def test_rejects_negative_floor(self):
         with pytest.raises(ValueError):
             psd_project(np.eye(2), floor=-1.0)

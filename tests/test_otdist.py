@@ -1,13 +1,20 @@
+import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import molbo
 import oracles
 from conftest import random_molecule, relabel
 from molbo import otdist
 from molbo.errors import InvalidMolecule
+from molbo.kernel import OTExpSum
 from molbo.molgraph import (
     WeightMode,
     add_explicit_hydrogens,
@@ -15,6 +22,8 @@ from molbo.molgraph import (
     molecular_weight,
     parse_smiles,
 )
+from molbo.objectives import Objective, ObjectiveKind
+from molbo.optimizer import RunConfig, run
 from molbo.otdist import (
     CONFIG_ORDER,
     DistanceConfig,
@@ -24,6 +33,7 @@ from molbo.otdist import (
     solve_ot,
     solve_transport,
 )
+from molbo.synthesis import Condition, OracleKind
 
 
 def expand(text):
@@ -209,9 +219,10 @@ class TestDistanceVector:
         [
             ("C", "O", 0),  # one-sided elements, distinct monovalent H classes
             ("CCl", "CBr", 0),  # equal H classes, one carbon class per side
-            ("FC(F)CCl", "ClCCF", 1),  # monovalent F/Cl/H, two carbon classes each
+            ("FC(F)CCl", "ClCCF", 0),  # CH2Cl matched; one carbon class left on one side
             ("CC", "CC(C)CO", 0),  # one carbon class against four
-            ("CCCC", "CC(C)C", 1),  # two carbon classes against two
+            ("CCCC", "CC(C)C", 0),  # CH3 matched; CH2 left against CH3 and CH
+            ("CCCC", "CCOC", 1),  # one CH3 matched; two carbon classes left on each side
         ],
     )
     def test_element_blocks_match_oracles(self, s1, s2, solves, monkeypatch):
@@ -249,3 +260,71 @@ class TestDistanceVector:
     def test_config_order_labels(self):
         labels = [c.label for c in CONFIG_ORDER]
         assert labels == ["unit_raw", "unit_norm", "mass_raw", "mass_norm"]
+
+
+@pytest.fixture(scope="module")
+def met_block_pairs(cached_molecules, tmp_path_factory):
+    """Every element-block pair ``distance_vector`` meets in a fixed-seed
+    guided join run on the acceptance pool, then every pair of distinct
+    same-element blocks of the expanded ``cached_molecules``."""
+    pairs = []
+    cfg = RunConfig(
+        initial_pool=("C", "N", "O", "CC", "CO", "CN", "CCO", "CCC", "CCN", "COC"),
+        objective=Objective(kind=ObjectiveKind.HEAVY_ATOM_TARGET, target=25),
+        kernel_family=OTExpSum(),
+        budget_t=5,
+        seed=101000,
+        oracle=OracleKind.JOIN,
+        conditions=(Condition("join"),),
+    )
+    real = otdist._block_cost
+
+    def recording(b1, b2):
+        pairs.append((b1, b2))
+        return real(b1, b2)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(otdist, "_block_cost", recording)
+        run(cfg, tmp_path_factory.mktemp("walk") / "run.jsonl")
+    assert len(pairs) > 1000
+    by_element: dict[str, dict] = {}
+    for m in cached_molecules:
+        if m.is_expanded():
+            for sym, b in otdist._atom_classes(m).blocks.items():
+                by_element.setdefault(sym, {})[(b.counts, b.profiles)] = b
+    for found in by_element.values():
+        pairs += itertools.combinations(found.values(), 2)
+    return pairs
+
+
+def test_block_costs_match_whole_block_simplex(met_block_pairs):
+    """Matching equal profiles first gives the cost of the simplex on the
+    whole block."""
+    solved = 0
+    for b1, b2 in met_block_pairs:
+        ref = oracles.block_cost_whole(b1, b2)
+        assert otdist._block_cost(b1, b2) == pytest.approx(ref, rel=1e-12, abs=0.0)
+        solved += len(b1.counts) > 1 and len(b2.counts) > 1
+    assert solved > 1000
+
+
+def test_profile_cost_is_a_metric_on_met_profiles(met_block_pairs):
+    """Pre-matching is exact because ``c_str`` obeys the triangle
+    inequality; check it on every triple of the profiles met above."""
+    profiles = sorted({p for pair in met_block_pairs for b in pair for p in b.profiles})
+    assert len(profiles) > 50
+    d = np.array([[otdist._profile_cost(p, q) for q in profiles] for p in profiles])
+    assert np.array_equal(d, d.T) and not d.diagonal().any()
+    for j in range(len(profiles)):
+        assert (d <= d[:, [j]] + d[[j], :] + 1e-12).all()
+
+
+def test_import_loads_no_scipy_optimize():
+    """The OT blocks are solved in-package; importing scipy.optimize (for
+    an assignment solver, say) would add about 16 MB of resident memory.
+    A subprocess, because the tests themselves import ``linprog``."""
+    src = str(Path(molbo.__file__).parents[1])
+    code = "import sys, molbo; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
