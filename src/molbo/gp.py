@@ -1,17 +1,20 @@
 """Gaussian-process regression over molecules.
 
 The covariance is ``signal_scale**2 * PSD(K) + noise_var * I`` where K is
-the raw kernel Gram over training molecules.  K is PSD-projected once per
-distinct kernel spec in a fit and once in ``build_posterior``.
-Cross-covariances with query molecules use raw kernel values scaled by
-``signal_scale**2``; the prior variance of every query is
-``signal_scale**2`` times the kernel's closed-form ``diagonal``.  The mean is a fitted constant.  Hyperparameters are
-chosen by maximizing the log marginal likelihood with a seeded random
-search followed by multiplicative coordinate refinement; the mean
-constant is profiled out analytically (its generalized-least-squares
-optimum given the other parameters).  ``build_posterior`` reports the
-log marginal likelihood of its hyperparameters from the same Cholesky
-factor that scores queries.
+the raw kernel Gram over training molecules.  A fit projects K once for
+each distinct kernel spec it meets: its random search projects the Grams
+of all its candidates in one stacked ``psd_project`` call and factorizes
+their covariances in one stacked Cholesky call.  ``build_posterior``
+projects K once more.  Cross-covariances with query molecules use raw
+kernel values scaled by ``signal_scale**2``; the prior variance of every
+query is ``signal_scale**2`` times the kernel's closed-form ``diagonal``.
+The mean is a fitted constant.  Hyperparameters are chosen by maximizing
+the log marginal likelihood with a seeded random search followed by
+multiplicative coordinate refinement; the mean constant is profiled out
+analytically (its generalized-least-squares optimum given the other
+parameters).  ``build_posterior`` reports the log marginal likelihood of
+its hyperparameters from the same Cholesky factor that scores queries.
+Every triangular solve goes through ``_solve``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import CholeskyFailure, FitFailure
 from .kernel import (
@@ -87,9 +90,10 @@ class GpPosterior:
     cache: KernelCache
 
 
-def _covariance(k_psd: np.ndarray, noise_var: float, signal_scale: float) -> np.ndarray:
-    n = k_psd.shape[0]
-    return signal_scale**2 * k_psd + noise_var * np.eye(n)
+def _covariance(k_psd: np.ndarray, noise_var, signal_sq) -> np.ndarray:
+    """``signal_sq * k_psd + noise_var * I``; with ``(k, 1, 1)`` arrays of
+    scales, the covariances of a ``(k, n, n)`` stack of Grams."""
+    return signal_sq * k_psd + noise_var * np.eye(k_psd.shape[-1])
 
 
 def _cholesky(mat: np.ndarray) -> np.ndarray:
@@ -102,21 +106,30 @@ def _cholesky(mat: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-def _lml_terms(
-    k_psd: np.ndarray, ys: np.ndarray, noise_var: float, signal_scale: float
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Cholesky factor, whitened targets and log-determinant half-term."""
-    ktilde = _covariance(k_psd, noise_var, signal_scale)
-    chol = _cholesky(ktilde)
-    white = solve_triangular(chol, ys, lower=True)
-    half_logdet = float(np.sum(np.log(np.diag(chol))))
-    return chol, white, half_logdet
+def _check_finite(*arrays: np.ndarray) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("array must not contain infs or NaNs")
 
 
-def _lml(white: np.ndarray, half_logdet: float) -> float:
-    """Gaussian log evidence from the whitened residuals and the
-    log-determinant half-term of their covariance."""
+def _solve(chol: np.ndarray, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """Solve ``chol @ x = rhs``, or ``chol.T @ x = rhs`` with ``transpose``,
+    for a C-ordered lower Cholesky factor.
+
+    Calls LAPACK ``dtrtrs`` on the factor's Fortran-ordered transpose, as
+    ``scipy.linalg.solve_triangular`` does, so the bits are scipy's
+    without its per-call argument checks.  Callers check finiteness.
+    """
+    x, info = dtrtrs(chol.T, rhs, lower=0, trans=0 if transpose else 1)
+    if info:
+        raise np.linalg.LinAlgError(f"triangular solve failed: info {info}")
+    return x
+
+
+def _lml(white: np.ndarray, chol: np.ndarray) -> float:
+    """Gaussian log evidence from the whitened residuals and the Cholesky
+    factor of their covariance."""
     n = white.shape[0]
+    half_logdet = float(np.log(chol.diagonal()).sum())
     return float(-0.5 * white @ white - half_logdet - 0.5 * n * _LOG_2PI)
 
 
@@ -129,19 +142,22 @@ class _FamilyEvaluator:
     """LML evaluation for one training set with precomputed structure.
 
     The kernel ``features`` of the training set do not depend on the
-    searched hyperparameters, so they are gathered once.  The projected
-    Gram of the last kernel spec is kept, so a candidate that moves only
-    ``noise_var`` or ``signal_scale`` (every fingerprint candidate) costs
-    one Cholesky factorization; any other costs one ``combine`` and one
-    eigendecomposition more.
+    searched hyperparameters, so they are gathered once.  ``lml_batch``
+    scores a list of candidates as one stack: one ``combine`` per distinct
+    kernel spec, one ``psd_project`` call over the new specs' Grams, one
+    Cholesky call over all covariances, then two triangular solves per
+    candidate.  The projected Gram of the last candidate's spec is kept,
+    so a candidate that moves only ``noise_var`` or ``signal_scale``
+    (every fingerprint candidate) is not projected again.
     """
 
     def __init__(self, mols, ys, family: KernelSpec, cache: KernelCache):
         self.ys = np.asarray(ys, dtype=float)
+        _check_finite(self.ys)
         self.family = family
         self.n = len(mols)
         self.features = features(mols, mols, family, cache)
-        self._projected: tuple[KernelSpec, np.ndarray] | None = None
+        self._kept: dict[KernelSpec, np.ndarray] = {}
 
     def param_names(self) -> list[str]:
         names = ["noise_var", "signal_scale"]
@@ -176,18 +192,53 @@ class _FamilyEvaluator:
             )
         return ot
 
-    def lml(self, params: dict[str, float]) -> tuple[float, float]:
-        """(log marginal likelihood, profiled mean constant)."""
-        spec = self.spec_from(params)
-        if self._projected is None or self._projected[0] != spec:
-            self._projected = (spec, psd_project(combine(spec, *self.features)))
-        k_psd = self._projected[1]
-        chol, wy, half_logdet = _lml_terms(
-            k_psd, self.ys, params["noise_var"], params["signal_scale"]
+    def _factors(self, candidates: list[dict[str, float]]) -> list[np.ndarray | None]:
+        """Cholesky factor of each candidate's covariance, None where it
+        is not positive definite."""
+        specs = [self.spec_from(p) for p in candidates]
+        grams = dict(self._kept)
+        new = [s for s in dict.fromkeys(specs) if s not in grams]
+        if new:
+            stack = np.stack([combine(s, *self.features) for s in new])
+            grams.update(zip(new, psd_project(stack)))
+        self._kept = {specs[-1]: grams[specs[-1]]}
+        # Squares of Python floats, as in build_posterior: numpy's square
+        # can differ in the last bit.
+        cov = _covariance(
+            np.stack([grams[s] for s in specs]),
+            np.array([p["noise_var"] for p in candidates])[:, None, None],
+            np.array([p["signal_scale"] ** 2 for p in candidates])[:, None, None],
         )
-        w1 = solve_triangular(chol, np.ones(self.n), lower=True)
-        mean = float(w1 @ wy / (w1 @ w1))
-        return _lml(wy - mean * w1, half_logdet), mean
+        try:
+            return list(np.linalg.cholesky(cov))
+        except np.linalg.LinAlgError:
+            pass  # one member failed the stacked call; find which
+        factors = []
+        for mat in cov:
+            try:
+                factors.append(_cholesky(mat))
+            except CholeskyFailure:
+                factors.append(None)
+        return factors
+
+    def lml_batch(
+        self, candidates: list[dict[str, float]]
+    ) -> list[tuple[float, float] | None]:
+        """(log marginal likelihood, profiled mean constant) of each
+        candidate, None where its covariance does not factorize."""
+        ones = np.ones(self.n)
+        results = []
+        for chol in self._factors(candidates):
+            if chol is None:
+                results.append(None)
+                continue
+            _check_finite(chol)
+            # Two one-column solves: a two-column solve changes the bits.
+            wy = _solve(chol, self.ys)
+            w1 = _solve(chol, ones)
+            mean = float(w1 @ wy / (w1 @ w1))
+            results.append((_lml(wy - mean * w1, chol), mean))
+        return results
 
 
 def fit(
@@ -199,9 +250,10 @@ def fit(
 ) -> GpHyperparams:
     """Maximize the marginal likelihood over the family's hyperparameters.
 
-    Seeded random search (64 draws from the documented ranges) followed
-    by three greedy coordinate passes with multiplicative steps of 1.5.
-    Deterministic given the generator state.
+    Seeded random search (64 draws from the documented ranges, scored as
+    one batch) followed by three greedy coordinate passes with
+    multiplicative steps of 1.5, one trial at a time.  Deterministic
+    given the generator state.
     """
     if len(mols) < 3:
         raise ValueError("fit needs at least three observations")
@@ -212,14 +264,14 @@ def fit(
     best_params = None
     best_value = -np.inf
     best_mean = 0.0
-    for _ in range(N_SEARCH_SAMPLES):
-        params = ev.sample(rng)
-        try:
-            value, mean = ev.lml(params)
-        except CholeskyFailure:
-            continue
-        if value > best_value:
-            best_params, best_value, best_mean = params, value, mean
+
+    def consider(candidates):
+        nonlocal best_params, best_value, best_mean
+        for params, result in zip(candidates, ev.lml_batch(candidates)):
+            if result is not None and result[0] > best_value:
+                best_params, (best_value, best_mean) = params, result
+
+    consider([ev.sample(rng) for _ in range(N_SEARCH_SAMPLES)])
     if best_params is None:
         raise FitFailure("all hyperparameter candidates failed to factorize")
 
@@ -228,14 +280,8 @@ def fit(
             for factor in (REFINE_FACTOR, 1.0 / REFINE_FACTOR):
                 trial = dict(best_params)
                 trial[name] = ev.clamp(name, trial[name] * factor)
-                if trial[name] == best_params[name]:
-                    continue
-                try:
-                    value, mean = ev.lml(trial)
-                except CholeskyFailure:
-                    continue
-                if value > best_value:
-                    best_params, best_value, best_mean = trial, value, mean
+                if trial[name] != best_params[name]:
+                    consider([trial])
 
     return GpHyperparams(
         kernel_spec=ev.spec_from(best_params),
@@ -264,16 +310,19 @@ def build_posterior(
     if cache is None:
         cache = KernelCache()
     k_psd = psd_project(gram(mols, hyper.kernel_spec, cache))
-    chol, white, half_logdet = _lml_terms(
-        k_psd, ys - hyper.mean_const, hyper.noise_var, hyper.signal_scale
+    chol = _cholesky(
+        _covariance(k_psd, hyper.noise_var, hyper.signal_scale**2)
     )
-    alpha_vec = solve_triangular(chol.T, white, lower=False)
+    centered = ys - hyper.mean_const
+    _check_finite(centered, chol)
+    white = _solve(chol, centered)
+    alpha_vec = _solve(chol, white, transpose=True)
     return GpPosterior(
         train_molecules=list(mols),
         hyper=hyper,
         chol_factor=chol,
         alpha_vec=alpha_vec,
-        lml=_lml(white, half_logdet),
+        lml=_lml(white, chol),
         cache=cache,
     )
 
@@ -283,8 +332,9 @@ def posterior_batch(gp: GpPosterior, xs: list[Molecule]) -> tuple[np.ndarray, np
     hyper = gp.hyper
     s2 = hyper.signal_scale**2
     k_cross = s2 * cross_gram(gp.train_molecules, xs, hyper.kernel_spec, gp.cache)
+    _check_finite(k_cross)
     mu = hyper.mean_const + k_cross.T @ gp.alpha_vec
-    w = solve_triangular(gp.chol_factor, k_cross, lower=True)
+    w = _solve(gp.chol_factor, k_cross)
     prior = s2 * diagonal(hyper.kernel_spec)
     var = np.maximum(0.0, prior - np.sum(w * w, axis=0))
     return mu, var

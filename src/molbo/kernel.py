@@ -7,7 +7,9 @@ value goes through two steps: ``features`` gathers a block's
 hyperparameter-free inputs (transport distances, Tanimoto values) from a
 ``KernelCache``, and ``combine`` turns them into kernel values for a spec.
 ``gram``, ``cross_gram`` and the GP fit all use them, so a pair has one
-value wherever it is computed; ``diagonal`` is ``combine`` on the
+value wherever it is computed.  A square block (a Gram) looks each
+unordered pair up once and mirrors it, which keeps it symmetric bit for
+bit because both features are symmetric; ``diagonal`` is ``combine`` on the
 closed-form features of a molecule against itself.  The transport
 kernel is not known to be positive definite, so training Gram matrices
 are projected onto the PSD cone by eigenvalue clamping before GP use;
@@ -107,6 +109,23 @@ class KernelCache:
         return fp
 
 
+def _pairs(rows: list, cols: list, value, shape: tuple = ()) -> np.ndarray:
+    """``value(x, y)``, an array of ``shape``, for every cell of the
+    ``rows`` x ``cols`` block.
+
+    A square block (``cols is rows``) looks each unordered pair up once
+    and mirrors it; ``value`` must then be symmetric bit for bit.
+    """
+    n, m = len(rows), len(cols)
+    if cols is not rows:
+        return np.reshape([value(x, y) for x in rows for y in cols], (n, m, *shape))
+    block = np.empty((n, n, *shape))
+    upper = np.triu_indices(n)
+    block[upper] = [value(rows[i], rows[j]) for i in range(n) for j in range(i, n)]
+    block[upper[::-1]] = block[upper]
+    return block
+
+
 def features(
     rows: list[Molecule], cols: list[Molecule], spec: KernelSpec, cache: KernelCache
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -119,15 +138,12 @@ def features(
     """
     dist = k_fp = None
     if isinstance(spec, (OTExpSum, SumKernel)):
-        flat = np.array([cache.distance_vector(x, y) for x in rows for y in cols])
-        dist = flat.reshape(len(rows), len(cols), 4).transpose(2, 0, 1)
+        dist = _pairs(rows, cols, cache.distance_vector, (4,)).transpose(2, 0, 1)
     fp_spec = spec.fingerprint if isinstance(spec, SumKernel) else spec
     if isinstance(fp_spec, FingerprintTanimoto):
         row_fps = [cache.fingerprint(x, fp_spec) for x in rows]
-        col_fps = [cache.fingerprint(y, fp_spec) for y in cols]
-        k_fp = np.reshape(
-            [tanimoto(a, b) for a in row_fps for b in col_fps], (len(rows), len(cols))
-        )
+        col_fps = row_fps if cols is rows else [cache.fingerprint(y, fp_spec) for y in cols]
+        k_fp = _pairs(row_fps, col_fps, tanimoto)
     return dist, k_fp
 
 
@@ -183,22 +199,27 @@ def diagonal(spec: KernelSpec) -> float:
 def psd_project(values: np.ndarray, floor: float = DEFAULT_PSD_FLOOR) -> np.ndarray:
     """Clamp eigenvalues below ``floor`` up to it and reconstruct.
 
-    Identity (up to the floor) on matrices already in the cone.
+    Takes one symmetric matrix or a stack ``(..., n, n)`` of them; each
+    member is projected on its own and gets the bits a one-matrix call
+    gives it.  Identity (up to the floor) on matrices already in the cone.
     """
     if floor < 0:
         raise ValueError("floor must be nonnegative")
+    mirrored = np.swapaxes(values, -1, -2)
     # The plain comparison decides the common case fast; allclose keeps
     # the verdict on inf and NaN entries, where the difference is NaN.
-    if not (np.abs(values - values.T) <= 1e-12).all() and not np.allclose(
-        values, values.T, atol=1e-12, rtol=0.0
+    if not (np.abs(values - mirrored) <= 1e-12).all() and not np.allclose(
+        values, mirrored, atol=1e-12, rtol=0.0
     ):
         raise ValueError("psd_project expects a symmetric matrix")
     try:
         w, v = np.linalg.eigh(values)
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
-    if w[0] >= floor:
-        return values.copy()
-    w = np.maximum(w, floor)
-    projected = (v * w) @ v.T
-    return (projected + projected.T) / 2.0
+    out = values.copy()
+    low = ~(w[..., 0] >= floor)
+    if low.any():
+        w, v = np.maximum(w[low], floor), v[low]
+        projected = (v * w[..., None, :]) @ np.swapaxes(v, -1, -2)
+        out[low] = (projected + np.swapaxes(projected, -1, -2)) / 2.0
+    return out

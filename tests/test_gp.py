@@ -3,10 +3,12 @@ import random
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 import oracles
 from conftest import random_molecule
 from molbo import gp
+from molbo.errors import FitFailure
 from molbo.gp import (
     GpHyperparams,
     build_posterior,
@@ -18,6 +20,7 @@ from molbo.kernel import (
     FingerprintTanimoto,
     KernelCache,
     OTExpSum,
+    SumKernel,
     diagonal,
     gram,
     psd_project,
@@ -205,18 +208,18 @@ class TestProjectionsPerFit:
     @pytest.fixture
     def counts(self, monkeypatch):
         counts = {"projections": 0, "candidates": 0}
-        project, lml = gp.psd_project, gp._FamilyEvaluator.lml
+        project, lml_batch = gp.psd_project, gp._FamilyEvaluator.lml_batch
 
         def counting_project(*args, **kwargs):
             counts["projections"] += 1
             return project(*args, **kwargs)
 
-        def counting_lml(self, params):
-            counts["candidates"] += 1
-            return lml(self, params)
+        def counting_lml_batch(self, candidates):
+            counts["candidates"] += len(candidates)
+            return lml_batch(self, candidates)
 
         monkeypatch.setattr(gp, "psd_project", counting_project)
-        monkeypatch.setattr(gp._FamilyEvaluator, "lml", counting_lml)
+        monkeypatch.setattr(gp._FamilyEvaluator, "lml_batch", counting_lml_batch)
         return counts
 
     @staticmethod
@@ -246,3 +249,88 @@ class TestProjectionsPerFit:
                          4.888012128896659, 0.07221713612899108))
         self.assert_pinned(h, spec, 0.11081971916484543, 0.5000000000000001,
                            0.010584096155025492)
+
+
+class TestStackedEvaluation:
+    """``lml_batch`` scores a stack of candidates with the bits that one
+    candidate at a time gets, and skips only the candidates whose
+    covariance does not factorize."""
+
+    @staticmethod
+    def factory(family, n=9, seed=12):
+        mols = distinct_molecules(random.Random(seed), n)
+        mols += mols[:2]  # duplicates put Gram eigenvalues below the floor
+        ys = np.random.default_rng(seed).normal(size=len(mols))
+        return lambda: gp._FamilyEvaluator(mols, ys, family, KernelCache())
+
+    @pytest.mark.parametrize(
+        "family", [FingerprintTanimoto(), OTExpSum(), SumKernel()],
+        ids=lambda f: type(f).__name__,
+    )
+    def test_stack_equals_one_at_a_time(self, family):
+        make = self.factory(family)
+        stacked, single = make(), make()
+        rng = np.random.default_rng(7)
+        candidates = [stacked.sample(rng) for _ in range(gp.N_SEARCH_SAMPLES)]
+        got = stacked.lml_batch(candidates)
+        want = [single.lml_batch([c])[0] for c in candidates]
+        assert all(r is not None for r in want)
+        assert all(g == w for g, w in zip(got, want))
+
+    def test_solve_matches_scipy(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            n = int(rng.integers(1, 16))
+            a = rng.normal(size=(n, n))
+            chol = np.linalg.cholesky(a @ a.T + 0.1 * np.eye(n))
+            for rhs in (rng.normal(size=n), rng.normal(size=(n, 5))):
+                assert np.array_equal(
+                    gp._solve(chol, rhs), solve_triangular(chol, rhs, lower=True)
+                )
+                assert np.array_equal(
+                    gp._solve(chol, rhs, transpose=True),
+                    solve_triangular(chol.T, rhs, lower=False),
+                )
+
+    @pytest.fixture
+    def broken(self, monkeypatch):
+        """Make ``psd_project`` return ``-1e9 * I``, negative definite at
+        every searched scale, for the stack members listed."""
+        members = []
+        project = gp.psd_project
+
+        def breaking(values, *args, **kwargs):
+            out = project(values, *args, **kwargs)
+            for i in members:
+                out[i] = -1e9 * np.eye(out.shape[-1])
+            return out
+
+        monkeypatch.setattr(gp, "psd_project", breaking)
+        return members
+
+    def test_non_pd_candidate_skipped_others_kept(self, broken):
+        make = self.factory(OTExpSum())
+        rng = np.random.default_rng(9)
+        reference = make()
+        candidates = [reference.sample(rng) for _ in range(8)]
+        want = [reference.lml_batch([c])[0] for c in candidates]
+        broken.append(3)
+        got = make().lml_batch(candidates)
+        assert got[3] is None
+        assert got[:3] + got[4:] == want[:3] + want[4:]
+
+    def test_every_candidate_failing_raises(self, broken):
+        broken.extend(range(gp.N_SEARCH_SAMPLES))
+        mols = distinct_molecules(random.Random(8), 6)
+        with pytest.raises(FitFailure):
+            fit(mols, np.linspace(0, 1, 6), OTExpSum(), np.random.default_rng(42))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_target_rejected(self, bad):
+        mols = distinct_molecules(random.Random(8), 6)
+        ys = np.linspace(0, 1, 6)
+        ys[2] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            fit(mols, ys, OTExpSum(), np.random.default_rng(42))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            build_posterior(mols, ys, hyper())

@@ -140,6 +140,50 @@ class TestPsdProject:
         with pytest.raises(ValueError):
             psd_project(np.eye(2), floor=-1.0)
 
+    @staticmethod
+    def stack_with_low_member():
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(8, 7, 7))
+        stack = a @ a.transpose(0, 2, 1) + np.eye(7)
+        stack[2] = (a[2] + a[2].T) / 2  # indefinite
+        stack[5] = np.ones((7, 7))  # rank one: eigenvalues below the floor
+        return stack
+
+    def test_stack_matches_one_matrix_calls(self):
+        stack = self.stack_with_low_member()
+        low = [np.linalg.eigvalsh(m)[0] < 1e-10 for m in stack]
+        assert low == [False, False, True, False, False, True, False, False]
+        out = psd_project(stack)
+        assert out.shape == stack.shape
+        for got, mat in zip(out, stack):
+            assert np.array_equal(got, psd_project(mat))
+        nested = psd_project(stack.reshape(2, 4, 7, 7))
+        assert np.array_equal(nested.reshape(stack.shape), out)
+
+    def test_stack_rejects_asymmetric_member(self):
+        stack = self.stack_with_low_member()
+        stack[6, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match="symmetric"):
+            psd_project(stack)
+
+
+def test_square_block_looks_up_each_pair_once(monkeypatch):
+    mols = [expand(s) for s in ("C", "CC", "CCO", "CCN", "COC")]
+    seen = []
+    lookup = KernelCache.distance_vector
+
+    def counting(self, x, y):
+        seen.append((x.canonical_form, y.canonical_form))
+        return lookup(self, x, y)
+
+    monkeypatch.setattr(KernelCache, "distance_vector", counting)
+    spec = OTExpSum((0.5, 1.0, 0.02, 1.0))
+    cache = KernelCache()
+    g = gram(mols, spec, cache)
+    assert len(seen) == 15  # 5 diagonal cells + 10 unordered pairs
+    assert np.array_equal(g, cross_gram(mols, list(mols), spec, cache))
+    assert len(seen) == 15 + 25  # a list equal to mols but not it: every cell
+
 
 def test_cache_shares_isomorphic_entries():
     cache = KernelCache()
