@@ -1,8 +1,9 @@
 """Molecular graphs and the transport dissimilarity, step by step.
 
-Parses a few molecules, shows canonical forms and hydrogen expansion,
-then walks through the cost construction and the four distance
-configurations on the classic n-butane / isobutane pair.
+Parses a few molecules, shows canonical forms and hydrogen expansion
+(hydrogens stay implicit everywhere else), then walks through the cost
+construction and the four distance configurations on the classic
+n-butane / isobutane pair.
 """
 
 import numpy as np
@@ -30,8 +31,8 @@ print(f"  ethanol: {ethanol.n_atoms} heavy atoms -> {expanded.n_atoms} atoms, "
       f"{len(expanded.bonds)} bonds after expansion")
 
 print("\n== Distances: n-butane vs isobutane ==")
-nbutane = add_explicit_hydrogens(parse_smiles("CCCC"))
-isobutane = add_explicit_hydrogens(parse_smiles("CC(C)C"))
+nbutane = parse_smiles("CCCC")
+isobutane = parse_smiles("CC(C)C")
 
 costs = build_costs(nbutane, isobutane)
 print(f"  element-mismatch cells: {(costs.c_lbl > 0).sum()} of {costs.c_lbl.size}")
@@ -40,11 +41,14 @@ print(f"  bond-environment penalty range: [{costs.c_str.min():.3f}, {costs.c_str
 vec = distance_vector(nbutane, isobutane)
 for cfg, value in zip(CONFIG_ORDER, vec):
     print(f"  {cfg.label:10s} = {value:.6f}")
+explicit = distance_vector(add_explicit_hydrogens(nbutane), add_explicit_hydrogens(isobutane))
+print(f"  with explicit hydrogens: equal to implicit = {np.array_equal(vec, explicit)}")
 
 print("\n== Transport plan inspection (unit weights, raw) ==")
 distance, plan = solve_ot(nbutane, isobutane, DistanceConfig(WeightMode.UNIT, False))
 print(f"  distance = {distance:.6f}")
-print(f"  plan shape {plan.u.shape} (last row/column are the non-matching sinks)")
+print(f"  plan shape {plan.u.shape} over the expanded molecules "
+      "(last row/column are the non-matching sinks)")
 print(f"  unmatched mass: row sink {plan.u[:-1, -1].sum():.3f}, "
       f"column sink {plan.u[-1, :-1].sum():.3f}")
 print(f"  plan marginal error: {np.abs(plan.u[:-1, :].sum(1) - 1.0).max():.2e}")

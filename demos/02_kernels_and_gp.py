@@ -14,7 +14,6 @@ from molbo import (
     ObjectiveKind,
     OTExpSum,
     SumKernel,
-    add_explicit_hydrogens,
     build_posterior,
     evaluate,
     fit,
@@ -25,7 +24,7 @@ from molbo import (
 )
 
 MOLECULES = ["C", "CC", "CCC", "CCO", "CC(C)C", "CCCC", "CCN", "COC", "CC(=O)O", "CCCO"]
-mols = [add_explicit_hydrogens(parse_smiles(s)) for s in MOLECULES]
+mols = [parse_smiles(s) for s in MOLECULES]
 cache = KernelCache()
 
 print("== Gram matrices ==")
@@ -52,7 +51,7 @@ print(f"  fitted noise={hyper.noise_var:.2e} signal={hyper.signal_scale:.3f} "
 print(f"  fitted betas={tuple(round(b, 4) for b in hyper.kernel_spec.betas)}")
 
 gp = build_posterior(mols, ys, hyper, cache)
-held_out = [add_explicit_hydrogens(parse_smiles(s)) for s in ("CCCCC", "OCCO", "CNC")]
+held_out = [parse_smiles(s) for s in ("CCCCC", "OCCO", "CNC")]
 for m in held_out:
     mu, var = posterior(gp, m)
     truth = evaluate(objective, m)

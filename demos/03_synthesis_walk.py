@@ -10,7 +10,6 @@ from molbo import (
     Condition,
     OracleKind,
     SynthesisDag,
-    add_explicit_hydrogens,
     explore_acquisition,
     parse_smiles,
     recipe,
@@ -18,10 +17,6 @@ from molbo import (
     synthesize_detailed,
 )
 from molbo.synthesis import recipe_to_graph_text
-
-
-def expand(text):
-    return add_explicit_hydrogens(parse_smiles(text))
 
 
 print("== The rule library, one firing each ==")
@@ -33,17 +28,18 @@ cases = [
     ("N-alkylation", "CN", "CCl", {"base"}),
 ]
 for name, a, b, conds in cases:
-    products, _ = synthesize_detailed([expand(a), expand(b)], conds, OracleKind.TEMPLATE)
+    products, _ = synthesize_detailed([parse_smiles(a), parse_smiles(b)], conds,
+                                      OracleKind.TEMPLATE)
     made = ", ".join(sorted(m.canonical_form for m in products))
     print(f"  {name:18s} {a} + {b} under {sorted(conds)} -> {made}")
 
 print("\n  wrong conditions give Null:",
-      synthesize_detailed([expand("CC(=O)O"), expand("CCO")], {"base"},
+      synthesize_detailed([parse_smiles("CC(=O)O"), parse_smiles("CCO")], {"base"},
                           OracleKind.TEMPLATE))
 
 print("\n== Random walk on the synthesis graph ==")
 pool_smiles = ["CC(=O)O", "CCO", "CN", "CCBr", "CC=O", "OCCO", "NCCN", "CCCl"]
-pool = [expand(s) for s in pool_smiles]
+pool = [parse_smiles(s) for s in pool_smiles]
 dag = SynthesisDag()
 for m in pool:
     dag.add_initial(m)

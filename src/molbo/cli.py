@@ -28,7 +28,7 @@ from .errors import (
     UnknownMolecule,
 )
 from .kernel import FingerprintTanimoto, KernelCache, OTExpSum, SumKernel, gram
-from .molgraph import add_explicit_hydrogens, load_pool, parse_smiles
+from .molgraph import load_pool, parse_smiles
 from .objectives import ObjectiveKind, evaluate, objective_from_config
 from .optimizer import Method, RunConfig, run
 from .otdist import CONFIG_ORDER, distance_vector
@@ -146,8 +146,8 @@ def _objective(args, config):
 
 
 def _cmd_dist(args) -> int:
-    m1 = add_explicit_hydrogens(parse_smiles(args.smiles_a))
-    m2 = add_explicit_hydrogens(parse_smiles(args.smiles_b))
+    m1 = parse_smiles(args.smiles_a)
+    m2 = parse_smiles(args.smiles_b)
     vec = distance_vector(m1, m2)
     print(json.dumps({
         "distances": [float(v) for v in vec],
@@ -158,7 +158,7 @@ def _cmd_dist(args) -> int:
 
 def _cmd_gram(args) -> int:
     config = _load_config_file(args.config)
-    pool = [add_explicit_hydrogens(m) for m in load_pool(_pool_path(args, config))]
+    pool = load_pool(_pool_path(args, config))
     if not pool:
         raise ValueError("pool file contains no molecules")
     spec = _kernel_from_name(_setting(args, config, "kernel", "ot"), config)
@@ -249,7 +249,7 @@ def _cmd_analyze(args) -> int:
     config = _load_config_file(args.config)
     if args.sample_pairs < 1:
         raise ValueError("--sample-pairs must be at least 1")
-    pool = [add_explicit_hydrogens(m) for m in load_pool(_pool_path(args, config))]
+    pool = load_pool(_pool_path(args, config))
     if len(pool) < 2:
         raise ValueError("analyze needs at least two pool molecules")
     objective = _objective(args, config)

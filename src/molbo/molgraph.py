@@ -122,12 +122,14 @@ class Molecule:
     ``atoms`` is a tuple of Elements (list position is the atom index);
     ``bonds`` maps sorted index pairs to bond orders.  Valence and
     connectivity invariants are checked at construction, which also keeps
-    every atom's bond-order sum.  Instances cache derived data, each
-    built on first use: the canonical form and canonical heavy order, the
-    hydrogen expansion, the heavy skeleton, per-atom bond profiles,
-    transport classes and functional-group sites (``_sites``, filled by
-    ``molbo.synthesis``).  Operations are pure and safe to call
-    concurrently.
+    every atom's bond-order sum.  Atom ``i`` carries ``free_valence(i)``
+    implicit hydrogens besides any explicit H neighbours, so a molecule
+    and its hydrogen expansion give the same objectives, bond profiles
+    and distances.  Instances cache derived data, each built on first
+    use: the canonical form and canonical heavy order, the heavy
+    skeleton, per-atom bond profiles, transport classes and
+    functional-group sites (``_sites``, filled by ``molbo.synthesis``).
+    Operations are pure and safe to call concurrently.
     """
 
     __slots__ = (
@@ -137,8 +139,6 @@ class Molecule:
         "_bond_sums",
         "_canonical",
         "_canonical_heavy_order",
-        "_expanded",
-        "_is_expanded",
         "_profiles",
         "_sites",
         "_skeleton",
@@ -168,12 +168,10 @@ class Molecule:
         self._adjacency = tuple(tuple(sorted(nbrs, key=lambda t: t[0])) for nbrs in adjacency)
         self._canonical = None
         self._canonical_heavy_order = None
-        self._expanded = None
-        self._is_expanded = None
         self._profiles = None
         self._sites = {}
         self._skeleton = None
-        self._transport_classes = {}
+        self._transport_classes = None
         self._check_connected()
         self._check_valence()
 
@@ -230,13 +228,6 @@ class Molecule:
         s = self.bond_order_sum(i)
         return self.atoms[i].fill_valence(s) - s
 
-    def is_expanded(self) -> bool:
-        if self._is_expanded is None:
-            self._is_expanded = all(
-                self.free_valence(i) == 0 for i in range(self.n_atoms)
-            )
-        return self._is_expanded
-
     @property
     def canonical_form(self) -> str:
         """Canonical SMILES over the heavy-atom skeleton (cached)."""
@@ -263,15 +254,26 @@ def _bond_sum(neighbors) -> int:
     return int(s + 1e-9) if aromatic else int(round(s))
 
 
+def expanded_atoms(mol: Molecule):
+    """The elements of the hydrogen-expanded molecule, in its atom order:
+    every atom, then one hydrogen per implicit hydrogen in parent order."""
+    yield from mol.atoms
+    hydrogen = PERIODIC_TABLE["H"]
+    for i in range(mol.n_atoms):
+        for _ in range(mol.free_valence(i)):
+            yield hydrogen
+
+
 def molecular_weight(mol: Molecule, mode: WeightMode) -> float:
-    """Total matching weight m(M), strictly positive and atom-additive."""
-    return float(sum(atom_weight(a, mode) for a in mol.atoms))
+    """Total matching weight m(M) with implicit hydrogens, strictly
+    positive and atom-additive; summed in the expanded molecule's order."""
+    return float(sum(atom_weight(a, mode) for a in expanded_atoms(mol)))
 
 
 def bond_profile(mol: Molecule, atom_index: int) -> tuple[tuple[str, str, str], ...]:
     """Multiset of (bond order, endpoint element pair) around one atom:
     sorted ``(order symbol, low element, high element)`` triples, one per
-    incident bond."""
+    incident bond and one single bond per implicit hydrogen."""
     if not (0 <= atom_index < mol.n_atoms):
         raise InvalidMolecule(f"atom index {atom_index} out of range")
     if mol._profiles is None:
@@ -283,9 +285,15 @@ def bond_profile(mol: Molecule, atom_index: int) -> tuple[tuple[str, str, str], 
                 sym_j = mol.atoms[j].symbol
                 lo, hi = (sym_i, sym_j) if sym_i <= sym_j else (sym_j, sym_i)
                 entries.append((order.symbol, lo, hi))
+            entries += [hydrogen_bond(sym_i)] * mol.free_valence(i)
             profiles.append(tuple(sorted(entries)))
         mol._profiles = tuple(profiles)
     return mol._profiles[atom_index]
+
+
+def hydrogen_bond(symbol: str) -> tuple[str, str, str]:
+    """Bond-profile entry of a single bond between ``symbol`` and H."""
+    return ("-", symbol, "H") if symbol <= "H" else ("-", "H", symbol)
 
 
 # ---------------------------------------------------------------------------
@@ -450,19 +458,11 @@ def add_explicit_hydrogens(mol: Molecule) -> Molecule:
 
     Sulfur fills to the smallest of its standard valences (2, 4, 6) that
     covers the current bond sum; aromatic atoms use the floored bond-order
-    sum.  Idempotent: an already expanded molecule is returned unchanged.
+    sum.  Hydrogens are appended in parent order.  Idempotent: an already
+    expanded molecule has nothing to add and is returned unchanged.
     """
-    if mol._expanded is not None:
-        return mol._expanded
-    counts = []
-    for i, elem in enumerate(mol.atoms):
-        s = mol.bond_order_sum(i)
-        target = elem.fill_valence(s)
-        if target < 0:
-            raise ValenceExceeded(f"atom {i} ({elem.symbol}) has negative free valence")
-        counts.append(target - s)
+    counts = [mol.free_valence(i) for i in range(mol.n_atoms)]
     if not any(counts):
-        mol._expanded = mol
         return mol
     atoms = list(mol.atoms)
     bonds = dict(mol.bonds)
@@ -471,21 +471,14 @@ def add_explicit_hydrogens(mol: Molecule) -> Molecule:
         for _ in range(extra):
             atoms.append(hydrogen)
             bonds[(i, len(atoms) - 1)] = BondOrder.SINGLE
-    out = Molecule(atoms, bonds)
-    out._expanded = out
-    mol._expanded = out
-    return out
+    return Molecule(atoms, bonds)
 
 
 def strip_hydrogens(mol: Molecule) -> Molecule:
     """Heavy-atom skeleton of a molecule (inverse of hydrogen expansion).
 
     The skeleton is built once per molecule and cached; a molecule
-    without hydrogens is its own skeleton.  It shares the molecule's
-    canonical form and canonical heavy order (remapped to its own
-    indices) instead of canonicalising again: the heavy-index map is
-    monotone and the skeleton keeps the heavy bonds in their order, so
-    canonicalisation sees the same input.
+    without hydrogens is its own skeleton.
     """
     if mol._skeleton is not None:
         return mol._skeleton
@@ -501,11 +494,8 @@ def strip_hydrogens(mol: Molecule) -> Molecule:
         for (i, j), order in mol.bonds.items()
         if i in remap and j in remap
     }
-    skeleton = Molecule([mol.atoms[i] for i in heavy], bonds)
-    skeleton._canonical = mol.canonical_form
-    skeleton._canonical_heavy_order = tuple(remap[i] for i in mol.canonical_heavy_order())
-    mol._skeleton = skeleton
-    return skeleton
+    mol._skeleton = Molecule([mol.atoms[i] for i in heavy], bonds)
+    return mol._skeleton
 
 
 # ---------------------------------------------------------------------------

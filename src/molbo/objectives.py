@@ -10,7 +10,8 @@ Shipped kinds:
 
 * heavy_atom: ``-|heavy atom count - target|`` (deterministic test
   objective, maximal exactly at the target).
-* logp: sum of per-element contributions over all atoms.
+* logp: sum of per-element contributions over all atoms, implicit
+  hydrogens included.
 * penlogp: logp minus a complexity proxy minus a long-ring penalty
   (``max(0, size - 6)`` summed over a minimum cycle basis).
 * qed: geometric mean of four trapezoidal desirability scores in (0, 1]
@@ -25,8 +26,8 @@ from typing import Mapping
 
 import networkx as nx
 
-from .errors import InvalidMolecule, MissingContribution
-from .molgraph import Molecule, WeightMode, molecular_weight
+from .errors import MissingContribution
+from .molgraph import Molecule, WeightMode, expanded_atoms, molecular_weight
 
 #: Additive logP-style contributions per element.  Surrogate values:
 #: hydrophobic atoms positive, polar atoms negative.
@@ -97,7 +98,7 @@ class Objective:
 
 def _contribution_sum(obj: Objective, mol: Molecule) -> float:
     total = 0.0
-    for atom in mol.atoms:
+    for atom in expanded_atoms(mol):
         try:
             total += obj.contributions[atom.symbol]
         except KeyError:
@@ -147,19 +148,18 @@ def _hbond_counts(mol: Molecule) -> tuple[int, int]:
         if atom.symbol not in ("O", "N"):
             continue
         acceptors += 1
-        if any(mol.atoms[j].symbol == "H" for j, _ in mol.neighbors(i)):
+        if mol.free_valence(i) or any(mol.atoms[j].symbol == "H" for j, _ in mol.neighbors(i)):
             donors += 1
     return donors, acceptors
 
 
 def evaluate(obj: Objective, mol: Molecule) -> float:
-    """Objective value of a hydrogen-expanded molecule.
+    """Objective value of a molecule whose atoms carry implicit hydrogens
+    for their free valence; its hydrogen expansion scores the same.
 
     Deterministic and invariant under atom relabeling; isomorphic
     molecules always score equally.
     """
-    if not mol.is_expanded():
-        raise InvalidMolecule("objectives require hydrogen-expanded molecules")
     if obj.kind is ObjectiveKind.HEAVY_ATOM_TARGET:
         return -abs(mol.heavy_atom_count() - obj.target)
     if obj.kind is ObjectiveKind.LOGP:

@@ -43,7 +43,7 @@ from .acquisition import (
 from .errors import FitFailure
 from .gp import GpHyperparams, build_posterior, fit, posterior_batch
 from .kernel import FingerprintTanimoto, KernelCache, KernelSpec, OTExpSum, SumKernel
-from .molgraph import Molecule, add_explicit_hydrogens, parse_smiles
+from .molgraph import Molecule, parse_smiles
 from .objectives import Band, Objective, evaluate
 from .synthesis import (
     CONDITION_LIBRARY,
@@ -295,11 +295,12 @@ class RunLogWriter:
 
 
 def _bootstrap(cfg: RunConfig):
-    """Parse, expand and dedup the initial pool; evaluate it; seed the DAG."""
+    """Parse and dedup the initial pool, keeping its hydrogens implicit;
+    evaluate it; seed the DAG."""
     pool: list[Molecule] = []
     seen: set[str] = set()
     for smiles in cfg.initial_pool:
-        mol = add_explicit_hydrogens(parse_smiles(smiles))
+        mol = parse_smiles(smiles)
         if mol.canonical_form in seen:
             continue
         seen.add(mol.canonical_form)

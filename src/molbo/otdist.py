@@ -1,10 +1,11 @@
 """Optimal-transport dissimilarity between molecules.
 
-The measure matches atom weight across two hydrogen-expanded molecules.
-Matched weight pays an element-mismatch penalty plus a bond-environment
-penalty (one minus the multiset-Jaccard overlap of the two atoms' bond
-profiles); unmatched weight pays one per unit on each side.  The
-original inequality-constrained program is solved exactly in its
+The measure matches atom weight across two molecules, implicit hydrogens
+included, as if both were hydrogen-expanded.  Matched weight pays an
+element-mismatch penalty plus a bond-environment penalty (one minus the
+multiset-Jaccard overlap of the two atoms' bond profiles); unmatched
+weight pays one per unit on each side.  The original
+inequality-constrained program is solved exactly in its
 balanced-transportation reformulation: each side gains a sink node whose
 supply/demand is the other molecule's total weight, penalty cells cost
 one, and the sink-sink corner costs zero.
@@ -18,7 +19,10 @@ Atoms with equal (element, bond profile) are interchangeable for this
 cost structure, so the solver aggregates them into classes and solves a
 much smaller transportation problem; returned plans are expanded back to
 atom level by uniform splitting, which preserves feasibility and cost.
-``solve_ot`` solves that whole class-level problem and returns the plan.
+Implicit hydrogens are counted into their classes (profile: one single
+bond to the parent's element) without being built.  ``solve_ot`` solves
+the whole class-level problem and returns the plan; it and
+``build_costs`` return atom-level output, so they expand their inputs.
 
 ``distance_vector`` needs only the optimal costs, and splits the problem
 by element.  Because ``MISMATCH_PENALTY`` exceeds 2, no optimal plan
@@ -44,8 +48,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidMolecule, SolverFailure
-from .molgraph import Molecule, WeightMode, bond_profile
+from .errors import SolverFailure
+from .molgraph import (
+    PERIODIC_TABLE,
+    Molecule,
+    WeightMode,
+    add_explicit_hydrogens,
+    bond_profile,
+    hydrogen_bond,
+)
 
 MISMATCH_PENALTY = 10.0
 
@@ -110,28 +121,27 @@ class _ElementBlock:
 class _AtomClasses:
     symbols: tuple[str, ...]
     masses: np.ndarray            # per-class atomic mass
-    counts: np.ndarray            # per-class member count
-    members: tuple[tuple[int, ...], ...]
+    counts: np.ndarray            # per-class unit count, implicit hydrogens included
+    members: tuple[tuple[int, ...], ...]  # explicit atoms of each class
     profile_counts: np.ndarray    # (k, vocab) entry counts
     profile_sizes: np.ndarray     # per-class profile cardinality
     vocab: dict[tuple[str, str, str], int]
     atom_class: np.ndarray        # per-atom class index
     blocks: dict[str, _ElementBlock]
+    total_units: int
     total_mass: float
 
 
-def _element_blocks(
-    keys: list[tuple[str, _Profile]], members: list[tuple[int, ...]], masses: np.ndarray
-) -> dict[str, _ElementBlock]:
+def _element_blocks(keys: list[tuple[str, _Profile]], tally: Counter) -> dict[str, _ElementBlock]:
     """Group the classes by element; the keys are sorted, so each
     element's classes are contiguous."""
     blocks = {}
-    for sym, run in itertools.groupby(range(len(keys)), key=lambda a: keys[a][0]):
-        idx = list(run)
-        counts = tuple(len(members[a]) for a in idx)
-        profiles = tuple(keys[a][1] for a in idx)
+    for sym, run in itertools.groupby(keys, key=lambda key: key[0]):
+        run = list(run)
+        counts = tuple(tally[key] for key in run)
+        profiles = tuple(p for _, p in run)
         blocks[sym] = _ElementBlock(
-            mass=float(masses[idx[0]]),
+            mass=PERIODIC_TABLE[sym].atomic_mass,
             total=sum(counts),
             counts=counts,
             profiles=profiles,
@@ -141,14 +151,19 @@ def _element_blocks(
 
 
 def _atom_classes(mol: Molecule) -> _AtomClasses:
-    cached = mol._transport_classes.get("classes")
-    if cached is not None:
-        return cached
+    if mol._transport_classes is not None:
+        return mol._transport_classes
     groups: dict[tuple, list[int]] = {}
+    tally: Counter = Counter()
     for i in range(mol.n_atoms):
-        key = (mol.atoms[i].symbol, bond_profile(mol, i))
+        sym = mol.atoms[i].symbol
+        key = (sym, bond_profile(mol, i))
         groups.setdefault(key, []).append(i)
-    keys = sorted(groups)
+        tally[key] += 1
+        hydrogens = mol.free_valence(i)
+        if hydrogens:
+            tally["H", (hydrogen_bond(sym),)] += hydrogens
+    keys = sorted(tally)
     vocab: dict[tuple[str, str, str], int] = {}
     for sym, entries in keys:
         for e in entries:
@@ -162,11 +177,11 @@ def _atom_classes(mol: Molecule) -> _AtomClasses:
     members = []
     symbols = []
     for a, (sym, entries) in enumerate(keys):
-        idxs = groups[(sym, entries)]
+        idxs = groups.get((sym, entries), [])
         members.append(tuple(idxs))
         symbols.append(sym)
-        masses[a] = mol.atoms[idxs[0]].atomic_mass
-        counts[a] = len(idxs)
+        masses[a] = PERIODIC_TABLE[sym].atomic_mass
+        counts[a] = tally[sym, entries]
         sizes[a] = len(entries)
         for e in entries:
             counts_mat[a, vocab[e]] += 1.0
@@ -180,10 +195,11 @@ def _atom_classes(mol: Molecule) -> _AtomClasses:
         profile_sizes=sizes,
         vocab=vocab,
         atom_class=atom_class,
-        blocks=_element_blocks(keys, members, masses),
+        blocks=_element_blocks(keys, tally),
+        total_units=sum(tally.values()),
         total_mass=float((counts * masses).sum()),
     )
-    mol._transport_classes["classes"] = out
+    mol._transport_classes = out
     return out
 
 
@@ -212,23 +228,16 @@ def _class_costs(c1: _AtomClasses, c2: _AtomClasses) -> tuple[np.ndarray, np.nda
     return c_lbl, c_str
 
 
-def _require_expanded(mol: Molecule):
-    if not mol.is_expanded():
-        raise InvalidMolecule(
-            "distance computations require hydrogen-expanded molecules"
-        )
-
-
 def build_costs(m1: Molecule, m2: Molecule) -> CostMatrices:
-    """Atom-level cost matrices between two hydrogen-expanded molecules.
+    """Atom-level cost matrices between two molecules; rows and columns
+    index the atoms of the hydrogen-expanded molecules.
 
     ``c_lbl`` is 0 for equal elements and MISMATCH_PENALTY otherwise;
     ``c_str(i, j) = 1 - |P_i n P_j| / |P_i u P_j|`` over the atoms' bond
     profiles (multiset min/max), and 0 when both profiles are empty.
     """
-    _require_expanded(m1)
-    _require_expanded(m2)
-    cl1, cl2 = _atom_classes(m1), _atom_classes(m2)
+    cl1 = _atom_classes(add_explicit_hydrogens(m1))
+    cl2 = _atom_classes(add_explicit_hydrogens(m2))
     c_lbl, c_str = _class_costs(cl1, cl2)
     ix = np.ix_(cl1.atom_class, cl2.atom_class)
     return CostMatrices(c_lbl=c_lbl[ix], c_str=c_str[ix])
@@ -437,10 +446,10 @@ def solve_ot(
     Returns the dissimilarity (divided by the summed total weights when
     ``cfg.normalize``) and the atom-level transport plan, whose row sums
     equal ``[w(a) for a in A1, m(M2)]`` and column sums equal
-    ``[w(a) for a in A2, m(M1)]``.
+    ``[w(a) for a in A2, m(M1)]``.  Its rows and columns index the atoms
+    of the hydrogen-expanded molecules, then the sinks.
     """
-    _require_expanded(m1)
-    _require_expanded(m2)
+    m1, m2 = add_explicit_hydrogens(m1), add_explicit_hydrogens(m2)
     cost, class_plan, cl1, cl2, t1, t2 = _solve_class_pair(m1, m2, cfg.weight_mode)
     n1, n2 = m1.n_atoms, m2.n_atoms
     k1, k2 = len(cl1.symbols), len(cl2.symbols)
@@ -543,10 +552,9 @@ def distance_vector(m1: Molecule, m2: Molecule) -> np.ndarray:
     block is solved once in unit weights; its mass-weighted cost is that
     cost times the element's atomic mass, since every atom of the block
     has that mass.  The normalized entries divide by the summed total
-    weights, as ``solve_ot`` does.
+    weights, as ``solve_ot`` does; in unit weights that is the number of
+    atoms plus implicit hydrogens.
     """
-    _require_expanded(m1)
-    _require_expanded(m2)
     if m1.canonical_form == m2.canonical_form:
         return np.zeros(4)
     cl1, cl2 = _atom_classes(m1), _atom_classes(m2)
@@ -562,7 +570,7 @@ def distance_vector(m1: Molecule, m2: Molecule) -> np.ndarray:
         cost_m += mass * cost
     return np.array([
         cost_u,
-        cost_u / (m1.n_atoms + m2.n_atoms),
+        cost_u / (cl1.total_units + cl2.total_units),
         cost_m,
         cost_m / (cl1.total_mass + cl2.total_mass),
     ])

@@ -27,13 +27,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import CycleDetected, InvalidMolecule, UnknownMolecule, ValenceExceeded
-from .molgraph import (
-    BondOrder,
-    Molecule,
-    add_explicit_hydrogens,
-    parse_smiles,
-    strip_hydrogens,
-)
+from .molgraph import BondOrder, Molecule, parse_smiles, strip_hydrogens
+# perfbench/spans.py patches this name here to count hydrogen expansions.
+from .molgraph import add_explicit_hydrogens  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -295,8 +291,9 @@ _LIBRARIES = {
 def synthesize_detailed(reagents, conditions, oracle: OracleKind):
     """The oracle: ``(products, name of the rule that fired)`` for the
     reagents under the conditions, or None when no reaction applies.
-    Products are hydrogen-expanded.  Functional-group sites are looked
-    up once per reagent skeleton and reused by later draws.
+    Reagents may be hydrogen-expanded; products are heavy-atom molecules
+    whose hydrogens are implicit.  Functional-group sites are looked up
+    once per reagent skeleton and reused by later draws.
     """
     reagents = list(reagents)
     if not 1 <= len(reagents) <= 3:
@@ -328,7 +325,7 @@ def synthesize_detailed(reagents, conditions, oracle: OracleKind):
                 product = _combine(heavy[i], heavy[j], drop[0], drop[1], [bond])
             except (ValenceExceeded, InvalidMolecule):
                 continue  # template reports no-fire on invalid output
-            return {add_explicit_hydrogens(product)}, template.name
+            return {product}, template.name
     return None
 
 
@@ -428,7 +425,8 @@ def recipe(dag: SynthesisDag, target) -> list[RecipeStep]:
 
 
 def replay_recipe(steps: list[RecipeStep], oracle: OracleKind) -> Molecule:
-    """Re-run a recipe's reactions and return the final product.
+    """Re-run a recipe's reactions and return the final product, a
+    heavy-atom molecule whose hydrogens are implicit.
 
     Raises if any step fails to regenerate its recorded molecule.
     """
@@ -436,7 +434,7 @@ def replay_recipe(steps: list[RecipeStep], oracle: OracleKind) -> Molecule:
     last = None
     for step in steps:
         if step.from_pool:
-            made[step.molecule] = add_explicit_hydrogens(parse_smiles(step.molecule))
+            made[step.molecule] = parse_smiles(step.molecule)
             last = made[step.molecule]
             continue
         reagents = [made[p] for p in step.parents]

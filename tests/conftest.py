@@ -57,6 +57,16 @@ def cached_molecules(corpus) -> list[Molecule]:
     return molecules
 
 
+@pytest.fixture(scope="session")
+def heavy_molecules(cached_molecules) -> list[Molecule]:
+    """Every molecule of ``cached_molecules`` and of ``tests/data/*.smi``
+    that holds no explicit hydrogen, walk products included."""
+    heavy = [m for m in cached_molecules if m.heavy_atom_count() == m.n_atoms]
+    for path in sorted(DATA_DIR.glob("*.smi")):
+        heavy += load_pool(path)
+    return heavy
+
+
 def relabel(mol: Molecule, rng: random.Random) -> Molecule:
     """Same molecule with randomly permuted atom indices."""
     n = mol.n_atoms

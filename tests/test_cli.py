@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -49,6 +50,18 @@ class TestDist:
         assert code == 0
         assert all(v > 0 for v in json.loads(out)["distances"])
 
+    @pytest.mark.parametrize("a,b,distances", [
+        ("CC(=O)O", "OCCN",
+         "6.0, 0.3157894736842105, 45.041000000000004, 0.3718217540615507"),
+        ("c1ccccc1O", "CS(=O)(=O)C",
+         "9.666666666666668, 0.40277777777777785, 133.12833333333333, 0.7072228331412038"),
+    ], ids=["acid-aminoethanol", "phenol-sulfone"])
+    def test_pinned_stdout(self, capsys, a, b, distances):
+        code, out, _ = run_cli(capsys, "dist", a, b)
+        assert code == 0
+        assert out == ('{"config_order": ["unit_raw", "unit_norm", "mass_raw", "mass_norm"], '
+                       f'"distances": [{distances}]}}\n')
+
     def test_invalid_smiles_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "dist", "C(", "C")
         assert code == 2
@@ -71,6 +84,17 @@ class TestGram:
             assert matrix[i][i] == pytest.approx(1.0)
             for j in range(10):
                 assert matrix[i][j] == pytest.approx(matrix[j][i], abs=1e-12)
+
+    def test_pinned_sum_csv(self, capsys, small_pool_path):
+        # numpy's vectorised exp may differ in the last bit between CPUs, so
+        # this digest was recorded with numpy 2.4.6 wheels on x86-64 (the
+        # versions tier-1 CI installs)
+        code, out, _ = run_cli(
+            capsys, "gram", "--pool", str(small_pool_path), "--kernel", "sum"
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "c863adebaed127a1b91ee40596c12812e8379fbc367881898b641fe0742c6806"
 
     def test_missing_pool_exit_2(self, capsys, tmp_path):
         missing = tmp_path / "nope.smi"

@@ -238,6 +238,22 @@ class TestBondProfile:
             assert len(bond_profile(mol, i)) == mol.degree(i)
 
 
+class TestImplicitHydrogens:
+    """A heavy-atom molecule gives the bits of its hydrogen expansion."""
+
+    def test_weights_equal_the_expansion(self, heavy_molecules):
+        for mol in heavy_molecules:
+            expanded = add_explicit_hydrogens(mol)
+            for mode in WeightMode:
+                assert molecular_weight(mol, mode) == molecular_weight(expanded, mode)
+
+    def test_profiles_equal_the_expansion(self, heavy_molecules):
+        for mol in heavy_molecules:
+            expanded = add_explicit_hydrogens(mol)
+            for i in range(mol.n_atoms):
+                assert bond_profile(mol, i) == bond_profile(expanded, i)
+
+
 def test_hydrogen_expansion_conserves_heavy_atoms(corpus):
     for text in corpus:
         mol = parse_smiles(text)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import relabel
-from molbo.errors import InvalidMolecule, MissingContribution
+from molbo.errors import MissingContribution
 from molbo.molgraph import add_explicit_hydrogens, parse_smiles
 from molbo.objectives import (
     Band,
@@ -130,9 +130,12 @@ class TestInvariance:
                 for _ in range(4):
                     assert evaluate(obj, relabel(mol, rng)) == pytest.approx(base, abs=1e-12)
 
-    def test_requires_expanded(self):
-        with pytest.raises(InvalidMolecule):
-            evaluate(Objective(kind=ObjectiveKind.LOGP), parse_smiles("CCO"))
+    def test_heavy_form_scores_as_its_expansion(self, heavy_molecules):
+        objs = [Objective(kind=kind) for kind in ObjectiveKind]
+        for mol in heavy_molecules:
+            expanded = add_explicit_hydrogens(mol)
+            for obj in objs:
+                assert evaluate(obj, mol) == evaluate(obj, expanded)
 
 
 class TestConfig:

@@ -283,6 +283,18 @@ class TestRunLog:
                         seed=11, explorer_steps=20), log_path=path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    def test_pinned_template_qed_log(self, tmp_path, template_pool_path):
+        # objective floats (mass, logP, donors) of template products with
+        # implicit hydrogens; the random baseline involves no BLAS, so this
+        # digest holds on any machine
+        pool = tuple(m.canonical_form for m in load_pool(template_pool_path))
+        path = tmp_path / "run.jsonl"
+        run(join_config(initial_pool=pool, objective=Objective(kind=ObjectiveKind.QED),
+                        budget_t=8, method=Method.RAND, oracle=OracleKind.TEMPLATE,
+                        conditions=CONDITION_LIBRARY), log_path=path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "e3371792b002fd5de1f4be5501abb645be224a91c7bd20b6e43f403735b0b53f"
+
     def test_byte_identical_logs(self, tmp_path):
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         run(join_config(budget_t=2), log_path=p1)

@@ -13,7 +13,6 @@ import molbo
 import oracles
 from conftest import random_molecule, relabel
 from molbo import otdist
-from molbo.errors import InvalidMolecule
 from molbo.kernel import OTExpSum
 from molbo.molgraph import (
     WeightMode,
@@ -89,9 +88,12 @@ class TestBuildCosts:
             costs = build_costs(m1, m2)
             assert np.all(costs.c_str >= 0.0) and np.all(costs.c_str <= 1.0)
 
-    def test_requires_expanded(self):
-        with pytest.raises(InvalidMolecule):
-            build_costs(parse_smiles("CC"), expand("CC"))
+    def test_rows_index_the_expanded_molecules(self):
+        costs = build_costs(parse_smiles("CC"), parse_smiles("CO"))
+        want = build_costs(expand("CC"), expand("CO"))
+        assert costs.c_lbl.shape == (8, 6)
+        assert np.array_equal(costs.c_lbl, want.c_lbl)
+        assert np.array_equal(costs.c_str, want.c_str)
 
 
 class TestSolveTransport:
@@ -266,7 +268,7 @@ class TestDistanceVector:
 def met_block_pairs(cached_molecules, tmp_path_factory):
     """Every element-block pair ``distance_vector`` meets in a fixed-seed
     guided join run on the acceptance pool, then every pair of distinct
-    same-element blocks of the expanded ``cached_molecules``."""
+    same-element blocks of ``cached_molecules``."""
     pairs = []
     cfg = RunConfig(
         initial_pool=("C", "N", "O", "CC", "CO", "CN", "CCO", "CCC", "CCN", "COC"),
@@ -289,12 +291,21 @@ def met_block_pairs(cached_molecules, tmp_path_factory):
     assert len(pairs) > 1000
     by_element: dict[str, dict] = {}
     for m in cached_molecules:
-        if m.is_expanded():
-            for sym, b in otdist._atom_classes(m).blocks.items():
-                by_element.setdefault(sym, {})[(b.counts, b.profiles)] = b
+        for sym, b in otdist._atom_classes(m).blocks.items():
+            by_element.setdefault(sym, {})[(b.counts, b.profiles)] = b
     for found in by_element.values():
         pairs += itertools.combinations(found.values(), 2)
     return pairs
+
+
+def test_heavy_distances_equal_the_expansion_bytes(heavy_molecules):
+    """Implicit hydrogens give the bytes of explicit ones, on a fixed
+    sample of pairs."""
+    rng = random.Random(3)
+    for _ in range(400):
+        a, b = rng.sample(heavy_molecules, 2)
+        want = distance_vector(add_explicit_hydrogens(a), add_explicit_hydrogens(b))
+        assert distance_vector(a, b).tobytes() == want.tobytes()
 
 
 def test_block_costs_match_whole_block_simplex(met_block_pairs):

@@ -48,8 +48,8 @@ class TestJoinOracle:
         assert products is not None and len(products) == 1
         ethane = next(iter(products))
         assert ethane.canonical_form == canon("CC")
-        assert ethane.n_atoms == 8
-        assert len(ethane.bonds) == 7
+        assert (ethane.n_atoms, len(ethane.bonds)) == (2, 1)
+        assert [ethane.free_valence(i) for i in range(2)] == [3, 3]
 
     def test_needs_join_condition(self):
         assert synthesize_detailed(
@@ -70,12 +70,16 @@ class TestJoinOracle:
         second = {m.canonical_form for m in synthesize_detailed(*args)[0]}
         assert first == second
 
-    def test_products_are_valid_expanded_molecules(self):
+    def test_products_hold_no_hydrogen_and_expand_validly(self):
         products = synthesize_detailed(
             [expand("CCO"), expand("CCN")], {"join"}, OracleKind.JOIN
         )[0]
         for p in products:
-            assert p.is_expanded()
+            assert p.heavy_atom_count() == p.n_atoms == 6
+            expanded = add_explicit_hydrogens(p)
+            assert expanded.n_atoms == 6 + 6 + 7 - 2  # the new bond takes one H from each
+            assert all(expanded.free_valence(i) == 0 for i in range(expanded.n_atoms))
+            assert expanded.canonical_form == p.canonical_form
 
 
 class TestTemplateOracle:
