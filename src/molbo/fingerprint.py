@@ -6,6 +6,17 @@ in the lexicographically smaller direction); descriptors are hashed to
 bit positions.  The hash is pinned so fingerprints are bit-stable: FNV-1a
 64-bit with the offset basis XORed with the seed 0x5EED, reduced modulo
 ``n_bits``.
+
+A fingerprint is an OR over descriptor hashes, so a join product ``P``
+that bonds reagents ``A`` and ``B`` by one new bond ``(u, v)`` inherits
+theirs: ``bits(P) = bits(A) | bits(B) | bits(paths crossing (u, v))``.
+The identity needs the new bond to be a bridge.  Then every path of
+``P`` that avoids it lies inside one reagent, and every path that uses it
+is a path rooted at ``u`` on the ``A`` side joined to one rooted at ``v``
+on the ``B`` side.  A bond that closed a ring would leave paths that run
+from ``A`` to ``B`` and back without crossing it.  Every join bond
+bridges two separate molecules, so ``path_fingerprint`` given the
+reagents' fingerprints enumerates only the crossing paths.
 """
 
 from __future__ import annotations
@@ -38,33 +49,93 @@ class Fingerprint:
     max_path_len: int
 
 
-def path_descriptors(mol: Molecule, max_path_len: int) -> set[str]:
-    """Distinct descriptor strings of all simple heavy-atom paths with
-    0..max_path_len bonds, each read in its smaller direction in one pass."""
-    symbols = {i: mol.atoms[i].symbol for i in mol.heavy_indices()}
-    steps = {
-        i: [(j, order.symbol + symbols[j], symbols[j] + order.symbol)
-            for j, order in mol.neighbors(i) if j in symbols]
-        for i in symbols
-    }
-    descriptors = set(symbols.values())
-    on_path: set[int] = set()
+def _steps(mol: Molecule) -> tuple[list[str], list[list[tuple[int, str, str]]]]:
+    """Each atom's symbol, and for each heavy atom its heavy neighbours
+    ``(j, bond + symbol_j, symbol_j + bond)``: one step of a path read
+    outward and read back.  Built once per molecule, so no walk reads a
+    ``BondOrder``."""
+    symbols = [atom.symbol for atom in mol.atoms]
+    steps: list[list[tuple[int, str, str]]] = [[] for _ in symbols]
+    for (i, j), order in mol.bonds.items():
+        si, sj = symbols[i], symbols[j]
+        if si != "H" and sj != "H":
+            bond = order.symbol
+            steps[i].append((j, bond + sj, sj + bond))
+            steps[j].append((i, bond + si, si + bond))
+    return symbols, steps
 
-    def extend(tail: int, fwd: str, rev: str, bonds_left: int):
+
+def _walk(
+    symbols: list[str],
+    steps: list[list[tuple[int, str, str]]],
+    root: int,
+    levels: list[dict[str, str]],
+    blocked: tuple[int, ...] = (),
+) -> None:
+    """Record each simple heavy-atom path from ``root`` with at most
+    ``len(levels) - 1`` bonds that passes no ``blocked`` atom: a path of
+    ``k`` bonds sets ``levels[k][outward] = inward``, its readings from the
+    root outward and back to the root."""
+    max_bonds = len(levels) - 1
+    symbol = symbols[root]
+    levels[0][symbol] = symbol
+    on_path = set(blocked)
+
+    def extend(tail: int, fwd: str, rev: str, bonds: int):
         on_path.add(tail)
+        level = levels[bonds]
         for j, fwd_step, rev_step in steps[tail]:
             if j in on_path:
                 continue
             f = fwd + fwd_step
-            r = rev_step + rev
-            descriptors.add(f if f <= r else r)
-            if bonds_left > 1:
-                extend(j, f, r, bonds_left - 1)
+            r = level[f] = rev_step + rev
+            if bonds < max_bonds:
+                extend(j, f, r, bonds + 1)
         on_path.remove(tail)
 
-    if max_path_len > 0:
-        for start, sym in symbols.items():
-            extend(start, sym, sym, max_path_len)
+    if max_bonds > 0:
+        extend(root, symbol, symbol, 1)
+
+
+def path_descriptors(mol: Molecule, max_path_len: int) -> set[str]:
+    """Distinct descriptor strings of all simple heavy-atom paths with
+    0..max_path_len bonds, each read in its smaller direction."""
+    symbols, steps = _steps(mol)
+    # One dict for every length: a path needs only its two readings, and
+    # the few distinct ones are compared once at the end.
+    readings: dict[str, str] = {}
+    levels = [readings] * (max_path_len + 1)
+    for root, symbol in enumerate(symbols):
+        if symbol != "H":
+            _walk(symbols, steps, root, levels)
+    return set(map(min, readings.items()))
+
+
+def crossing_descriptors(mol: Molecule, u: int, v: int, max_path_len: int) -> set[str]:
+    """Distinct descriptors of the simple heavy-atom paths with at most
+    ``max_path_len`` bonds that use the bridge bond ``(u, v)``, each read
+    in its smaller direction.
+
+    Such a path is an ``i``-bond path rooted at ``u`` that avoids ``v``,
+    the bond, and a ``j``-bond path rooted at ``v`` that avoids ``u``,
+    with ``i + j + 1 <= max_path_len``.
+    """
+    symbols, steps = _steps(mol)
+    if symbols[u] == "H" or symbols[v] == "H":
+        return set()
+    bond = mol.bonds[(u, v) if u < v else (v, u)].symbol
+    side_u: list[dict[str, str]] = [{} for _ in range(max_path_len)]
+    side_v: list[dict[str, str]] = [{} for _ in range(max_path_len)]
+    _walk(symbols, steps, u, side_u, (v,))
+    _walk(symbols, steps, v, side_v, (u,))
+    descriptors = set()
+    for i, level_u in enumerate(side_u):
+        for level_v in side_v[: max_path_len - i]:
+            for fu, ru in level_u.items():
+                for fv, rv in level_v.items():
+                    f = ru + bond + fv
+                    r = rv + bond + fu
+                    descriptors.add(f if f <= r else r)
     return descriptors
 
 
@@ -72,18 +143,34 @@ def path_fingerprint(
     mol: Molecule,
     n_bits: int = DEFAULT_N_BITS,
     max_path_len: int = DEFAULT_MAX_PATH_LEN,
+    reagents: tuple[Fingerprint, Fingerprint] | None = None,
 ) -> Fingerprint:
     """Hash heavy-atom path descriptors into a fixed-length bit vector.
 
     ``n_bits`` must be a power of two >= 64; ``max_path_len`` counts
     bonds and must lie in 1..10.  Hydrogens never enter paths.
+
+    ``reagents``, for a join product (``mol._origin`` is set), holds the
+    fingerprints of its two reagents with the same ``n_bits`` and
+    ``max_path_len``.  Their bits are ORed with the hashes of the paths
+    that cross the join bond alone; the result equals full enumeration.
     """
     if n_bits < 64 or n_bits & (n_bits - 1):
         raise ValueError("n_bits must be a power of two >= 64")
     if not 1 <= max_path_len <= 10:
         raise ValueError("max_path_len must lie in 1..10")
-    bits = 0
-    for descriptor in path_descriptors(mol, max_path_len):
+    if reagents is None:
+        bits = 0
+        descriptors = path_descriptors(mol, max_path_len)
+    else:
+        if mol._origin is None:
+            raise ValueError("reagent fingerprints given for a molecule with no origin")
+        if any((fp.n_bits, fp.max_path_len) != (n_bits, max_path_len) for fp in reagents):
+            raise ValueError("reagent fingerprints differ in n_bits or max_path_len")
+        bits = reagents[0].bits | reagents[1].bits
+        _, _, u, v = mol._origin
+        descriptors = crossing_descriptors(mol, u, v, max_path_len)
+    for descriptor in descriptors:
         bits |= 1 << (_hash64(descriptor) % n_bits)
     return Fingerprint(bits, n_bits, max_path_len)
 

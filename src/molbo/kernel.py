@@ -83,8 +83,13 @@ class KernelCache:
     """Memo for pairwise distance vectors and per-molecule fingerprints.
 
     Keyed by canonical form, so isomorphic molecules share entries.  A
-    cache is plain state owned by one optimization run; kernel functions
-    stay pure with or without it.
+    join product's fingerprint is built from its reagents' cached ones
+    and the paths that cross the join bond; a reagent not yet cached is
+    built first, by a loop over origins, so a chain of joins of any
+    depth stays off the recursion limit.  Parsed molecules, template
+    products and every other molecule with no origin are enumerated in
+    full.  A cache is plain state owned by one optimization run; kernel
+    functions stay pure with or without it.
     """
 
     def __init__(self):
@@ -101,12 +106,27 @@ class KernelCache:
         return vec
 
     def fingerprint(self, x: Molecule, spec: FingerprintTanimoto) -> Fingerprint:
-        key = (x.canonical_form, spec.n_bits, spec.max_path_len)
-        fp = self._fingerprints.get(key)
-        if fp is None:
-            fp = path_fingerprint(x, spec.n_bits, spec.max_path_len)
-            self._fingerprints[key] = fp
-        return fp
+        n_bits, max_path_len = spec.n_bits, spec.max_path_len
+        fps = self._fingerprints
+        fp = fps.get((x.canonical_form, n_bits, max_path_len))
+        if fp is not None:
+            return fp
+        todo = [x]
+        while todo:
+            mol = todo[-1]
+            origin = mol._origin
+            reagents = () if origin is None else origin[:2]
+            keys = [(r.canonical_form, n_bits, max_path_len) for r in reagents]
+            missing = [r for r, key in zip(reagents, keys) if key not in fps]
+            if missing:
+                todo += missing
+                continue
+            todo.pop()
+            key = (mol.canonical_form, n_bits, max_path_len)
+            if key not in fps:  # a shared ancestor may be queued twice
+                inherited = None if origin is None else tuple(fps[k] for k in keys)
+                fps[key] = path_fingerprint(mol, n_bits, max_path_len, inherited)
+        return fps[(x.canonical_form, n_bits, max_path_len)]
 
 
 def _pairs(rows: list, cols: list, value, shape: tuple = ()) -> np.ndarray:

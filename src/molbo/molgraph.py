@@ -129,6 +129,10 @@ class Molecule:
     use: the canonical form and canonical heavy order, the heavy
     skeleton, per-atom bond profiles, transport classes and
     functional-group sites (``_sites``, filled by ``molbo.synthesis``).
+    ``_origin`` is None, or for a join product
+    ``(reagent_a, reagent_b, u, v)``, set by ``molbo.synthesis``: the
+    reagents it bonds and the product indices of the new bond's ends,
+    from which ``molbo.fingerprint`` builds its fingerprint.
     Operations are pure and safe to call concurrently.
     """
 
@@ -139,6 +143,7 @@ class Molecule:
         "_bond_sums",
         "_canonical",
         "_canonical_heavy_order",
+        "_origin",
         "_profiles",
         "_sites",
         "_skeleton",
@@ -168,6 +173,7 @@ class Molecule:
         self._adjacency = tuple(tuple(sorted(nbrs, key=lambda t: t[0])) for nbrs in adjacency)
         self._canonical = None
         self._canonical_heavy_order = None
+        self._origin = None
         self._profiles = None
         self._sites = {}
         self._skeleton = None

@@ -10,7 +10,8 @@ on required conditions:
   coupling, Williamson ether, imine formation, N-alkylation); the
   condensation byproducts (water, HX) are dropped.
 * JOIN (testing): one rule that, under the ``join`` condition, bonds the
-  first free-valence heavy atom (canonical order) of two reagents.
+  first free-valence heavy atom (canonical order) of two reagents; the
+  product records its reagents and the new bond (``Molecule._origin``).
 
 Rules fire in library order; when a functional group matches several
 sites, the one with the smallest canonical atom rank fires.
@@ -190,7 +191,11 @@ def _combine(
 ) -> Molecule:
     """Merge two heavy skeletons, dropping atoms and adding cross bonds.
 
-    Cross bonds reference original indices (a-side, b-side).
+    Cross bonds reference original indices (a-side, b-side).  A join,
+    which drops no atom and adds exactly one cross bond, records its
+    origin on the product: ``(mol_a, mol_b, u, v)`` with ``u`` and ``v``
+    the product indices of the new bond's ends.  That bond is a bridge,
+    so the product's fingerprint can be built from the reagents'.
     """
     map_a = {}
     atoms = []
@@ -212,7 +217,11 @@ def _combine(
             bonds[(map_b[i], map_b[j])] = order
     for a, b, order in cross_bonds:
         bonds[(map_a[a], map_b[b])] = order
-    return Molecule(atoms, bonds)
+    product = Molecule(atoms, bonds)
+    if not drop_a and not drop_b and len(cross_bonds) == 1:
+        a, b, _ = cross_bonds[0]
+        product._origin = (mol_a, mol_b, map_a[a], map_b[b])
+    return product
 
 
 GroupPattern = Callable[[Molecule], list[tuple]]

@@ -1,20 +1,37 @@
 import hashlib
+import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import molbo.fingerprint
+import molbo.kernel
 import oracles
 from conftest import random_molecule, relabel
+from molbo import (
+    Condition,
+    FingerprintTanimoto,
+    KernelCache,
+    Method,
+    Objective,
+    ObjectiveKind,
+    OracleKind,
+    RunConfig,
+    run,
+)
 from molbo.errors import LengthMismatch
 from molbo.fingerprint import (
     Fingerprint,
+    crossing_descriptors,
     path_descriptors,
     path_fingerprint,
     tanimoto,
 )
-from molbo.molgraph import add_explicit_hydrogens, parse_smiles
+from molbo.molgraph import BondOrder, Molecule, add_explicit_hydrogens, parse_smiles
+from molbo.synthesis import _combine, synthesize_detailed
 
 
 def expand(text):
@@ -119,3 +136,178 @@ class TestTanimoto:
         value = tanimoto(fa, fb)
         assert 0.0 <= value <= 1.0
         assert value == tanimoto(fb, fa)
+
+
+def _bridges(mol):
+    """The bonds of ``mol`` that lie on no ring."""
+    for i, j in mol.bonds:
+        if j not in _side(mol, i, j):
+            yield i, j
+
+
+def _side(mol, i, j):
+    """Atoms reachable from ``i`` without the bond ``(i, j)``."""
+    seen, stack = {i}, [i]
+    while stack:
+        a = stack.pop()
+        for b, _ in mol.neighbors(a):
+            if b not in seen and {a, b} != {i, j}:
+                seen.add(b)
+                stack.append(b)
+    return seen
+
+
+def _fragment(mol, atoms):
+    index = {old: new for new, old in enumerate(atoms)}
+    bonds = {(index[a], index[b]): order for (a, b), order in mol.bonds.items()
+             if a in index and b in index}
+    return Molecule([mol.atoms[a] for a in atoms], bonds), index
+
+
+def _split_and_rejoin(mol, i, j):
+    """Cut ``mol`` at the bridge ``(i, j)`` and join the fragments again."""
+    side = _side(mol, i, j)
+    frag_a, index_a = _fragment(mol, sorted(side))
+    frag_b, index_b = _fragment(mol, [a for a in range(mol.n_atoms) if a not in side])
+    order = mol.bonds[(i, j)]
+    return _combine(frag_a, frag_b, set(), set(), [(index_a[i], index_b[j], order)])
+
+
+def _chain(n_joins):
+    """A linear chain grown by ``n_joins`` joins of one atom at its end;
+    every member of the chain is the origin of the next."""
+    chain = [parse_smiles("C")]
+    for k in range(n_joins):
+        atom = parse_smiles("CNO"[k % 3])
+        end = chain[-1].n_atoms - 1
+        chain.append(_combine(chain[-1], atom, set(), set(), [(end, 0, BondOrder.SINGLE)]))
+    return chain
+
+
+class TestJoinInheritance:
+    """A join product's fingerprint is its reagents' bits ORed with the
+    hashes of the paths that cross the new bond."""
+
+    def test_crossing_paths_of_ethanol_by_hand(self):
+        ethanol = parse_smiles("CCO")  # the C-O bond, atoms 1 and 2
+        assert crossing_descriptors(ethanol, 1, 2, 2) == {"C-O", "C-C-O"}
+        assert crossing_descriptors(ethanol, 2, 1, 1) == {"C-O"}
+
+    def test_no_crossing_path_through_a_hydrogen(self):
+        water = add_explicit_hydrogens(parse_smiles("O"))
+        assert crossing_descriptors(water, 0, 1, 7) == set()
+
+    def test_split_at_every_bridge_rejoins_exactly(self, cached_molecules):
+        specs = list(itertools.product((64, 2048), (1, 2, 7)))
+        splits = 0
+        for mol in cached_molecules:
+            full = {spec: path_fingerprint(mol, *spec) for spec in specs}
+            for i, j in _bridges(mol):
+                product = _split_and_rejoin(mol, i, j)
+                frag_a, frag_b, _, _ = product._origin
+                for spec in specs:
+                    reagents = (path_fingerprint(frag_a, *spec),
+                                path_fingerprint(frag_b, *spec))
+                    inherited = path_fingerprint(product, *spec, reagents)
+                    assert inherited == path_fingerprint(product, *spec) == full[spec]
+                splits += 1
+        assert splits > 1000
+
+    def test_only_joins_record_an_origin(self):
+        acid, alcohol = parse_smiles("CC(=O)O"), parse_smiles("CCO")
+        (ester,), rule = synthesize_detailed([acid, alcohol], {"acid_cat"},
+                                             OracleKind.TEMPLATE)
+        assert rule == "esterification" and ester._origin is None
+        assert acid._origin is None
+        (joined,), rule = synthesize_detailed([acid, alcohol], {"join"}, OracleKind.JOIN)
+        reagent_a, reagent_b, u, v = joined._origin
+        assert rule == "join" and {reagent_a, reagent_b} == {acid, alcohol}
+        assert joined.bonds[(min(u, v), max(u, v))] is BondOrder.SINGLE
+        assert joined.atoms[u] is reagent_a.atoms[u]
+        assert joined.atoms[v] is reagent_b.atoms[v - reagent_a.n_atoms]
+
+    def test_molecules_without_origin_are_enumerated_in_full(self, monkeypatch):
+        acid, alcohol = parse_smiles("CC(=O)O"), parse_smiles("OCCCO")
+        (ester,), _ = synthesize_detailed([acid, alcohol], {"acid_cat"},
+                                          OracleKind.TEMPLATE)
+        calls = []
+        enumerate_in_full = molbo.fingerprint.path_descriptors
+        monkeypatch.setattr(molbo.fingerprint, "path_descriptors",
+                            lambda mol, n: calls.append(mol) or enumerate_in_full(mol, n))
+        spec = FingerprintTanimoto(512, 5)
+        for mol in (ester, acid):
+            fp = KernelCache().fingerprint(mol, spec)
+            assert calls[-1] is mol
+            assert fp == path_fingerprint(mol, 512, 5)
+
+    def test_same_product_from_different_pairs(self):
+        spec = FingerprintTanimoto()
+        first = _combine(parse_smiles("CC"), parse_smiles("OC"), set(), set(),
+                         [(1, 0, BondOrder.SINGLE)])
+        second = _combine(parse_smiles("CCO"), parse_smiles("C"), set(), set(),
+                          [(2, 0, BondOrder.SINGLE)])
+        assert first.canonical_form == second.canonical_form
+        assert first._origin[:2] != second._origin[:2]
+        bits = [KernelCache().fingerprint(p, spec) for p in (first, second)]
+        assert bits[0] == bits[1] == path_fingerprint(first)
+
+    def test_deep_chain_resolves_without_recursion(self):
+        chain = _chain(300)
+        for mol in chain:
+            mol.canonical_form  # canonicalisation recurses by size; not under test
+        spec = FingerprintTanimoto(2048, 7)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        # far fewer frames than the chain is deep: resolving the origins
+        # one call per ancestor would raise RecursionError
+        sys.setrecursionlimit(depth + 100)
+        try:
+            fp = KernelCache().fingerprint(chain[-1], spec)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert fp == path_fingerprint(chain[-1], 2048, 7)
+
+    def test_guided_join_run_enumerates_only_the_pool(self, monkeypatch):
+        cfg = RunConfig(
+            initial_pool=("C", "N", "O", "CC", "CO", "CCO"),
+            objective=Objective(kind=ObjectiveKind.HEAVY_ATOM_TARGET, target=12),
+            kernel_family=FingerprintTanimoto(),
+            budget_t=4,
+            seed=11,
+            method=Method.CHEMBO,
+            oracle=OracleKind.JOIN,
+            conditions=(Condition("join"),),
+            explorer_steps=6,
+        )
+        enumerated, built = [], []
+        enumerate_in_full = molbo.fingerprint.path_descriptors
+        build = molbo.kernel.path_fingerprint
+
+        def counting(mol, n):
+            enumerated.append(mol.canonical_form)
+            return enumerate_in_full(mol, n)
+
+        def recording(mol, *args):
+            fp = build(mol, *args)
+            built.append((mol, fp))
+            return fp
+
+        monkeypatch.setattr(molbo.fingerprint, "path_descriptors", counting)
+        monkeypatch.setattr(molbo.kernel, "path_fingerprint", recording)
+        run(cfg)
+        monkeypatch.undo()
+        pool = sorted(parse_smiles(s).canonical_form for s in cfg.initial_pool)
+        assert sorted(enumerated) == pool
+        assert len(built) > 2 * len(pool)
+        for mol, fp in built:
+            assert fp == path_fingerprint(mol)
+
+    def test_reagent_fingerprints_must_match_the_product(self):
+        product = _chain(1)[-1]
+        reagents = tuple(path_fingerprint(m, 512, 5) for m in product._origin[:2])
+        with pytest.raises(ValueError):
+            path_fingerprint(product, 2048, 5, reagents)
+        with pytest.raises(ValueError):
+            path_fingerprint(parse_smiles("CC"), 512, 5, reagents)
