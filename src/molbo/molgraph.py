@@ -1,17 +1,26 @@
 """Molecular graphs, a small SMILES dialect, and canonical forms.
 
 A molecule is an immutable labeled graph: atoms carry an element, bonds
-carry an order (single, double, triple, aromatic).  The parser covers a
-deliberately small SMILES subset: organic-subset atoms, lowercase
-aromatic atoms, branches, ring closures ``1``-``9`` and ``%nn``, bond
-symbols ``- = # :`` and bare bracket atoms ``[X]``.  Charges, isotopes,
-stereo marks and dot-separated fragments are rejected.
+carry a ``BondOrder`` (single, double, triple, aromatic) whose SMILES
+``symbol``, ``valence_contribution`` and canonical ``rank`` are plain
+member attributes.  The parser covers a deliberately small SMILES
+subset: organic-subset atoms, lowercase aromatic atoms, branches, ring
+closures ``1``-``9`` and ``%nn``, bond symbols ``- = # :`` and bare
+bracket atoms ``[X]``.  Charges, isotopes, stereo marks and
+dot-separated fragments are rejected.
 
-Canonical forms are produced by Morgan-style extended-connectivity
-refinement over the heavy-atom skeleton, with remaining ties resolved by
-exploring the tied atoms and keeping the lexicographically smallest
-emitted string.  This is not a universal isomorphism certificate, but it
-is deterministic and order-invariant for the graphs this toolkit builds.
+Canonical forms are written over the heavy-atom skeleton.  An acyclic
+skeleton (every molecule the benchmark workloads make) gets rooted-subtree
+codes: an atom's code is its token followed by its children's codes,
+each prefixed by its bond's rank, in sorted order.  The string starts at
+the tree centre with the smaller code and writes children in code order,
+so it is exact for trees.  One bottom-up pass computes the codes and an
+explicit stack writes the string, so no chain is too long for it.  A
+cyclic skeleton gets Morgan-style extended-connectivity refinement, with
+remaining ties resolved by exploring the tied atoms and keeping the
+lexicographically smallest emitted string.  That is not a universal
+isomorphism certificate, but it is deterministic and order-invariant for
+the graphs this toolkit builds.
 """
 
 from __future__ import annotations
@@ -71,34 +80,25 @@ PERIODIC_TABLE: dict[str, Element] = {
 
 
 class BondOrder(enum.Enum):
-    SINGLE = "-"
-    DOUBLE = "="
-    TRIPLE = "#"
-    AROMATIC = ":"
+    """Order of a bond.  ``value`` and ``symbol`` are its SMILES symbol;
+    ``valence_contribution`` is what it adds to an atom's bond-order sum
+    (aromatic counts 1.5); ``rank`` is a stable small integer used in
+    canonical-ordering keys.  All three are plain member attributes, so
+    reading them costs no ``Enum`` property or hash."""
 
-    @property
-    def valence_contribution(self) -> float:
-        return _BOND_VALENCE[self]
+    SINGLE = ("-", 1.0, 0)
+    DOUBLE = ("=", 2.0, 1)
+    TRIPLE = ("#", 3.0, 2)
+    AROMATIC = (":", 1.5, 3)
 
-    @property
-    def symbol(self) -> str:
-        return self.value
+    def __new__(cls, symbol: str, valence_contribution: float, rank: int):
+        member = object.__new__(cls)
+        member._value_ = symbol
+        member.symbol = symbol
+        member.valence_contribution = valence_contribution
+        member.rank = rank
+        return member
 
-
-_BOND_VALENCE = {
-    BondOrder.SINGLE: 1.0,
-    BondOrder.DOUBLE: 2.0,
-    BondOrder.TRIPLE: 3.0,
-    BondOrder.AROMATIC: 1.5,
-}
-
-# Stable small integers used in canonical-ordering keys.
-_BOND_RANK = {
-    BondOrder.SINGLE: 0,
-    BondOrder.DOUBLE: 1,
-    BondOrder.TRIPLE: 2,
-    BondOrder.AROMATIC: 3,
-}
 
 # Elements that may be written as lowercase aromatic atoms.
 _AROMATIC_WRITABLE = frozenset({"B", "C", "N", "O", "P", "S"})
@@ -252,12 +252,9 @@ class Molecule:
 
 
 def _bond_sum(neighbors) -> int:
-    s = 0.0
-    aromatic = False
-    for _, order in neighbors:
-        s += order.valence_contribution
-        aromatic = aromatic or order is BondOrder.AROMATIC
-    return int(s + 1e-9) if aromatic else int(round(s))
+    # Contributions are exact binary fractions, so truncation floors an
+    # aromatic sum and keeps any other sum whole.
+    return int(sum(order.valence_contribution for _, order in neighbors))
 
 
 def expanded_atoms(mol: Molecule):
@@ -534,31 +531,29 @@ def _refine(ranks: list[int], adj: list[list[tuple[int, int]]]) -> list[int]:
 
 
 def _canonicalize(mol: Molecule) -> tuple[str, tuple[int, ...]]:
-    heavy = mol.heavy_indices()
-    if not heavy:
-        raise InvalidMolecule("cannot canonicalize a molecule with no heavy atoms")
-    remap = {old: new for new, old in enumerate(heavy)}
-    n = len(heavy)
-    symbols = [mol.atoms[i].symbol for i in heavy]
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    orders: dict[tuple[int, int], BondOrder] = {}
+    skeleton = strip_hydrogens(mol)
+    if skeleton is not mol:
+        heavy = mol.heavy_indices()
+        form, order = _canonicalize(skeleton)
+        return form, tuple(heavy[i] for i in order)
+    n = mol.n_atoms
+    symbols = [a.symbol for a in mol.atoms]
+    adjacency = mol._adjacency
+    # Atoms written lowercase: aromatic-bonded atoms of a writable element.
+    lower = [False] * n
+    aromatic = BondOrder.AROMATIC
     for (i, j), order in mol.bonds.items():
-        if i in remap and j in remap:
-            a, b = remap[i], remap[j]
-            adj[a].append((b, _BOND_RANK[order]))
-            adj[b].append((a, _BOND_RANK[order]))
-            orders[(min(a, b), max(a, b))] = order
-    aromatic = [
-        any(br == _BOND_RANK[BondOrder.AROMATIC] for _, br in adj[i])
-        for i in range(n)
-    ]
+        if order is aromatic:
+            lower[i] = symbols[i] in _AROMATIC_WRITABLE
+            lower[j] = symbols[j] in _AROMATIC_WRITABLE
+    tokens = [sym.lower() if low else sym for sym, low in zip(symbols, lower)]
 
-    if len(orders) == n - 1:
-        # Acyclic skeleton: rooted-subtree canonization, near-linear and
-        # exact (refinement ties in trees are automorphism orbits anyway).
-        s, order = _emit_tree(n, symbols, adj, orders, aromatic)
-        return s, tuple(heavy[i] for i in order)
+    if len(mol.bonds) == n - 1:
+        # Acyclic skeleton: rooted-subtree canonization, exact
+        # (refinement ties in trees are automorphism orbits anyway).
+        return _emit_tree(tokens, lower, adjacency)
 
+    adj = [[(j, o.rank) for j, o in nbrs] for nbrs in adjacency]
     seed = [
         (symbols[i], len(adj[i]), tuple(sorted(br for _, br in adj[i])))
         for i in range(n)
@@ -573,7 +568,7 @@ def _canonicalize(mol: Molecule) -> tuple[str, tuple[int, ...]]:
             return
         if len(set(ranks)) == n:
             budget[0] -= 1
-            s, order = _emit(n, symbols, adj, orders, aromatic, ranks)
+            s, order = _emit(n, tokens, lower, adj, mol.bonds, ranks)
             if best[0] is None or s < best[0]:
                 best[0], best[1] = s, order
             return
@@ -586,39 +581,35 @@ def _canonicalize(mol: Molecule) -> tuple[str, tuple[int, ...]]:
             search(_refine(_dense_ranks(bumped), adj))
 
     search(ranks)
-    order = tuple(heavy[i] for i in best[1])
-    return best[0], order
+    return best[0], tuple(best[1])
 
 
-def _token_helpers(symbols, aromatic, orders):
-    def atom_token(u: int) -> str:
-        sym = symbols[u]
-        if aromatic[u] and sym in _AROMATIC_WRITABLE:
-            return sym.lower()
-        return sym
-
-    def bond_token(a: int, b: int) -> str:
-        order = orders[(min(a, b), max(a, b))]
-        both_lower = (
-            aromatic[a] and symbols[a] in _AROMATIC_WRITABLE
-            and aromatic[b] and symbols[b] in _AROMATIC_WRITABLE
-        )
-        default = BondOrder.AROMATIC if both_lower else BondOrder.SINGLE
-        return "" if order is default else order.symbol
-
-    return atom_token, bond_token
+def _bond_token(order: BondOrder, both_lower: bool) -> str:
+    """SMILES symbol of a bond; empty for the default order, which is
+    aromatic between two lowercase atoms and single otherwise."""
+    symbol = order.symbol
+    return "" if symbol == (":" if both_lower else "-") else symbol
 
 
-def _emit_tree(n, symbols, adj, orders, aromatic):
-    """Canonical SMILES of an acyclic heavy graph via rooted-subtree
-    codes (root at the tree center; children sorted by subtree code)."""
-    atom_token, bond_token = _token_helpers(symbols, aromatic, orders)
+def _emit_tree(tokens, lower, adjacency):
+    """Canonical SMILES of an acyclic heavy graph and its emission order.
+
+    Each atom's rooted-subtree code is its token followed by its
+    children's codes in parentheses, each child's code prefixed by the
+    rank of its bond and the children sorted.  The root is the tree
+    centre with the smaller code (the first centre on a tie).  Every
+    atom writes its children in code order, ties broken by atom index,
+    and all but the last as a branch.  Codes are built leaves-first over
+    BFS parents from the first centre, and each atom's sorted child list
+    is reused by the emission, which runs on an explicit stack; nothing
+    recurses, so chain length is not bounded by the interpreter stack.
+    """
+    n = len(tokens)
     if n == 1:
-        return atom_token(0), [0]
-    nbrs = [[j for j, _ in a] for a in adj]
+        return tokens[0], (0,)
 
-    # Tree center(s) by repeated leaf stripping.
-    degree = [len(x) for x in nbrs]
+    # Tree centre(s) by repeated leaf stripping.
+    degree = [len(nbrs) for nbrs in adjacency]
     removed = [False] * n
     layer = [i for i in range(n) if degree[i] <= 1]
     remaining = n
@@ -628,7 +619,7 @@ def _emit_tree(n, symbols, adj, orders, aromatic):
         remaining -= len(layer)
         nxt = []
         for u in layer:
-            for v in nbrs[u]:
+            for v, _ in adjacency[u]:
                 if not removed[v]:
                     degree[v] -= 1
                     if degree[v] == 1:
@@ -636,45 +627,73 @@ def _emit_tree(n, symbols, adj, orders, aromatic):
         layer = nxt
     centers = [i for i in range(n) if not removed[i]]
 
-    def edge_key(a: int, b: int) -> str:
-        return str(_BOND_RANK[orders[(min(a, b), max(a, b))]])
+    # BFS from the first centre: each atom's parent and the bond to it.
+    root = centers[0]
+    parent = [-1] * n
+    up: list = [None] * n
+    bfs = [root]
+    for v in bfs:
+        p = parent[v]
+        for j, order in adjacency[v]:
+            if j != p:
+                parent[j] = v
+                up[j] = order
+                bfs.append(j)
 
-    code_memo: dict[tuple[int, int], str] = {}
+    # Leaves first: kids[v] is v's children as sorted (rank + code, index)
+    # and bond[v] the token of the bond to v's parent.
+    code = [""] * n
+    key = [""] * n
+    bond = [""] * n
+    kids: list = [()] * n
+    for v in reversed(bfs):
+        p = parent[v]
+        if p >= 0 and len(adjacency[v]) == 1:
+            code[v] = tokens[v] + "()"
+        else:
+            ks = sorted([(key[j], j) for j, _ in adjacency[v] if j != p])
+            kids[v] = ks
+            code[v] = tokens[v] + "(" + ",".join([k for k, _ in ks]) + ")"
+        if p >= 0:
+            key[v] = str(up[v].rank) + code[v]
+            bond[v] = _bond_token(up[v], lower[v] and lower[p])
 
-    def code(v: int, p: int) -> str:
-        key = (v, p)
-        got = code_memo.get(key)
-        if got is None:
-            kids = sorted(edge_key(v, c) + code(c, v) for c in nbrs[v] if c != p)
-            got = atom_token(v) + "(" + ",".join(kids) + ")"
-            code_memo[key] = got
-        return got
+    if len(centers) == 2:
+        # The second centre is a child of the first; root there instead
+        # when its code, with the first centre as its child, is smaller.
+        other = centers[1]
+        rest = [kid for kid in kids[root] if kid[1] != other]
+        code_rest = tokens[root] + "(" + ",".join([k for k, _ in rest]) + ")"
+        other_kids = sorted([*kids[other], (str(up[other].rank) + code_rest, root)])
+        if tokens[other] + "(" + ",".join([k for k, _ in other_kids]) + ")" < code[root]:
+            kids[root], kids[other] = rest, other_kids
+            bond[root] = bond[other]
+            root = other
 
-    root = min(centers, key=lambda c: code(c, -1))
-
+    # Depth-first in child order.  A child's prefix opens its branch and
+    # closes its previous sibling's; the last child is not a branch.
     out: list[str] = []
     order: list[int] = []
-
-    def write(v: int, p: int):
+    stack = [(root, "")]
+    while stack:
+        v, prefix = stack.pop()
         order.append(v)
-        out.append(atom_token(v))
-        kids = sorted(
-            (edge_key(v, c) + code(c, v), c) for c in nbrs[v] if c != p
-        )
-        for k, (_, c) in enumerate(kids):
-            last = k == len(kids) - 1
-            if not last:
-                out.append("(")
-            out.append(bond_token(v, c))
-            write(c, v)
-            if not last:
-                out.append(")")
-
-    write(root, -1)
-    return "".join(out), order
+        out.append(prefix + tokens[v])
+        ks = kids[v]
+        if len(ks) == 1:
+            c = ks[0][1]
+            stack.append((c, bond[c]))
+        elif ks:
+            c = ks[-1][1]
+            stack.append((c, ")" + bond[c]))
+            for _, c in reversed(ks[1:-1]):
+                stack.append((c, ")(" + bond[c]))
+            c = ks[0][1]
+            stack.append((c, "(" + bond[c]))
+    return "".join(out), tuple(order)
 
 
-def _emit(n, symbols, adj, orders, aromatic, ranks):
+def _emit(n, tokens, lower, adj, orders, ranks):
     """Emit a SMILES string for a totally ranked heavy graph.
 
     DFS starts at the rank-0 atom and visits neighbors in rank order;
@@ -718,7 +737,10 @@ def _emit(n, symbols, adj, orders, aromatic, ranks):
 
     digit_of: dict[tuple[int, int], int] = {}
     free_digits = list(range(1, 100))
-    atom_token, bond_token = _token_helpers(symbols, aromatic, orders)
+
+    def bond_token(a: int, b: int) -> str:
+        order = orders[(a, b) if a < b else (b, a)]
+        return _bond_token(order, lower[a] and lower[b])
 
     def digit_token(d: int) -> str:
         return str(d) if d < 10 else f"%{d:02d}"
@@ -726,7 +748,7 @@ def _emit(n, symbols, adj, orders, aromatic, ranks):
     out: list[str] = []
 
     def write(u: int):
-        out.append(atom_token(u))
+        out.append(tokens[u])
         for edge in opens.get(u, []):
             if not free_digits:
                 raise InvalidMolecule("too many simultaneous ring closures")

@@ -1,5 +1,7 @@
 """Typed-value invariants that cut across modules."""
 
+import copy
+import pickle
 import random
 
 import numpy as np
@@ -35,6 +37,19 @@ def test_bond_order_contributions_match_kind():
     }
     for order, value in want.items():
         assert order.valence_contribution == value
+
+
+def test_bond_order_members_round_trip():
+    assert BondOrder("=") is BondOrder.DOUBLE
+    assert [(o.symbol, o.rank) for o in BondOrder] == [
+        ("-", 0), ("=", 1), ("#", 2), (":", 3)
+    ]
+    for order in BondOrder:
+        assert order.value == order.symbol
+        assert BondOrder(order.symbol) is order
+        assert pickle.loads(pickle.dumps(order)) is order
+        assert copy.copy(order) is order
+        assert copy.deepcopy(order) is order
 
 
 def test_gp_hyperparams_ranges_enforced():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import random_molecule, relabel
+from conftest import DATA_DIR, random_molecule, relabel
 from molbo.errors import (
     InvalidMolecule,
     MultiFragmentInput,
@@ -190,6 +190,50 @@ class TestCanonical:
     def test_canonical_form_ignores_hydrogens(self):
         mol = parse_smiles("CCO")
         assert add_explicit_hydrogens(mol).canonical_form == mol.canonical_form
+
+    def test_long_chain(self):
+        # Emission starts at the centre and writes the shorter half as the
+        # branch, as for every chain of four or more atoms.
+        assert parse_smiles("CCCCCC").canonical_form == "C(CC)CCC"
+        mol = parse_smiles("C" * 2000)
+        assert mol.canonical_form == "C(" + "C" * 999 + ")" + "C" * 1000
+        assert sorted(mol.canonical_heavy_order()) == list(range(2000))
+
+    def test_deep_branched_tree(self):
+        # A 1501-carbon backbone with an O on each carbon but the last and
+        # a methyl on every third: the centre is 750 bonds from either end.
+        mol = parse_smiles("".join("C(O)" if k % 3 else "C(C)(O)" for k in range(1500)) + "C")
+        form = mol.canonical_form
+        assert parse_smiles(form).canonical_form == form
+        assert relabel(mol, random.Random(5)).canonical_form == form
+        assert sorted(mol.canonical_heavy_order()) == list(range(mol.n_atoms))
+
+
+def _golden_rows():
+    for line in (DATA_DIR / "canonical_trees.tsv").read_text().splitlines():
+        label, atoms, bonds, form, order = line.split("\t")
+        bond_map = {}
+        for entry in bonds.split():
+            i, j, symbol = entry.split(",")
+            bond_map[(int(i), int(j))] = BondOrder(symbol)
+        mol = Molecule([PERIODIC_TABLE[a] for a in atoms.split()], bond_map)
+        yield label, mol, form, tuple(int(i) for i in order.split(","))
+
+
+def test_golden_canonical_trees():
+    """Canonical forms and heavy orders of acyclic molecules are unchanged.
+
+    ``tests/data/canonical_trees.tsv`` holds the outputs of the earlier,
+    recursive tree canonicalizer, written with:
+
+        PYTHONPATH=src:perfbench python tests/data/make_canonical_trees.py \\
+            > tests/data/canonical_trees.tsv
+    """
+    labels = set()
+    for label, mol, form, order in _golden_rows():
+        labels.add(label)
+        assert (mol.canonical_form, mol.canonical_heavy_order()) == (form, order), label
+    assert {"explicit-hydrogens", "bo-join-fp", "rand-template-qed"} <= labels
 
 
 class TestWeights:
