@@ -127,7 +127,7 @@ class Molecule:
     and its hydrogen expansion give the same objectives, bond profiles
     and distances.  Instances cache derived data, each built on first
     use: the canonical form and canonical heavy order, the heavy
-    skeleton, per-atom bond profiles, transport classes and
+    skeleton, the transport class table (``molbo.otdist``) and
     functional-group sites (``_sites``, filled by ``molbo.synthesis``).
     ``_origin`` is None, or for a join product
     ``(reagent_a, reagent_b, u, v)``, set by ``molbo.synthesis``: the
@@ -144,7 +144,6 @@ class Molecule:
         "_canonical",
         "_canonical_heavy_order",
         "_origin",
-        "_profiles",
         "_sites",
         "_skeleton",
         "_transport_classes",
@@ -174,7 +173,6 @@ class Molecule:
         self._canonical = None
         self._canonical_heavy_order = None
         self._origin = None
-        self._profiles = None
         self._sites = {}
         self._skeleton = None
         self._transport_classes = None
@@ -279,19 +277,14 @@ def bond_profile(mol: Molecule, atom_index: int) -> tuple[tuple[str, str, str], 
     incident bond and one single bond per implicit hydrogen."""
     if not (0 <= atom_index < mol.n_atoms):
         raise InvalidMolecule(f"atom index {atom_index} out of range")
-    if mol._profiles is None:
-        profiles = []
-        for i in range(mol.n_atoms):
-            sym_i = mol.atoms[i].symbol
-            entries = []
-            for j, order in mol.neighbors(i):
-                sym_j = mol.atoms[j].symbol
-                lo, hi = (sym_i, sym_j) if sym_i <= sym_j else (sym_j, sym_i)
-                entries.append((order.symbol, lo, hi))
-            entries += [hydrogen_bond(sym_i)] * mol.free_valence(i)
-            profiles.append(tuple(sorted(entries)))
-        mol._profiles = tuple(profiles)
-    return mol._profiles[atom_index]
+    sym_i = mol.atoms[atom_index].symbol
+    entries = []
+    for j, order in mol.neighbors(atom_index):
+        sym_j = mol.atoms[j].symbol
+        lo, hi = (sym_i, sym_j) if sym_i <= sym_j else (sym_j, sym_i)
+        entries.append((order.symbol, lo, hi))
+    entries += [hydrogen_bond(sym_i)] * mol.free_valence(atom_index)
+    return tuple(sorted(entries))
 
 
 def hydrogen_bond(symbol: str) -> tuple[str, str, str]:
@@ -699,6 +692,8 @@ def _emit(n, tokens, lower, adj, orders, ranks):
     DFS starts at the rank-0 atom and visits neighbors in rank order;
     back edges become ring closures numbered in order of first use, with
     digits reused once closed.  Returns the string and the visit order.
+    Both the DFS and the writing run on explicit stacks, so no ring
+    molecule is too large for the interpreter stack.
     """
     start = min(range(n), key=lambda i: ranks[i])
     nbr_order = [sorted((j for j, _ in adj[i]), key=lambda j: ranks[j]) for i in range(n)]
@@ -710,11 +705,19 @@ def _emit(n, tokens, lower, adj, orders, ranks):
     ring_edges: list[tuple[int, int]] = []  # (first-visited, second) endpoints
     seen_edges: set[tuple[int, int]] = set()
 
-    def explore(u: int):
+    # Each frame resumes its atom's neighbour scan after a child returns.
+    frames = []
+
+    def enter(u: int):
         visited[u] = True
         visit_pos[u] = len(visit_seq)
         visit_seq.append(u)
-        for v in nbr_order[u]:
+        frames.append((u, iter(nbr_order[u])))
+
+    enter(start)
+    while frames:
+        u, pending = frames[-1]
+        for v in pending:
             key = (min(u, v), max(u, v))
             if key in seen_edges:
                 continue
@@ -724,9 +727,10 @@ def _emit(n, tokens, lower, adj, orders, ranks):
                 ring_edges.append((a, b))
             else:
                 tree[u].append(v)
-                explore(v)
-
-    explore(start)
+                enter(v)
+                break
+        else:
+            frames.pop()
 
     ring_edges.sort(key=lambda e: (visit_pos[e[0]], visit_pos[e[1]]))
     opens: dict[int, list[tuple[int, int]]] = {}
@@ -745,10 +749,13 @@ def _emit(n, tokens, lower, adj, orders, ranks):
     def digit_token(d: int) -> str:
         return str(d) if d < 10 else f"%{d:02d}"
 
+    # Depth-first in tree order.  A child's prefix opens its branch and
+    # closes its previous sibling's; the last child is not a branch.
     out: list[str] = []
-
-    def write(u: int):
-        out.append(tokens[u])
+    stack = [(start, "")]
+    while stack:
+        u, prefix = stack.pop()
+        out.append(prefix + tokens[u])
         for edge in opens.get(u, []):
             if not free_digits:
                 raise InvalidMolecule("too many simultaneous ring closures")
@@ -761,16 +768,15 @@ def _emit(n, tokens, lower, adj, orders, ranks):
             free_digits.append(d)
             free_digits.sort()
         children = tree[u]
-        for k, v in enumerate(children):
-            last = k == len(children) - 1
-            if not last:
-                out.append("(")
-            out.append(bond_token(u, v))
-            write(v)
-            if not last:
-                out.append(")")
-
-    write(start)
+        if len(children) == 1:
+            stack.append((children[0], bond_token(u, children[0])))
+        elif children:
+            v = children[-1]
+            stack.append((v, ")" + bond_token(u, v)))
+            for v in reversed(children[1:-1]):
+                stack.append((v, ")(" + bond_token(u, v)))
+            v = children[0]
+            stack.append((v, "(" + bond_token(u, v)))
     return "".join(out), visit_seq
 
 

@@ -16,13 +16,13 @@ so any finite penalty above 2 keeps mismatched elements out of optimal
 plans while the program stays well posed.
 
 Atoms with equal (element, bond profile) are interchangeable for this
-cost structure, so the solver aggregates them into classes and solves a
-much smaller transportation problem; returned plans are expanded back to
-atom level by uniform splitting, which preserves feasibility and cost.
-Implicit hydrogens are counted into their classes (profile: one single
-bond to the parent's element) without being built.  ``solve_ot`` solves
-the whole class-level problem and returns the plan; it and
-``build_costs`` return atom-level output, so they expand their inputs.
+cost structure, so both solvers work on classes of them, and
+``_profile_cost`` is the one place ``c_str`` is computed.  ``solve_ot``
+is the reference: it expands hydrogens, groups the atoms into classes in
+sorted order, solves the whole class-level problem and returns the plan
+expanded back to atom level by uniform splitting, which preserves
+feasibility and cost.  ``build_costs`` gives the atom-level matrices of
+the same program.
 
 ``distance_vector`` needs only the optimal costs, and splits the problem
 by element.  Because ``MISMATCH_PENALTY`` exceeds 2, no optimal plan
@@ -36,7 +36,10 @@ every profile has at most one bond (hydrogen, halogens) or when one side
 has a single class, and only residuals with two or more classes on both
 sides go to the transportation simplex.  All atoms of one element share
 one mass, so the mass-weighted block is the unit block scaled by that
-mass and one solve serves both weight modes.
+mass and one solve serves both weight modes.  Each molecule caches one
+class table for this path: its element blocks, with implicit hydrogens
+counted into their classes (profile: one single bond to the parent's
+element) without being built, and its total unit and mass weights.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from .molgraph import (
     Molecule,
     WeightMode,
     add_explicit_hydrogens,
+    atom_weight,
     bond_profile,
     hydrogen_bond,
 )
@@ -119,22 +123,28 @@ class _ElementBlock:
 
 @dataclass(frozen=True)
 class _AtomClasses:
-    symbols: tuple[str, ...]
-    masses: np.ndarray            # per-class atomic mass
-    counts: np.ndarray            # per-class unit count, implicit hydrogens included
-    members: tuple[tuple[int, ...], ...]  # explicit atoms of each class
-    profile_counts: np.ndarray    # (k, vocab) entry counts
-    profile_sizes: np.ndarray     # per-class profile cardinality
-    vocab: dict[tuple[str, str, str], int]
-    atom_class: np.ndarray        # per-atom class index
+    """A molecule's transport class table, all that ``distance_vector``
+    reads: the element blocks of its ``(element, bond profile)`` classes,
+    implicit hydrogens included, and its total unit and mass weights."""
+
     blocks: dict[str, _ElementBlock]
     total_units: int
     total_mass: float
 
 
-def _element_blocks(keys: list[tuple[str, _Profile]], tally: Counter) -> dict[str, _ElementBlock]:
-    """Group the classes by element; the keys are sorted, so each
-    element's classes are contiguous."""
+def _atom_classes(mol: Molecule) -> _AtomClasses:
+    if mol._transport_classes is not None:
+        return mol._transport_classes
+    tally: Counter = Counter()
+    for i in range(mol.n_atoms):
+        sym = mol.atoms[i].symbol
+        tally[sym, bond_profile(mol, i)] += 1
+        hydrogens = mol.free_valence(i)
+        if hydrogens:
+            tally["H", (hydrogen_bond(sym),)] += hydrogens
+    # Sorted keys keep each element's classes contiguous, and fix the
+    # order in which the total mass is summed.
+    keys = sorted(tally)
     blocks = {}
     for sym, run in itertools.groupby(keys, key=lambda key: key[0]):
         run = list(run)
@@ -147,55 +157,10 @@ def _element_blocks(keys: list[tuple[str, _Profile]], tally: Counter) -> dict[st
             profiles=profiles,
             monovalent=all(len(p) <= 1 for p in profiles),
         )
-    return blocks
-
-
-def _atom_classes(mol: Molecule) -> _AtomClasses:
-    if mol._transport_classes is not None:
-        return mol._transport_classes
-    groups: dict[tuple, list[int]] = {}
-    tally: Counter = Counter()
-    for i in range(mol.n_atoms):
-        sym = mol.atoms[i].symbol
-        key = (sym, bond_profile(mol, i))
-        groups.setdefault(key, []).append(i)
-        tally[key] += 1
-        hydrogens = mol.free_valence(i)
-        if hydrogens:
-            tally["H", (hydrogen_bond(sym),)] += hydrogens
-    keys = sorted(tally)
-    vocab: dict[tuple[str, str, str], int] = {}
-    for sym, entries in keys:
-        for e in entries:
-            vocab.setdefault(e, len(vocab))
-    k = len(keys)
-    counts_mat = np.zeros((k, max(1, len(vocab))))
-    sizes = np.zeros(k)
-    masses = np.zeros(k)
-    counts = np.zeros(k)
-    atom_class = np.zeros(mol.n_atoms, dtype=np.intp)
-    members = []
-    symbols = []
-    for a, (sym, entries) in enumerate(keys):
-        idxs = groups.get((sym, entries), [])
-        members.append(tuple(idxs))
-        symbols.append(sym)
-        masses[a] = PERIODIC_TABLE[sym].atomic_mass
-        counts[a] = tally[sym, entries]
-        sizes[a] = len(entries)
-        for e in entries:
-            counts_mat[a, vocab[e]] += 1.0
-        atom_class[idxs] = a
+    counts = np.array([tally[key] for key in keys], dtype=float)
+    masses = np.array([PERIODIC_TABLE[sym].atomic_mass for sym, _ in keys])
     out = _AtomClasses(
-        symbols=tuple(symbols),
-        masses=masses,
-        counts=counts,
-        members=tuple(members),
-        profile_counts=counts_mat,
-        profile_sizes=sizes,
-        vocab=vocab,
-        atom_class=atom_class,
-        blocks=_element_blocks(keys, tally),
+        blocks=blocks,
         total_units=sum(tally.values()),
         total_mass=float((counts * masses).sum()),
     )
@@ -203,29 +168,19 @@ def _atom_classes(mol: Molecule) -> _AtomClasses:
     return out
 
 
-def _class_costs(c1: _AtomClasses, c2: _AtomClasses) -> tuple[np.ndarray, np.ndarray]:
-    """Class-level (c_lbl, c_str) matrices."""
-    sym1 = np.array(c1.symbols, dtype=object)
-    sym2 = np.array(c2.symbols, dtype=object)
-    c_lbl = np.where(sym1[:, None] == sym2[None, :], 0.0, MISMATCH_PENALTY)
+@functools.lru_cache(maxsize=1 << 16)
+def _profile_cost(p: _Profile, q: _Profile) -> float:
+    """``c_str`` between two atoms or classes, which depends only on their
+    bond profiles: one minus the multiset Jaccard overlap, and 0 when both
+    profiles are empty."""
+    inter = sum((Counter(p) & Counter(q)).values())
+    union = len(p) + len(q) - inter
+    return 1.0 - inter / union if union else 0.0
 
-    # Align both profile-count matrices on a shared entry vocabulary.
-    shared = dict(c1.vocab)
-    for e in c2.vocab:
-        shared.setdefault(e, len(shared))
-    v = len(shared)
-    a1 = np.zeros((len(c1.symbols), v))
-    cols1 = [shared[e] for e in c1.vocab]
-    a1[:, cols1] = c1.profile_counts[:, list(c1.vocab.values())]
-    a2 = np.zeros((len(c2.symbols), v))
-    cols2 = [shared[e] for e in c2.vocab]
-    a2[:, cols2] = c2.profile_counts[:, list(c2.vocab.values())]
 
-    inter = np.minimum(a1[:, None, :], a2[None, :, :]).sum(axis=2)
-    union = c1.profile_sizes[:, None] + c2.profile_sizes[None, :] - inter
-    with np.errstate(invalid="ignore", divide="ignore"):
-        c_str = np.where(union > 0, 1.0 - inter / np.where(union > 0, union, 1.0), 0.0)
-    return c_lbl, c_str
+def _atom_keys(mol: Molecule) -> list[tuple[str, _Profile]]:
+    """Each atom's class key (element, bond profile), in atom order."""
+    return [(atom.symbol, bond_profile(mol, i)) for i, atom in enumerate(mol.atoms)]
 
 
 def build_costs(m1: Molecule, m2: Molecule) -> CostMatrices:
@@ -236,11 +191,11 @@ def build_costs(m1: Molecule, m2: Molecule) -> CostMatrices:
     ``c_str(i, j) = 1 - |P_i n P_j| / |P_i u P_j|`` over the atoms' bond
     profiles (multiset min/max), and 0 when both profiles are empty.
     """
-    cl1 = _atom_classes(add_explicit_hydrogens(m1))
-    cl2 = _atom_classes(add_explicit_hydrogens(m2))
-    c_lbl, c_str = _class_costs(cl1, cl2)
-    ix = np.ix_(cl1.atom_class, cl2.atom_class)
-    return CostMatrices(c_lbl=c_lbl[ix], c_str=c_str[ix])
+    a1 = _atom_keys(add_explicit_hydrogens(m1))
+    a2 = _atom_keys(add_explicit_hydrogens(m2))
+    c_lbl = np.array([[0.0 if s == t else MISMATCH_PENALTY for t, _ in a2] for s, _ in a1])
+    c_str = np.array([[_profile_cost(p, q) for _, q in a2] for _, p in a1])
+    return CostMatrices(c_lbl=c_lbl, c_str=c_str)
 
 
 # ---------------------------------------------------------------------------
@@ -408,36 +363,6 @@ def solve_transport(
 # ---------------------------------------------------------------------------
 
 
-def _sink_costs(cl1: _AtomClasses, cl2: _AtomClasses) -> np.ndarray:
-    c_lbl, c_str = _class_costs(cl1, cl2)
-    k1, k2 = c_lbl.shape
-    c_full = np.ones((k1 + 1, k2 + 1))
-    c_full[:k1, :k2] = c_lbl + c_str
-    c_full[k1, k2] = 0.0
-    return c_full
-
-
-def _marginals(cl1: _AtomClasses, cl2: _AtomClasses, mode: WeightMode):
-    k1, k2 = len(cl1.symbols), len(cl2.symbols)
-    if mode is WeightMode.UNIT:
-        w1, w2 = np.ones(k1), np.ones(k2)
-    else:
-        w1, w2 = cl1.masses, cl2.masses
-    supply = cl1.counts * w1
-    demand = cl2.counts * w2
-    m1 = float(supply.sum())
-    m2 = float(demand.sum())
-    return np.append(supply, m2), np.append(demand, m1), m1, m2
-
-
-def _solve_class_pair(m1: Molecule, m2: Molecule, mode: WeightMode):
-    cl1, cl2 = _atom_classes(m1), _atom_classes(m2)
-    c_full = _sink_costs(cl1, cl2)
-    y1, y2, t1, t2 = _marginals(cl1, cl2, mode)
-    cost, plan = solve_transport(y1, y2, c_full)
-    return cost, plan, cl1, cl2, t1, t2
-
-
 def solve_ot(
     m1: Molecule, m2: Molecule, cfg: DistanceConfig
 ) -> tuple[float, TransportPlan]:
@@ -448,39 +373,47 @@ def solve_ot(
     equal ``[w(a) for a in A1, m(M2)]`` and column sums equal
     ``[w(a) for a in A2, m(M1)]``.  Its rows and columns index the atoms
     of the hydrogen-expanded molecules, then the sinks.
+
+    The program is solved over the classes of interchangeable atoms, in
+    sorted ``(element, bond profile)`` order, and each class's flow is
+    split evenly over its atoms.
     """
     m1, m2 = add_explicit_hydrogens(m1), add_explicit_hydrogens(m2)
-    cost, class_plan, cl1, cl2, t1, t2 = _solve_class_pair(m1, m2, cfg.weight_mode)
+    sides = []
+    for mol in (m1, m2):
+        groups: dict[tuple[str, _Profile], list[int]] = {}
+        for i, key in enumerate(_atom_keys(mol)):
+            groups.setdefault(key, []).append(i)
+        keys = sorted(groups)
+        weights = np.array([atom_weight(PERIODIC_TABLE[sym], cfg.weight_mode) for sym, _ in keys])
+        supply = np.array([len(groups[key]) for key in keys], dtype=float) * weights
+        sides.append((keys, [groups[key] for key in keys], supply, float(supply.sum())))
+    (keys1, members1, y1, t1), (keys2, members2, y2, t2) = sides
+    k1, k2 = len(keys1), len(keys2)
+    c_full = np.ones((k1 + 1, k2 + 1))
+    for a, (s, p) in enumerate(keys1):
+        for b, (t, q) in enumerate(keys2):
+            c_full[a, b] = (0.0 if s == t else MISMATCH_PENALTY) + _profile_cost(p, q)
+    c_full[k1, k2] = 0.0
+    cost, class_plan = solve_transport(np.append(y1, t2), np.append(y2, t1), c_full)
+
     n1, n2 = m1.n_atoms, m2.n_atoms
-    k1, k2 = len(cl1.symbols), len(cl2.symbols)
     u = np.zeros((n1 + 1, n2 + 1))
-    for a in range(k1):
-        rows = list(cl1.members[a])
-        for b in range(k2):
+    for a, rows in enumerate(members1):
+        for b, cols in enumerate(members2):
             f = class_plan[a, b]
             if f > 0.0:
-                cols = cl2.members[b]
                 u[np.ix_(rows, cols)] = f / (len(rows) * len(cols))
         f = class_plan[a, k2]
         if f > 0.0:
             u[rows, n2] = f / len(rows)
-    for b in range(k2):
+    for b, cols in enumerate(members2):
         f = class_plan[k1, b]
         if f > 0.0:
-            cols = list(cl2.members[b])
             u[n1, cols] = f / len(cols)
     u[n1, n2] = class_plan[k1, k2]
     distance = cost / (t1 + t2) if cfg.normalize else cost
     return float(distance), TransportPlan(u=u, cost=float(cost))
-
-
-@functools.lru_cache(maxsize=1 << 16)
-def _profile_cost(p: _Profile, q: _Profile) -> float:
-    """``c_str`` between two classes, which depends only on their bond
-    profiles (the same value ``_class_costs`` gives)."""
-    inter = sum((Counter(p) & Counter(q)).values())
-    union = len(p) + len(q) - inter
-    return 1.0 - inter / union if union else 0.0
 
 
 def _block_cost(b1: _ElementBlock, b2: _ElementBlock) -> float:

@@ -5,11 +5,14 @@ are checked against scipy's generic dense LP (both the original
 inequality program with the explicit non-matching term and the balanced
 equality reformulation), the GP marginal likelihood against a direct
 inverse/determinant formula, and expected improvement against plain
-Monte Carlo.  Fingerprint path descriptors are checked against the
+Monte Carlo.  The bond-environment cost ``c_str`` is checked against a
+plain multiset Jaccard over entry counts.  Fingerprint path descriptors are checked against the
 plain enumeration that joins each path's tokens in both directions, and
 per-element OT block costs against the transportation simplex on the
 whole block, without matching equal bond profiles first.
 """
+
+from collections import Counter
 
 import numpy as np
 from scipy.optimize import linprog
@@ -20,6 +23,16 @@ from molbo.otdist import _profile_cost, build_costs, solve_transport
 
 def _weights(mol: Molecule, mode: WeightMode) -> np.ndarray:
     return np.array([atom_weight(a, mode) for a in mol.atoms])
+
+
+def multiset_jaccard_distance(p, q) -> float:
+    """``1 - sum(min) / sum(max)`` over the entry counts of two bond
+    profiles; 0 when both are empty."""
+    cp, cq = Counter(p), Counter(q)
+    entries = cp.keys() | cq.keys()
+    high = sum(max(cp[e], cq[e]) for e in entries)
+    low = sum(min(cp[e], cq[e]) for e in entries)
+    return 1.0 - low / high if high else 0.0
 
 
 def ot_cost_inequality(m1: Molecule, m2: Molecule, mode: WeightMode) -> float:

@@ -208,9 +208,16 @@ class TestCanonical:
         assert relabel(mol, random.Random(5)).canonical_form == form
         assert sorted(mol.canonical_heavy_order()) == list(range(mol.n_atoms))
 
+    def test_ring_with_long_tail(self):
+        # Emission starts at the tail's free end, as it does for tails of
+        # 1, 2, 5, 50 and 600 atoms.
+        mol = parse_smiles("C1CC1" + "C" * 1000)
+        assert mol.canonical_form == "C" * 1000 + "C1CC1"
+        assert mol.canonical_heavy_order() == tuple(range(1002, 1, -1)) + (0, 1)
 
-def _golden_rows():
-    for line in (DATA_DIR / "canonical_trees.tsv").read_text().splitlines():
+
+def _golden_rows(name):
+    for line in (DATA_DIR / name).read_text().splitlines():
         label, atoms, bonds, form, order = line.split("\t")
         bond_map = {}
         for entry in bonds.split():
@@ -230,10 +237,27 @@ def test_golden_canonical_trees():
             > tests/data/canonical_trees.tsv
     """
     labels = set()
-    for label, mol, form, order in _golden_rows():
+    for label, mol, form, order in _golden_rows("canonical_trees.tsv"):
         labels.add(label)
         assert (mol.canonical_form, mol.canonical_heavy_order()) == (form, order), label
     assert {"explicit-hydrogens", "bo-join-fp", "rand-template-qed"} <= labels
+
+
+def test_golden_canonical_rings():
+    """Canonical forms and heavy orders of cyclic molecules are unchanged.
+
+    ``tests/data/canonical_rings.tsv`` holds the outputs of the earlier,
+    recursive cyclic emission, written with:
+
+        PYTHONPATH=src:perfbench python tests/data/make_canonical_rings.py \\
+            > tests/data/canonical_rings.tsv
+    """
+    labels = set()
+    for label, mol, form, order in _golden_rows("canonical_rings.tsv"):
+        labels.add(label)
+        assert len(mol.bonds) >= mol.n_atoms, label
+        assert (mol.canonical_form, mol.canonical_heavy_order()) == (form, order), label
+    assert {"explicit-hydrogens", "long-tail", "dense-cage"} <= labels
 
 
 class TestWeights:

@@ -18,6 +18,7 @@ from molbo.molgraph import (
     WeightMode,
     add_explicit_hydrogens,
     atom_weight,
+    bond_profile,
     molecular_weight,
     parse_smiles,
 )
@@ -328,6 +329,32 @@ def test_profile_cost_is_a_metric_on_met_profiles(met_block_pairs):
     assert np.array_equal(d, d.T) and not d.diagonal().any()
     for j in range(len(profiles)):
         assert (d <= d[:, [j]] + d[[j], :] + 1e-12).all()
+
+
+def test_structure_cost_is_the_multiset_jaccard(cached_molecules):
+    """``_profile_cost`` is the only ``c_str``.  It, and every ``c_str``
+    cell of ``build_costs``, equal the plain multiset Jaccard on every
+    pair of bond profiles of the hydrogen-expanded cached molecules."""
+    covering, profiles = [], set()
+    for mol in sorted(map(add_explicit_hydrogens, cached_molecules), key=lambda m: m.n_atoms):
+        atoms = {bond_profile(mol, i) for i in range(mol.n_atoms)}
+        if not atoms <= profiles:
+            covering.append(mol)
+            profiles |= atoms
+    assert len(profiles) > 50
+    jaccard = {}
+    for p in profiles:
+        for q in profiles:
+            jaccard[p, q] = oracles.multiset_jaccard_distance(p, q)
+            assert otdist._profile_cost(p, q) == jaccard[p, q]
+    # Every profile occurs in a covering molecule, so the pairs of
+    # covering molecules meet every pair of profiles.
+    for m1 in covering:
+        p1 = [bond_profile(m1, i) for i in range(m1.n_atoms)]
+        for m2 in covering:
+            p2 = [bond_profile(m2, j) for j in range(m2.n_atoms)]
+            want = np.array([[jaccard[p, q] for q in p2] for p in p1])
+            assert np.array_equal(build_costs(m1, m2).c_str, want)
 
 
 def test_import_loads_no_scipy_optimize():

@@ -3,8 +3,8 @@
 A reference to a definition is a use of its name (or of an attribute,
 import or string constant equal to it) outside the definition itself,
 in ``src/molbo`` outside ``__init__.py``, or anywhere in ``demos/`` or
-``perfbench/``.  A top-level definition is its whole statement; a method
-is its ``def``.
+``perfbench/``.  A top-level definition is its whole statement (a
+function, class or module-level assignment); a method is its ``def``.
 """
 
 import ast
@@ -108,3 +108,8 @@ def test_every_exported_name_has_a_program_reference():
 def test_every_function_class_and_method_has_a_program_reference():
     kinds = (*FUNCTIONS, ast.ClassDef)
     assert _unreferenced(lambda name, node: isinstance(node, kinds)) == []
+
+
+def test_every_module_constant_has_a_program_reference():
+    assigns = (ast.Assign, ast.AnnAssign)
+    assert _unreferenced(lambda name, node: isinstance(node, assigns)) == []
