@@ -7,13 +7,22 @@ value goes through two steps: ``features`` gathers a block's
 hyperparameter-free inputs (transport distances, Tanimoto values) from a
 ``KernelCache``, and ``combine`` turns them into kernel values for a spec.
 ``gram``, ``cross_gram`` and the GP fit all use them, so a pair has one
-value wherever it is computed.  A square block (a Gram) looks each
-unordered pair up once and mirrors it, which keeps it symmetric bit for
-bit because both features are symmetric; ``diagonal`` is ``combine`` on the
-closed-form features of a molecule against itself.  The transport
-kernel is not known to be positive definite, so training Gram matrices
-are projected onto the PSD cone by eigenvalue clamping before GP use;
-cross-covariances keep raw kernel values.
+value wherever it is computed.
+
+Transport distances come from the cache's per-run store: one growing
+array with a row per unordered pair of canonical-form ids and a
+known-mask, from which ``features`` gathers a block with one fancy index
+after the cache has computed the block's missing pairs in one
+``distance_vectors`` pass.  Each pair is computed once, in the
+orientation of its first request (row molecule first in a cross block,
+``(rows[i], rows[j])`` with ``i <= j`` in a Gram, row-major order), and
+serves both orders, so a Gram is symmetric bit for bit.  Tanimoto values
+are computed per pair; a Gram computes each unordered pair once and
+mirrors it.  ``diagonal`` is ``combine`` on the closed-form features of a
+molecule against itself.  The transport kernel is not known to be
+positive definite, so training Gram matrices are projected onto the PSD
+cone by eigenvalue clamping before GP use; cross-covariances keep raw
+kernel values.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from .fingerprint import (
     tanimoto,
 )
 from .molgraph import Molecule
-from .otdist import distance_vector
+from .otdist import distance_vector, distance_vectors
 
 #: Hyperparameter search ranges (log-uniform for betas).
 BETA_RANGE = (1e-4, 10.0)
@@ -80,10 +89,26 @@ KernelSpec = FingerprintTanimoto | OTExpSum | SumKernel
 
 
 class KernelCache:
-    """Memo for pairwise distance vectors and per-molecule fingerprints.
+    """Per-run store of transport distances and memo of fingerprints.
 
-    Keyed by canonical form, so isomorphic molecules share entries.  A
-    join product's fingerprint is built from its reagents' cached ones
+    Both are keyed by canonical form, so isomorphic molecules share
+    entries.  Each canonical form gets an integer id when first seen.
+    The distance vectors live in one growing float array with one row
+    per unordered id pair (the upper triangle packed row by row,
+    ``_cell``) and a known-mask beside it.  Its capacity at least doubles
+    when the ids outgrow it, and the rows of a new id's diagonal are
+    known and zero, as ``distance_vector(x, x)`` is.  A packed triangle
+    keeps resident only the pairs of ids seen so far, where a square
+    array with room to grow also holds its padding.  ``distances``
+    computes every missing pair of a block in one ``distance_vectors``
+    pass and gathers the block with one fancy index; ``distance_vector``
+    reads the same store one pair at a time.  ``distance_vector`` is not
+    symmetric bit for bit, so a pair is computed once, in the
+    orientation of its first request, and serves both orders: a cross
+    block asks for ``(row, col)`` and a square one for
+    ``(rows[i], rows[j])`` with ``i <= j``, each in row-major order.
+
+    A join product's fingerprint is built from its reagents' cached ones
     and the paths that cross the join bond; a reagent not yet cached is
     built first, by a loop over origins, so a chain of joins of any
     depth stays off the recursion limit.  Parsed molecules, template
@@ -93,17 +118,54 @@ class KernelCache:
     """
 
     def __init__(self):
-        self._distances: dict[tuple[str, str], np.ndarray] = {}
+        self._ids: dict[str, int] = {}
+        self._store = np.zeros((0, 4))
+        self._known = np.zeros(0, dtype=bool)
         self._fingerprints: dict[tuple[str, int, int], Fingerprint] = {}
 
+    def _ids_of(self, mols: list[Molecule]) -> np.ndarray:
+        ids = self._ids
+        first_new = len(ids)
+        out = np.array([ids.setdefault(m.canonical_form, len(ids)) for m in mols], dtype=np.intp)
+        n = len(ids)
+        if n > first_new:
+            old = len(self._known)
+            if n * (n + 1) // 2 > old:
+                cap = max(2 * old, n * (n + 1) // 2, 2048)
+                store = np.zeros((cap, 4))
+                known = np.zeros(cap, dtype=bool)
+                store[:old] = self._store
+                known[:old] = self._known
+                self._store, self._known = store, known
+            new = np.arange(first_new, n)
+            self._known[_cell(new, new)] = True  # zero, as distance_vector(x, x) is
+        return out
+
+    def distances(self, rows: list[Molecule], cols: list[Molecule]) -> np.ndarray:
+        """The ``len(rows) x len(cols) x 4`` distance vectors of the
+        block; a square block (``cols is rows``) asks only for its upper
+        triangle."""
+        row_ids = self._ids_of(rows)
+        col_ids = row_ids if cols is rows else self._ids_of(cols)
+        n, m = len(row_ids), len(col_ids)
+        i, j = np.triu_indices(n) if cols is rows else np.divmod(np.arange(n * m), m)
+        cell = _cell(row_ids[i], col_ids[j])
+        missing = ~self._known[cell]
+        if missing.any():
+            i, j, cell = i[missing], j[missing], cell[missing]
+            _, first = np.unique(cell, return_index=True)
+            i, j, cell = i[first], j[first], cell[first]
+            self._store[cell] = distance_vectors([rows[k] for k in i.tolist()],
+                                                 [cols[k] for k in j.tolist()])
+            self._known[cell] = True
+        return self._store[_cell(row_ids[:, None], col_ids)]
+
     def distance_vector(self, x: Molecule, y: Molecule) -> np.ndarray:
-        kx, ky = x.canonical_form, y.canonical_form
-        key = (kx, ky) if kx <= ky else (ky, kx)
-        vec = self._distances.get(key)
-        if vec is None:
-            vec = distance_vector(x, y)
-            self._distances[key] = vec
-        return vec
+        cell = _cell(*self._ids_of([x, y]))
+        if not self._known[cell]:
+            self._store[cell] = distance_vector(x, y)
+            self._known[cell] = True
+        return self._store[cell].copy()
 
     def fingerprint(self, x: Molecule, spec: FingerprintTanimoto) -> Fingerprint:
         n_bits, max_path_len = spec.n_bits, spec.max_path_len
@@ -129,17 +191,23 @@ class KernelCache:
         return fps[(x.canonical_form, n_bits, max_path_len)]
 
 
-def _pairs(rows: list, cols: list, value, shape: tuple = ()) -> np.ndarray:
-    """``value(x, y)``, an array of ``shape``, for every cell of the
-    ``rows`` x ``cols`` block.
+def _cell(a, b):
+    """Store row of the unordered id pair ``{a, b}``: the upper triangle
+    packed row by row, so the rows of ids below ``n`` come first."""
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    return hi * (hi + 1) // 2 + lo
+
+
+def _pairs(rows: list, cols: list, value) -> np.ndarray:
+    """``value(x, y)`` for every cell of the ``rows`` x ``cols`` block.
 
     A square block (``cols is rows``) looks each unordered pair up once
     and mirrors it; ``value`` must then be symmetric bit for bit.
     """
     n, m = len(rows), len(cols)
     if cols is not rows:
-        return np.reshape([value(x, y) for x in rows for y in cols], (n, m, *shape))
-    block = np.empty((n, n, *shape))
+        return np.reshape([value(x, y) for x in rows for y in cols], (n, m))
+    block = np.empty((n, n))
     upper = np.triu_indices(n)
     block[upper] = [value(rows[i], rows[j]) for i in range(n) for j in range(i, n)]
     block[upper[::-1]] = block[upper]
@@ -158,7 +226,7 @@ def features(
     """
     dist = k_fp = None
     if isinstance(spec, (OTExpSum, SumKernel)):
-        dist = _pairs(rows, cols, cache.distance_vector, (4,)).transpose(2, 0, 1)
+        dist = cache.distances(rows, cols).transpose(2, 0, 1)
     fp_spec = spec.fingerprint if isinstance(spec, SumKernel) else spec
     if isinstance(fp_spec, FingerprintTanimoto):
         row_fps = [cache.fingerprint(x, fp_spec) for x in rows]

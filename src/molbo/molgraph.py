@@ -131,8 +131,10 @@ class Molecule:
     functional-group sites (``_sites``, filled by ``molbo.synthesis``).
     ``_origin`` is None, or for a join product
     ``(reagent_a, reagent_b, u, v)``, set by ``molbo.synthesis``: the
-    reagents it bonds and the product indices of the new bond's ends,
-    from which ``molbo.fingerprint`` builds its fingerprint.
+    reagents it bonds and the product indices of the new bond's ends
+    (the product lists ``reagent_a``'s atoms, then ``reagent_b``'s), from
+    which ``molbo.fingerprint`` builds its fingerprint and
+    ``molbo.otdist`` its class table.
     Operations are pure and safe to call concurrently.
     """
 

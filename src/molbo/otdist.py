@@ -24,29 +24,44 @@ expanded back to atom level by uniform splitting, which preserves
 feasibility and cost.  ``build_costs`` gives the atom-level matrices of
 the same program.
 
-``distance_vector`` needs only the optimal costs, and splits the problem
-by element.  Because ``MISMATCH_PENALTY`` exceeds 2, no optimal plan
-moves weight between elements, so the program is a sum of independent
-per-element blocks, each with its own pair of sinks.  Every block cost
-is computed in unit weights: a one-sided element costs its atom count.
-A shared element first matches the units of equal bond profiles at cost
-0, which some optimal plan does because ``c_str`` is a metric; the
-residual classes then have closed forms when one side is empty, when
-every profile has at most one bond (hydrogen, halogens) or when one side
-has a single class, and only residuals with two or more classes on both
-sides go to the transportation simplex.  All atoms of one element share
-one mass, so the mass-weighted block is the unit block scaled by that
-mass and one solve serves both weight modes.  Each molecule caches one
-class table for this path: its element blocks, with implicit hydrogens
-counted into their classes (profile: one single bond to the parent's
-element) without being built, and its total unit and mass weights.
+``distance_vectors`` computes the four costs of many pairs in one block
+pass, and ``distance_vector`` is its one-pair call.  They need only the
+optimal costs, and split the problem by element.  Because
+``MISMATCH_PENALTY`` exceeds 2, no optimal plan moves weight between
+elements, so the program is a sum of independent per-element blocks,
+each with its own pair of sinks.  Every block cost is computed in unit
+weights.  The pass turns the molecules' class tables into count rows over
+their sorted key set and pre-matches every pair at once: the units of
+equal bond profiles match at cost 0, which some optimal plan does
+because ``c_str`` is a metric, leaving ``max(a - b, 0)`` on each side.
+``np.add.reduceat`` gives each element's residual totals, and a residual
+costs the larger total when one side is empty (a one-sided element
+included) or every residual profile has at most one bond (hydrogen,
+halogens).  Only residuals with a profile of two or more bonds stay in
+Python: a cheapest-first fill when one side has a single class, and the
+transportation simplex when both sides have two or more.  All atoms of
+one element share one mass, so the mass-weighted block is the unit block
+scaled by that mass and one solve serves both weight modes.  The per-pair
+sums run element by element in sorted order, so a pair gets the same
+bits in a block of any size.
+
+Each molecule caches one class table for this path: the count of each
+``(element, bond profile)`` class, implicit hydrogens counted into their
+classes (profile: one single bond to the parent's element) without being
+built, and its total unit and mass weights.  A join product's tally is
+its reagents' tallies with the classes of the new bond's two ends moved
+and their implicit hydrogens changed by the free-valence difference; a
+reagent with no table yet is built first, by a loop over origins.
+``distance_vector`` is not symmetric bit for bit, since the simplex may
+round differently when the sides swap; a cache that keeps one vector per
+unordered pair fixes which orientation it computes.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,30 +126,45 @@ _Profile = tuple[tuple[str, str, str], ...]
 
 
 @dataclass(frozen=True)
-class _ElementBlock:
-    """The classes of one element in one molecule."""
-
-    mass: float                   # atomic mass shared by every atom
-    total: int                    # atom count of the element
-    counts: tuple[int, ...]       # per-class member count
-    profiles: tuple[_Profile, ...]
-    monovalent: bool              # every profile has at most one entry
-
-
-@dataclass(frozen=True)
-class _AtomClasses:
-    """A molecule's transport class table, all that ``distance_vector``
-    reads: the element blocks of its ``(element, bond profile)`` classes,
+class _ClassTable:
+    """A molecule's transport class table, all that ``distance_vectors``
+    reads: the member count of each ``(element, bond profile)`` class,
     implicit hydrogens included, and its total unit and mass weights."""
 
-    blocks: dict[str, _ElementBlock]
+    tally: Counter
     total_units: int
     total_mass: float
 
 
-def _atom_classes(mol: Molecule) -> _AtomClasses:
-    if mol._transport_classes is not None:
-        return mol._transport_classes
+def _class_table(mol: Molecule) -> _ClassTable:
+    """The cached class table of ``mol``.  A join product's table is
+    built from its reagents', and a reagent with no table yet is built
+    first, by a loop over origins, so a chain of joins of any depth stays
+    off the recursion limit."""
+    todo = [mol]
+    while todo:
+        m = todo[-1]
+        if m._transport_classes is not None:
+            todo.pop()
+            continue
+        reagents = () if m._origin is None else m._origin[:2]
+        missing = [r for r in reagents if r._transport_classes is None]
+        if missing:
+            todo += missing
+            continue
+        todo.pop()
+        tally = _full_tally(m) if m._origin is None else _joined_tally(m)
+        # Sorted keys fix the order in which the total mass is summed.
+        keys = sorted(tally)
+        counts = np.array([tally[key] for key in keys], dtype=float)
+        masses = np.array([PERIODIC_TABLE[sym].atomic_mass for sym, _ in keys])
+        m._transport_classes = _ClassTable(
+            tally, sum(tally.values()), float((counts * masses).sum())
+        )
+    return mol._transport_classes
+
+
+def _full_tally(mol: Molecule) -> Counter:
     tally: Counter = Counter()
     for i in range(mol.n_atoms):
         sym = mol.atoms[i].symbol
@@ -142,30 +172,21 @@ def _atom_classes(mol: Molecule) -> _AtomClasses:
         hydrogens = mol.free_valence(i)
         if hydrogens:
             tally["H", (hydrogen_bond(sym),)] += hydrogens
-    # Sorted keys keep each element's classes contiguous, and fix the
-    # order in which the total mass is summed.
-    keys = sorted(tally)
-    blocks = {}
-    for sym, run in itertools.groupby(keys, key=lambda key: key[0]):
-        run = list(run)
-        counts = tuple(tally[key] for key in run)
-        profiles = tuple(p for _, p in run)
-        blocks[sym] = _ElementBlock(
-            mass=PERIODIC_TABLE[sym].atomic_mass,
-            total=sum(counts),
-            counts=counts,
-            profiles=profiles,
-            monovalent=all(len(p) <= 1 for p in profiles),
-        )
-    counts = np.array([tally[key] for key in keys], dtype=float)
-    masses = np.array([PERIODIC_TABLE[sym].atomic_mass for sym, _ in keys])
-    out = _AtomClasses(
-        blocks=blocks,
-        total_units=sum(tally.values()),
-        total_mass=float((counts * masses).sum()),
-    )
-    mol._transport_classes = out
-    return out
+    return tally
+
+
+def _joined_tally(mol: Molecule) -> Counter:
+    """The tally of a join product from its reagents' tallies.  The
+    product lists reagent a's atoms, then reagent b's, and the new bond
+    changes only the profiles and implicit hydrogens of its two ends."""
+    a, b, u, v = mol._origin
+    tally = a._transport_classes.tally + b._transport_classes.tally
+    for reagent, i, j in ((a, u, u), (b, v - a.n_atoms, v)):
+        sym = mol.atoms[j].symbol
+        tally[sym, bond_profile(reagent, i)] -= 1
+        tally[sym, bond_profile(mol, j)] += 1
+        tally["H", (hydrogen_bond(sym),)] += mol.free_valence(j) - reagent.free_valence(i)
+    return +tally  # drops the classes the join emptied
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -416,13 +437,26 @@ def solve_ot(
     return float(distance), TransportPlan(u=u, cost=float(cost))
 
 
-def _block_cost(b1: _ElementBlock, b2: _ElementBlock) -> float:
-    """Optimal unit-weight cost of one element's block with its own sinks.
+#: Pairs per slab of the block pass, which bounds its count arrays.
+_CHUNK = 1024
+
+
+def _element_costs(
+    tables: list[_ClassTable], left: np.ndarray, right: np.ndarray
+) -> tuple[list[str], np.ndarray]:
+    """Optimal unit-weight cost of every element block of the pairs
+    ``(tables[left[k]], tables[right[k]])``, each block with its own sinks.
+
+    Returns the elements of ``tables`` in sorted order and the
+    ``len(left) x len(elements)`` costs, 0 where neither side has the
+    element.  The tables become count rows over their sorted key set, in
+    which each element's classes are contiguous.
 
     Equal profiles are matched first, at cost 0: ``min(n_p, m_p)`` units
-    of every profile ``p`` the two sides share.  This is exact.  Take an
-    optimal plan that matches fewer; some unit of ``p`` on side 1 then
-    goes to ``j != p`` and some unit of ``p`` on side 2 comes from
+    of every profile ``p`` the two sides share, which leaves the
+    residuals ``max(a - b, 0)`` and ``max(b - a, 0)``.  This is exact.
+    Take an optimal plan that matches fewer; some unit of ``p`` on side 1
+    then goes to ``j != p`` and some unit of ``p`` on side 2 comes from
     ``i != p`` (either may be a sink).  Rerouting them as ``p -> p`` and
     ``i -> j`` changes the cost by ``c(i, j) - c(i, p) - c(p, j)``, which
     is never positive: ``c_str`` (one minus multiset Jaccard) is a metric
@@ -434,27 +468,58 @@ def _block_cost(b1: _ElementBlock, b2: _ElementBlock) -> float:
 
     Every ``c_str`` is at most 1, below the cost 2 of leaving one unit
     unmatched on both sides, so the residual plan matches
-    ``min(t1, t2)`` units and leaves the difference to the sinks.
+    ``min(t1, t2)`` units of the residual totals and leaves the
+    difference to the sinks.  A residual block costs ``max(t1, t2)`` when
+    one side is empty (a one-sided element included) and when every
+    residual profile has at most one entry, since distinct such profiles
+    cost exactly 1.  Those cells close in numpy; the rest have a profile
+    of two or more bonds on a side and go to ``_residual_cost``, their
+    residual classes pulled out in one pass per slab.
     """
-    other = dict(zip(b2.profiles, b2.counts))
-    r1 = []
-    for p, n in zip(b1.profiles, b1.counts):
-        m = other.get(p, 0)
-        if n > m:
-            r1.append((p, n - m))
-        if m:
-            other[p] = max(m - n, 0)
-    r2 = [(q, m) for q, m in other.items() if m]
+    keys = sorted(set().union(*(t.tally for t in tables)))
+    column = {key: c for c, key in enumerate(keys)}
+    counts = np.zeros((len(tables), len(keys)), dtype=np.int64)
+    for row, t in enumerate(tables):
+        counts[row, [column[key] for key in t.tally]] = list(t.tally.values())
+    syms = [sym for sym, _ in keys]
+    starts = [c for c in range(len(keys)) if c == 0 or syms[c] != syms[c - 1]]
+    element_of = np.cumsum(np.isin(np.arange(len(keys)), starts)) - 1
+    polyvalent = np.array([len(p) > 1 for _, p in keys])
+    profiles = [p for _, p in keys]
+    costs = np.empty((len(left), len(starts)))
+    for lo in range(0, len(left), _CHUNK):
+        a, b = counts[left[lo:lo + _CHUNK]], counts[right[lo:lo + _CHUNK]]
+        r1, r2 = np.maximum(a - b, 0), np.maximum(b - a, 0)
+        t1 = np.add.reduceat(r1, starts, axis=1)
+        t2 = np.add.reduceat(r2, starts, axis=1)
+        slab = costs[lo:lo + _CHUNK]
+        slab[:] = np.maximum(t1, t2)
+        poly = np.logical_or.reduceat((r1 + r2 > 0) & polyvalent, starts, axis=1)
+        ks, es = np.nonzero((t1 > 0) & (t2 > 0) & poly)
+        if not len(ks):
+            continue
+        same = element_of == es[:, None]
+        residuals = []
+        for r in (r1, r2):
+            sub = np.where(same, r[ks], 0)
+            cells, cols = np.nonzero(sub)
+            bounds = np.searchsorted(cells, np.arange(len(ks) + 1)).tolist()
+            pulled = list(zip(cols.tolist(), sub[cells, cols].tolist()))
+            residuals.append([pulled[bounds[c]:bounds[c + 1]] for c in range(len(ks))])
+        for k, e, res1, res2 in zip(ks.tolist(), es.tolist(), *residuals):
+            slab[k, e] = _residual_cost(
+                [(profiles[c], n) for c, n in res1], [(profiles[c], n) for c, n in res2]
+            )
+    return [syms[c] for c in starts], costs
+
+
+def _residual_cost(r1: list[tuple[_Profile, int]], r2: list[tuple[_Profile, int]]) -> float:
+    """Unit-weight cost of a residual block, its classes on each side in
+    sorted profile order: a cheapest-first fill when one side has a single
+    class, and the transportation simplex otherwise."""
     t1 = sum(n for _, n in r1)
     t2 = sum(m for _, m in r2)
-    if not (r1 and r2):
-        return float(t1 + t2)
-    if b1.monovalent and b2.monovalent:
-        # Distinct profiles of at most one entry cost exactly 1, so every
-        # residual unit costs 1 matched or not.
-        return float(max(t1, t2))
     if len(r1) == 1 or len(r2) == 1:
-        # One class on one side: fill the other side's classes cheapest first.
         if len(r1) != 1:
             r1, r2 = r2, r1
         p = r1[0][0]
@@ -475,35 +540,44 @@ def _block_cost(b1: _ElementBlock, b2: _ElementBlock) -> float:
     return cost
 
 
+def distance_vectors(firsts: Sequence[Molecule], seconds: Sequence[Molecule]) -> np.ndarray:
+    """``distance_vector(firsts[k], seconds[k])`` for every ``k``, as a
+    ``len(firsts) x 4`` array, in one block pass over their class tables."""
+    row: dict[Molecule, int] = {}
+    left = np.array([row.setdefault(m, len(row)) for m in firsts], dtype=np.intp)
+    right = np.array([row.setdefault(m, len(row)) for m in seconds], dtype=np.intp)
+    if not row:
+        return np.zeros((0, 4))
+    tables = [_class_table(m) for m in row]
+    elements, costs = _element_costs(tables, left, right)
+    # Element by element, in sorted order, as a per-pair sum would add them.
+    cost_u = np.zeros(len(left))
+    cost_m = np.zeros(len(left))
+    for e, sym in enumerate(elements):
+        cost_u += costs[:, e]
+        cost_m += PERIODIC_TABLE[sym].atomic_mass * costs[:, e]
+    units = np.array([t.total_units for t in tables])
+    mass = np.array([t.total_mass for t in tables])
+    return np.stack([
+        cost_u,
+        cost_u / (units[left] + units[right]),
+        cost_m,
+        cost_m / (mass[left] + mass[right]),
+    ], axis=1)
+
+
 def distance_vector(m1: Molecule, m2: Molecule) -> np.ndarray:
     """The four dissimilarities in fixed order:
     [unit/raw, unit/normalized, mass/raw, mass/normalized].
 
     Equal to ``solve_ot`` in each configuration, but computed per element:
     with ``MISMATCH_PENALTY`` above 2 no weight crosses elements, so the
-    raw cost is the sum of independent per-element block costs.  Each
-    block is solved once in unit weights; its mass-weighted cost is that
-    cost times the element's atomic mass, since every atom of the block
-    has that mass.  The normalized entries divide by the summed total
-    weights, as ``solve_ot`` does; in unit weights that is the number of
-    atoms plus implicit hydrogens.
+    raw cost is the sum of independent per-element block costs
+    (``_element_costs``).  Each block is solved once in unit weights; its
+    mass-weighted cost is that cost times the element's atomic mass, since
+    every atom of the block has that mass.  The normalized entries divide
+    by the summed total weights, as ``solve_ot`` does; in unit weights
+    that is the number of atoms plus implicit hydrogens.  The one-pair
+    call of ``distance_vectors``.
     """
-    if m1.canonical_form == m2.canonical_form:
-        return np.zeros(4)
-    cl1, cl2 = _atom_classes(m1), _atom_classes(m2)
-    cost_u = cost_m = 0.0
-    for sym in sorted(cl1.blocks.keys() | cl2.blocks.keys()):
-        b1, b2 = cl1.blocks.get(sym), cl2.blocks.get(sym)
-        if b1 is None or b2 is None:
-            block = b1 or b2
-            mass, cost = block.mass, float(block.total)
-        else:
-            mass, cost = b1.mass, _block_cost(b1, b2)
-        cost_u += cost
-        cost_m += mass * cost
-    return np.array([
-        cost_u,
-        cost_u / (cl1.total_units + cl2.total_units),
-        cost_m,
-        cost_m / (cl1.total_mass + cl2.total_mass),
-    ])
+    return distance_vectors([m1], [m2])[0]

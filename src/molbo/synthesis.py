@@ -195,7 +195,8 @@ def _combine(
     which drops no atom and adds exactly one cross bond, records its
     origin on the product: ``(mol_a, mol_b, u, v)`` with ``u`` and ``v``
     the product indices of the new bond's ends.  That bond is a bridge,
-    so the product's fingerprint can be built from the reagents'.
+    so the product's fingerprint and transport class table can be built
+    from the reagents'.
     """
     map_a = {}
     atoms = []

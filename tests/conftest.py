@@ -14,7 +14,7 @@ from molbo.molgraph import (
     parse_smiles,
 )
 from molbo.optimizer import explore_acquisition
-from molbo.synthesis import CONDITION_LIBRARY, Condition, OracleKind
+from molbo.synthesis import CONDITION_LIBRARY, Condition, OracleKind, _combine
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -102,3 +102,49 @@ def random_molecule(rng: random.Random, max_heavy: int = 6, ring_p: float = 0.25
             return add_explicit_hydrogens(mol) if expanded else mol
         except (ValenceExceeded, InvalidMolecule, MultiFragmentInput):
             continue
+
+
+def bridges(mol):
+    """The bonds of ``mol`` that lie on no ring."""
+    for i, j in mol.bonds:
+        if j not in _side(mol, i, j):
+            yield i, j
+
+
+def _side(mol, i, j):
+    """Atoms reachable from ``i`` without the bond ``(i, j)``."""
+    seen, stack = {i}, [i]
+    while stack:
+        a = stack.pop()
+        for b, _ in mol.neighbors(a):
+            if b not in seen and {a, b} != {i, j}:
+                seen.add(b)
+                stack.append(b)
+    return seen
+
+
+def _fragment(mol, atoms):
+    index = {old: new for new, old in enumerate(atoms)}
+    bonds = {(index[a], index[b]): order for (a, b), order in mol.bonds.items()
+             if a in index and b in index}
+    return Molecule([mol.atoms[a] for a in atoms], bonds), index
+
+
+def split_and_rejoin(mol, i, j):
+    """Cut ``mol`` at the bridge ``(i, j)`` and join the fragments again."""
+    side = _side(mol, i, j)
+    frag_a, index_a = _fragment(mol, sorted(side))
+    frag_b, index_b = _fragment(mol, [a for a in range(mol.n_atoms) if a not in side])
+    order = mol.bonds[(i, j)]
+    return _combine(frag_a, frag_b, set(), set(), [(index_a[i], index_b[j], order)])
+
+
+def join_chain(n_joins):
+    """A linear chain grown by ``n_joins`` joins of one atom at its end;
+    every member of the chain is the origin of the next."""
+    chain = [parse_smiles("C")]
+    for k in range(n_joins):
+        atom = parse_smiles("CNO"[k % 3])
+        end = chain[-1].n_atoms - 1
+        chain.append(_combine(chain[-1], atom, set(), set(), [(end, 0, BondOrder.SINGLE)]))
+    return chain

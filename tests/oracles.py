@@ -130,27 +130,35 @@ def path_descriptors_two_way(mol: Molecule, max_path_len: int) -> set[str]:
     return descriptors
 
 
-def block_cost_whole(b1, b2) -> float:
-    """Unit-weight cost of one element's block with its own sinks: closed
-    forms for monovalent blocks and for one class on one side, otherwise
-    the simplex on every class of both sides."""
-    if b1.monovalent and b2.monovalent:
-        other = dict(zip(b2.profiles, b2.counts))
-        equal = sum(min(n, other.get(p, 0)) for p, n in zip(b1.profiles, b1.counts))
-        return float(max(b1.total, b2.total) - equal)
-    if len(b1.counts) == 1 or len(b2.counts) == 1:
-        if len(b1.counts) != 1:
-            b1, b2 = b2, b1
-        p = b1.profiles[0]
-        left = min(b1.total, b2.total)
-        cost = float(abs(b1.total - b2.total))
-        for c, n in sorted((_profile_cost(p, q), n) for q, n in zip(b2.profiles, b2.counts)):
+def block_cost_whole(c1, c2) -> float:
+    """Unit-weight cost of one element's block with its own sinks, from
+    its classes ``((profile, count), ...)`` on each side: closed forms for
+    monovalent blocks and for one class on one side, otherwise the simplex
+    on every class of both sides."""
+    t1, t2 = sum(n for _, n in c1), sum(n for _, n in c2)
+    if all(len(p) <= 1 for p, _ in c1 + c2):
+        other = dict(c2)
+        equal = sum(min(n, other.get(p, 0)) for p, n in c1)
+        return float(max(t1, t2) - equal)
+    if len(c1) == 1 or len(c2) == 1:
+        if len(c1) != 1:
+            c1, c2, t1, t2 = c2, c1, t2, t1
+        p = c1[0][0]
+        left = min(t1, t2)
+        cost = float(abs(t1 - t2))
+        for c, n in sorted((_profile_cost(p, q), n) for q, n in c2):
             take = min(n, left)
             cost += take * c
             left -= take
             if left == 0:
                 break
         return cost
+    rows = [[_profile_cost(p, q) for q, _ in c2] + [1.0] for p, _ in c1]
+    rows.append([1.0] * len(c2) + [0.0])
+    supply = np.array([n for _, n in c1] + [t2], dtype=float)
+    demand = np.array([n for _, n in c2] + [t1], dtype=float)
+    cost, _ = solve_transport(supply, demand, np.array(rows))
+    return cost
     k2 = len(b2.counts)
     rows = [[_profile_cost(p, q) for q in b2.profiles] + [1.0] for p in b1.profiles]
     rows.append([1.0] * k2 + [0.0])

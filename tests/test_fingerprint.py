@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import molbo.fingerprint
 import molbo.kernel
 import oracles
-from conftest import random_molecule, relabel
+from conftest import bridges, join_chain, random_molecule, relabel, split_and_rejoin
 from molbo import (
     Condition,
     FingerprintTanimoto,
@@ -30,7 +30,7 @@ from molbo.fingerprint import (
     path_fingerprint,
     tanimoto,
 )
-from molbo.molgraph import BondOrder, Molecule, add_explicit_hydrogens, parse_smiles
+from molbo.molgraph import BondOrder, add_explicit_hydrogens, parse_smiles
 from molbo.synthesis import _combine, synthesize_detailed
 
 
@@ -138,52 +138,6 @@ class TestTanimoto:
         assert value == tanimoto(fb, fa)
 
 
-def _bridges(mol):
-    """The bonds of ``mol`` that lie on no ring."""
-    for i, j in mol.bonds:
-        if j not in _side(mol, i, j):
-            yield i, j
-
-
-def _side(mol, i, j):
-    """Atoms reachable from ``i`` without the bond ``(i, j)``."""
-    seen, stack = {i}, [i]
-    while stack:
-        a = stack.pop()
-        for b, _ in mol.neighbors(a):
-            if b not in seen and {a, b} != {i, j}:
-                seen.add(b)
-                stack.append(b)
-    return seen
-
-
-def _fragment(mol, atoms):
-    index = {old: new for new, old in enumerate(atoms)}
-    bonds = {(index[a], index[b]): order for (a, b), order in mol.bonds.items()
-             if a in index and b in index}
-    return Molecule([mol.atoms[a] for a in atoms], bonds), index
-
-
-def _split_and_rejoin(mol, i, j):
-    """Cut ``mol`` at the bridge ``(i, j)`` and join the fragments again."""
-    side = _side(mol, i, j)
-    frag_a, index_a = _fragment(mol, sorted(side))
-    frag_b, index_b = _fragment(mol, [a for a in range(mol.n_atoms) if a not in side])
-    order = mol.bonds[(i, j)]
-    return _combine(frag_a, frag_b, set(), set(), [(index_a[i], index_b[j], order)])
-
-
-def _chain(n_joins):
-    """A linear chain grown by ``n_joins`` joins of one atom at its end;
-    every member of the chain is the origin of the next."""
-    chain = [parse_smiles("C")]
-    for k in range(n_joins):
-        atom = parse_smiles("CNO"[k % 3])
-        end = chain[-1].n_atoms - 1
-        chain.append(_combine(chain[-1], atom, set(), set(), [(end, 0, BondOrder.SINGLE)]))
-    return chain
-
-
 class TestJoinInheritance:
     """A join product's fingerprint is its reagents' bits ORed with the
     hashes of the paths that cross the new bond."""
@@ -202,8 +156,8 @@ class TestJoinInheritance:
         splits = 0
         for mol in cached_molecules:
             full = {spec: path_fingerprint(mol, *spec) for spec in specs}
-            for i, j in _bridges(mol):
-                product = _split_and_rejoin(mol, i, j)
+            for i, j in bridges(mol):
+                product = split_and_rejoin(mol, i, j)
                 frag_a, frag_b, _, _ = product._origin
                 for spec in specs:
                     reagents = (path_fingerprint(frag_a, *spec),
@@ -252,7 +206,7 @@ class TestJoinInheritance:
         assert bits[0] == bits[1] == path_fingerprint(first)
 
     def test_deep_chain_resolves_without_recursion(self):
-        chain = _chain(300)
+        chain = join_chain(300)
         for mol in chain:
             mol.canonical_form  # canonicalisation recurses by size; not under test
         spec = FingerprintTanimoto(2048, 7)
@@ -305,7 +259,7 @@ class TestJoinInheritance:
             assert fp == path_fingerprint(mol)
 
     def test_reagent_fingerprints_must_match_the_product(self):
-        product = _chain(1)[-1]
+        product = join_chain(1)[-1]
         reagents = tuple(path_fingerprint(m, 512, 5) for m in product._origin[:2])
         with pytest.raises(ValueError):
             path_fingerprint(product, 2048, 5, reagents)

@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 
+import molbo.kernel
 from conftest import random_molecule
 from molbo.fingerprint import tanimoto
 from molbo.gp import _FamilyEvaluator
@@ -11,13 +13,16 @@ from molbo.kernel import (
     KernelCache,
     OTExpSum,
     SumKernel,
+    _cell,
     combine,
     cross_gram,
     diagonal,
+    features,
     gram,
     psd_project,
 )
 from molbo.molgraph import add_explicit_hydrogens, parse_smiles
+from molbo.otdist import distance_vector, distance_vectors
 
 
 def expand(text):
@@ -168,29 +173,136 @@ class TestPsdProject:
 
 
 def test_square_block_looks_up_each_pair_once(monkeypatch):
+    """A square block computes each unordered pair once, and a list equal
+    to it asks for nothing new."""
     mols = [expand(s) for s in ("C", "CC", "CCO", "CCN", "COC")]
-    seen = []
-    lookup = KernelCache.distance_vector
+    computed = []
+    batch = molbo.kernel.distance_vectors
 
-    def counting(self, x, y):
-        seen.append((x.canonical_form, y.canonical_form))
-        return lookup(self, x, y)
+    def counting(firsts, seconds):
+        computed.extend(frozenset((x.canonical_form, y.canonical_form))
+                        for x, y in zip(firsts, seconds))
+        return batch(firsts, seconds)
 
-    monkeypatch.setattr(KernelCache, "distance_vector", counting)
+    monkeypatch.setattr(molbo.kernel, "distance_vectors", counting)
     spec = OTExpSum((0.5, 1.0, 0.02, 1.0))
     cache = KernelCache()
     g = gram(mols, spec, cache)
-    assert len(seen) == 15  # 5 diagonal cells + 10 unordered pairs
+    assert len(computed) == len(set(computed)) == 10  # the diagonal is known zero
     assert np.array_equal(g, cross_gram(mols, list(mols), spec, cache))
-    assert len(seen) == 15 + 25  # a list equal to mols but not it: every cell
+    assert len(computed) == 10  # a list equal to mols but not it: every cell known
 
 
-def test_cache_shares_isomorphic_entries():
+def test_cache_shares_isomorphic_entries(monkeypatch):
+    computed = []
+    one_pair = molbo.kernel.distance_vector
+    monkeypatch.setattr(molbo.kernel, "distance_vector",
+                        lambda x, y: computed.append((x, y)) or one_pair(x, y))
     cache = KernelCache()
     a1, a2 = expand("CCO"), expand("OCC")
     v1 = cache.distance_vector(a1, expand("CC"))
-    v2 = cache.distance_vector(a2, expand("CC"))
-    assert v1 is v2  # same canonical pair hits the same entry
+    v2 = cache.distance_vector(a2, parse_smiles("CC"))
+    assert len(computed) == 1  # same canonical pair: computed once
+    assert v1.tobytes() == v2.tobytes()
+
+
+class RequestOrderMemo:
+    """What the store must hold: a memo keyed by the unordered canonical
+    pair, filled in request order, whose first request fixes the vector."""
+
+    def __init__(self):
+        self.vectors = {}
+
+    def __call__(self, x, y):
+        key = tuple(sorted((x.canonical_form, y.canonical_form)))
+        if key not in self.vectors:
+            self.vectors[key] = distance_vector(x, y)
+        return self.vectors[key]
+
+    def block(self, rows, cols):
+        """The ``4 x r x c`` distance tensor, asked for in the store's order."""
+        if cols is rows:
+            cells = [(i, j) for i in range(len(rows)) for j in range(i, len(rows))]
+        else:
+            cells = [(i, j) for i in range(len(rows)) for j in range(len(cols))]
+        out = np.empty((len(rows), len(cols), 4))
+        for i, j in cells:
+            out[i, j] = self(rows[i], cols[j])
+            if cols is rows:
+                out[j, i] = out[i, j]
+        return out.transpose(2, 0, 1)
+
+
+#: Molecules beside the corpus, among which some pairs change bits when
+#: swapped (isobutane and acrylic acid, for one).
+EXTRA = ("C=CC(=O)O", "c1ccc(O)cc1CCN", "CCSC(=O)CCl", "FC(F)(F)c1ccccc1", "OC1CCCCC1")
+
+
+def asymmetric_pair(mols):
+    """The first pair ``(a, b)``, ``a`` listed before ``b``, whose
+    distance vector changes bits when swapped."""
+    pairs = list(itertools.combinations(mols, 2))
+    firsts, seconds = zip(*pairs)
+    swapped = distance_vectors(firsts, seconds) != distance_vectors(seconds, firsts)
+    return pairs[int(np.flatnonzero(swapped.any(axis=1))[0])]
+
+
+class TestDistanceStore:
+    """Every cell the store gives has the bytes of ``distance_vector`` in
+    the orientation of the pair's first request."""
+
+    SPEC = OTExpSum((0.5, 1.0, 0.02, 1.0))
+
+    def check(self, rows, cols, cache, memo):
+        dist, _ = features(rows, cols, self.SPEC, cache)
+        want = memo.block(rows, cols)
+        assert dist.tobytes() == np.ascontiguousarray(want).tobytes()
+        return want
+
+    def test_blocks_match_the_request_order_memo(self, corpus):
+        texts = corpus + list(EXTRA)
+        heavy = [parse_smiles(s) for s in texts]
+        expanded = [expand(s) for s in texts]  # explicit hydrogens
+        a, b = asymmetric_pair(heavy)
+        ia, ib = heavy.index(a), heavy.index(b)
+        cache, memo = KernelCache(), RequestOrderMemo()
+        first = cache.distance_vector(b, a)
+        assert first.tobytes() == memo(b, a).tobytes()
+        assert first.tobytes() != distance_vector(a, b).tobytes()
+        # Cross blocks over overlapping lists ask for some pairs both ways.
+        cols = heavy[20:] + heavy[:5]
+        self.check(heavy[25:], cols, cache, memo)
+        self.check(cols, heavy[25:], cache, memo)
+        self.check(expanded[:30], expanded[:30], cache, memo)
+        want = self.check(expanded, expanded, cache, memo)
+        assert want[:, ia, ib].tobytes() == want[:, ib, ia].tobytes() == first.tobytes()
+        assert np.array_equal(gram(expanded, self.SPEC, cache), combine(self.SPEC, want, None))
+        want = self.check(heavy[::-1], expanded, cache, memo)
+        assert np.array_equal(cross_gram(heavy[::-1], expanded, self.SPEC, cache),
+                              combine(self.SPEC, want, None))
+        assert cache.distance_vector(a, b).tobytes() == first.tobytes()
+
+    def test_store_grows_and_keeps_every_cell(self, corpus):
+        rng = random.Random(8)
+        pool = [parse_smiles(s) for s in corpus]
+        pool += [random_molecule(rng, max_heavy=8, expanded=rng.random() < 0.5)
+                 for _ in range(150)]
+        cache, memo = KernelCache(), RequestOrderMemo()
+        train = pool[:8]
+        capacities = []
+        for step in range(8, len(pool), 16):
+            self.check(train, train, cache, memo)
+            candidates = pool[step:step + 16]
+            self.check(train, candidates, cache, memo)
+            train = train + candidates[::3]
+            self.check(candidates, train, cache, memo)
+            capacities.append(len(cache._known))
+        assert len(set(capacities)) >= 3  # grown at least twice
+        ids = cache._ids
+        for (k1, k2), vec in memo.vectors.items():
+            assert cache._store[_cell(ids[k1], ids[k2])].tobytes() == vec.tobytes()
+        pairs = {frozenset(key) for key in memo.vectors if key[0] != key[1]}
+        assert cache._known.sum() == len(ids) + len(pairs)
 
 
 FAMILIES = [

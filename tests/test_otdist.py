@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +12,11 @@ from scipy.optimize import linprog
 
 import molbo
 import oracles
-from conftest import random_molecule, relabel
+from conftest import bridges, join_chain, random_molecule, relabel, split_and_rejoin
 from molbo import otdist
 from molbo.kernel import OTExpSum
 from molbo.molgraph import (
+    Molecule,
     WeightMode,
     add_explicit_hydrogens,
     atom_weight,
@@ -265,12 +267,19 @@ class TestDistanceVector:
         assert labels == ["unit_raw", "unit_norm", "mass_raw", "mass_norm"]
 
 
+def element_classes(table, sym):
+    """The ``(profile, count)`` classes of element ``sym`` in a class
+    table, in sorted profile order."""
+    return tuple(sorted((p, n) for (s, p), n in table.tally.items() if s == sym))
+
+
 @pytest.fixture(scope="module")
-def met_block_pairs(cached_molecules, tmp_path_factory):
-    """Every element-block pair ``distance_vector`` meets in a fixed-seed
-    guided join run on the acceptance pool, then every pair of distinct
-    same-element blocks of ``cached_molecules``."""
-    pairs = []
+def met_blocks(cached_molecules, tmp_path_factory):
+    """``(classes1, classes2, cost)`` for every shared element block that
+    ``_element_costs`` meets in a fixed-seed guided join run on the
+    acceptance pool, then for every pair of distinct same-element blocks
+    of ``cached_molecules``."""
+    blocks = []
     cfg = RunConfig(
         initial_pool=("C", "N", "O", "CC", "CO", "CN", "CCO", "CCC", "CCN", "COC"),
         objective=Objective(kind=ObjectiveKind.HEAVY_ATOM_TARGET, target=25),
@@ -280,23 +289,34 @@ def met_block_pairs(cached_molecules, tmp_path_factory):
         oracle=OracleKind.JOIN,
         conditions=(Condition("join"),),
     )
-    real = otdist._block_cost
+    real = otdist._element_costs
 
-    def recording(b1, b2):
-        pairs.append((b1, b2))
-        return real(b1, b2)
+    def recording(tables, left, right):
+        elements, costs = real(tables, left, right)
+        for k, (i, j) in enumerate(zip(left.tolist(), right.tolist())):
+            for e, sym in enumerate(elements):
+                c1, c2 = element_classes(tables[i], sym), element_classes(tables[j], sym)
+                if c1 and c2:
+                    blocks.append((c1, c2, costs[k, e]))
+        return elements, costs
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(otdist, "_block_cost", recording)
+        mp.setattr(otdist, "_element_costs", recording)
         run(cfg, tmp_path_factory.mktemp("walk") / "run.jsonl")
-    assert len(pairs) > 1000
-    by_element: dict[str, dict] = {}
+    assert len(blocks) > 1000
+    by_element: dict[str, set] = {}
     for m in cached_molecules:
-        for sym, b in otdist._atom_classes(m).blocks.items():
-            by_element.setdefault(sym, {})[(b.counts, b.profiles)] = b
-    for found in by_element.values():
-        pairs += itertools.combinations(found.values(), 2)
-    return pairs
+        table = otdist._class_table(m)
+        for sym in {s for s, _ in table.tally}:
+            by_element.setdefault(sym, set()).add(element_classes(table, sym))
+    for sym, found in sorted(by_element.items()):
+        found = sorted(found)
+        tables = [otdist._ClassTable(Counter({(sym, p): n for p, n in c}), 0, 0.0)
+                  for c in found]
+        left, right = np.array(list(itertools.combinations(range(len(found)), 2))).reshape(-1, 2).T
+        _, costs = real(tables, left, right)
+        blocks += [(found[i], found[j], cost) for i, j, cost in zip(left, right, costs[:, 0])]
+    return blocks
 
 
 def test_heavy_distances_equal_the_expansion_bytes(heavy_molecules):
@@ -309,26 +329,58 @@ def test_heavy_distances_equal_the_expansion_bytes(heavy_molecules):
         assert distance_vector(a, b).tobytes() == want.tobytes()
 
 
-def test_block_costs_match_whole_block_simplex(met_block_pairs):
-    """Matching equal profiles first gives the cost of the simplex on the
-    whole block."""
+def test_block_costs_match_whole_block_simplex(met_blocks):
+    """Matching equal profiles first, then closing or solving the residual,
+    gives the cost of the simplex on the whole block."""
     solved = 0
-    for b1, b2 in met_block_pairs:
-        ref = oracles.block_cost_whole(b1, b2)
-        assert otdist._block_cost(b1, b2) == pytest.approx(ref, rel=1e-12, abs=0.0)
-        solved += len(b1.counts) > 1 and len(b2.counts) > 1
+    for c1, c2, cost in met_blocks:
+        ref = oracles.block_cost_whole(c1, c2)
+        assert cost == pytest.approx(ref, rel=1e-12, abs=0.0)
+        solved += len(c1) > 1 and len(c2) > 1
     assert solved > 1000
 
 
-def test_profile_cost_is_a_metric_on_met_profiles(met_block_pairs):
+def test_profile_cost_is_a_metric_on_met_profiles(met_blocks):
     """Pre-matching is exact because ``c_str`` obeys the triangle
     inequality; check it on every triple of the profiles met above."""
-    profiles = sorted({p for pair in met_block_pairs for b in pair for p in b.profiles})
+    profiles = sorted({p for c1, c2, _ in met_blocks for p, _ in c1 + c2})
     assert len(profiles) > 50
     d = np.array([[otdist._profile_cost(p, q) for q in profiles] for p in profiles])
     assert np.array_equal(d, d.T) and not d.diagonal().any()
     for j in range(len(profiles)):
         assert (d <= d[:, [j]] + d[[j], :] + 1e-12).all()
+
+
+def full_class_table(mol):
+    """The class table of ``mol`` built from its atoms, ignoring any origin."""
+    return otdist._class_table(Molecule(mol.atoms, mol.bonds))
+
+
+class TestInheritedClassTables:
+    """A join product's class table comes from its reagents' tables and
+    equals the one built from its atoms."""
+
+    def test_split_at_every_bridge_rejoins_exactly(self, cached_molecules):
+        splits = 0
+        for mol in cached_molecules:
+            full = full_class_table(mol)
+            for i, j in bridges(mol):
+                product = split_and_rejoin(mol, i, j)
+                inherited = otdist._class_table(product)
+                assert all(r._transport_classes is not None for r in product._origin[:2])
+                assert inherited.tally == full.tally
+                assert (inherited.total_units, inherited.total_mass) == (
+                    full.total_units, full.total_mass)
+                splits += 1
+        assert splits > 1000
+
+    def test_deep_chain_resolves_without_recursion(self):
+        # Deeper than the default recursion limit: resolving the origins
+        # one call per ancestor would raise RecursionError.
+        chain = join_chain(2000)
+        table = otdist._class_table(chain[-1])
+        assert all(m._transport_classes is not None for m in chain)
+        assert table == full_class_table(chain[-1])
 
 
 def test_structure_cost_is_the_multiset_jaccard(cached_molecules):
