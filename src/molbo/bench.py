@@ -108,14 +108,10 @@ def run_bench(
         per_seed = [curves[method][seed] for seed in spec.seeds]
         length = max(len(c) for c in per_seed)
         padded = np.array([c + [c[-1]] * (length - len(c)) for c in per_seed])
-        mean = padded.mean(axis=0)
-        if padded.shape[0] > 1:
-            stderr = padded.std(axis=0, ddof=1) / np.sqrt(padded.shape[0])
-        else:
-            stderr = np.zeros(length)
+        stderr = padded.std(axis=0, ddof=1) / np.sqrt(len(per_seed))
         result[method] = {
             "iterations": list(range(length)),
-            "mean": mean.tolist(),
+            "mean": padded.mean(axis=0).tolist(),
             "stderr": stderr.tolist(),
             "final_values": [c[-1] for c in per_seed],
         }

@@ -13,16 +13,14 @@ Transport distances come from the cache's per-run store: one growing
 array with a row per unordered pair of canonical-form ids and a
 known-mask, from which ``features`` gathers a block with one fancy index
 after the cache has computed the block's missing pairs in one
-``distance_vectors`` pass.  Each pair is computed once, in the
-orientation of its first request (row molecule first in a cross block,
-``(rows[i], rows[j])`` with ``i <= j`` in a Gram, row-major order), and
-serves both orders, so a Gram is symmetric bit for bit.  Tanimoto values
-are computed per pair; a Gram computes each unordered pair once and
-mirrors it.  ``diagonal`` is ``combine`` on the closed-form features of a
-molecule against itself.  The transport kernel is not known to be
-positive definite, so training Gram matrices are projected onto the PSD
-cone by eigenvalue clamping before GP use; cross-covariances keep raw
-kernel values.
+``distance_vectors`` pass.  Each pair is computed once and serves both
+orders, which is exact because ``distance_vector`` is symmetric bit for
+bit; so is a Gram.  Tanimoto values are computed per pair; a Gram
+computes each unordered pair once and mirrors it.  ``diagonal`` is
+``combine`` on the closed-form features of a molecule against itself.
+The transport kernel is not known to be positive definite, so training
+Gram matrices are projected onto the PSD cone by eigenvalue clamping
+before GP use; cross-covariances keep raw kernel values.
 """
 
 from __future__ import annotations
@@ -102,11 +100,8 @@ class KernelCache:
     array with room to grow also holds its padding.  ``distances``
     computes every missing pair of a block in one ``distance_vectors``
     pass and gathers the block with one fancy index; ``distance_vector``
-    reads the same store one pair at a time.  ``distance_vector`` is not
-    symmetric bit for bit, so a pair is computed once, in the
-    orientation of its first request, and serves both orders: a cross
-    block asks for ``(row, col)`` and a square one for
-    ``(rows[i], rows[j])`` with ``i <= j``, each in row-major order.
+    reads the same store one pair at a time.  One row serves both orders
+    of a pair, as ``otdist.distance_vector`` is symmetric bit for bit.
 
     A join product's fingerprint is built from its reagents' cached ones
     and the paths that cross the join bond; a reagent not yet cached is
@@ -143,22 +138,15 @@ class KernelCache:
 
     def distances(self, rows: list[Molecule], cols: list[Molecule]) -> np.ndarray:
         """The ``len(rows) x len(cols) x 4`` distance vectors of the
-        block; a square block (``cols is rows``) asks only for its upper
-        triangle."""
-        row_ids = self._ids_of(rows)
-        col_ids = row_ids if cols is rows else self._ids_of(cols)
-        n, m = len(row_ids), len(col_ids)
-        i, j = np.triu_indices(n) if cols is rows else np.divmod(np.arange(n * m), m)
-        cell = _cell(row_ids[i], col_ids[j])
-        missing = ~self._known[cell]
-        if missing.any():
-            i, j, cell = i[missing], j[missing], cell[missing]
-            _, first = np.unique(cell, return_index=True)
-            i, j, cell = i[first], j[first], cell[first]
-            self._store[cell] = distance_vectors([rows[k] for k in i.tolist()],
-                                                 [cols[k] for k in j.tolist()])
-            self._known[cell] = True
-        return self._store[_cell(row_ids[:, None], col_ids)]
+        block; each missing unordered pair is computed once."""
+        cells = _cell(self._ids_of(rows)[:, None], self._ids_of(cols))
+        i, j = np.nonzero(~self._known[cells])
+        if len(i):
+            missing, one = np.unique(cells[i, j], return_index=True)
+            self._store[missing] = distance_vectors([rows[k] for k in i[one].tolist()],
+                                                    [cols[k] for k in j[one].tolist()])
+            self._known[missing] = True
+        return self._store[cells]
 
     def distance_vector(self, x: Molecule, y: Molecule) -> np.ndarray:
         cell = _cell(*self._ids_of([x, y]))

@@ -52,9 +52,10 @@ built, and its total unit and mass weights.  A join product's tally is
 its reagents' tallies with the classes of the new bond's two ends moved
 and their implicit hydrogens changed by the free-valence difference; a
 reagent with no table yet is built first, by a loop over origins.
-``distance_vector`` is not symmetric bit for bit, since the simplex may
-round differently when the sides swap; a cache that keeps one vector per
-unordered pair fixes which orientation it computes.
+``distance_vector`` is symmetric bit for bit, as OTMANN's distance is:
+every step but the simplex treats the two sides alike, and the simplex,
+which may round differently on a transposed problem, gets each residual
+with its sides in one canonical order (``_residual_cost``).
 """
 
 from __future__ import annotations
@@ -516,12 +517,14 @@ def _element_costs(
 def _residual_cost(r1: list[tuple[_Profile, int]], r2: list[tuple[_Profile, int]]) -> float:
     """Unit-weight cost of a residual block, its classes on each side in
     sorted profile order: a cheapest-first fill when one side has a single
-    class, and the transportation simplex otherwise."""
+    class, and the transportation simplex otherwise.  The side with fewer
+    classes (then the smaller list) goes first, so both orders of a pair
+    pose the same problem."""
+    if (len(r2), r2) < (len(r1), r1):
+        r1, r2 = r2, r1
     t1 = sum(n for _, n in r1)
     t2 = sum(m for _, m in r2)
-    if len(r1) == 1 or len(r2) == 1:
-        if len(r1) != 1:
-            r1, r2 = r2, r1
+    if len(r1) == 1:
         p = r1[0][0]
         left = min(t1, t2)
         cost = float(abs(t1 - t2))

@@ -18,6 +18,11 @@ from molbo.synthesis import CONDITION_LIBRARY, Condition, OracleKind, _combine
 
 DATA_DIR = Path(__file__).parent / "data"
 
+#: Molecules beside the corpus.  Isobutane (in the corpus) and acrylic
+#: acid are a pair whose distance vector the simplex once rounded
+#: differently when the sides were swapped.
+EXTRA = ("C=CC(=O)O", "c1ccc(O)cc1CCN", "CCSC(=O)CCl", "FC(F)(F)c1ccccc1", "OC1CCCCC1")
+
 
 @pytest.fixture(scope="session")
 def corpus() -> list[str]:

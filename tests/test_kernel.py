@@ -1,11 +1,10 @@
-import itertools
 import random
 
 import numpy as np
 import pytest
 
 import molbo.kernel
-from conftest import random_molecule
+from conftest import EXTRA, random_molecule
 from molbo.fingerprint import tanimoto
 from molbo.gp import _FamilyEvaluator
 from molbo.kernel import (
@@ -22,7 +21,7 @@ from molbo.kernel import (
     psd_project,
 )
 from molbo.molgraph import add_explicit_hydrogens, parse_smiles
-from molbo.otdist import distance_vector, distance_vectors
+from molbo.otdist import distance_vector
 
 
 def expand(text):
@@ -206,9 +205,9 @@ def test_cache_shares_isomorphic_entries(monkeypatch):
     assert v1.tobytes() == v2.tobytes()
 
 
-class RequestOrderMemo:
-    """What the store must hold: a memo keyed by the unordered canonical
-    pair, filled in request order, whose first request fixes the vector."""
+class PairMemo:
+    """What the store must hold: a memo of ``distance_vector`` keyed by
+    the unordered canonical pair."""
 
     def __init__(self):
         self.vectors = {}
@@ -220,36 +219,12 @@ class RequestOrderMemo:
         return self.vectors[key]
 
     def block(self, rows, cols):
-        """The ``4 x r x c`` distance tensor, asked for in the store's order."""
-        if cols is rows:
-            cells = [(i, j) for i in range(len(rows)) for j in range(i, len(rows))]
-        else:
-            cells = [(i, j) for i in range(len(rows)) for j in range(len(cols))]
-        out = np.empty((len(rows), len(cols), 4))
-        for i, j in cells:
-            out[i, j] = self(rows[i], cols[j])
-            if cols is rows:
-                out[j, i] = out[i, j]
-        return out.transpose(2, 0, 1)
-
-
-#: Molecules beside the corpus, among which some pairs change bits when
-#: swapped (isobutane and acrylic acid, for one).
-EXTRA = ("C=CC(=O)O", "c1ccc(O)cc1CCN", "CCSC(=O)CCl", "FC(F)(F)c1ccccc1", "OC1CCCCC1")
-
-
-def asymmetric_pair(mols):
-    """The first pair ``(a, b)``, ``a`` listed before ``b``, whose
-    distance vector changes bits when swapped."""
-    pairs = list(itertools.combinations(mols, 2))
-    firsts, seconds = zip(*pairs)
-    swapped = distance_vectors(firsts, seconds) != distance_vectors(seconds, firsts)
-    return pairs[int(np.flatnonzero(swapped.any(axis=1))[0])]
+        """The ``4 x r x c`` distance tensor."""
+        return np.array([[self(x, y) for y in cols] for x in rows]).transpose(2, 0, 1)
 
 
 class TestDistanceStore:
-    """Every cell the store gives has the bytes of ``distance_vector`` in
-    the orientation of the pair's first request."""
+    """Every cell the store gives has the bytes of ``distance_vector``."""
 
     SPEC = OTExpSum((0.5, 1.0, 0.02, 1.0))
 
@@ -259,23 +234,20 @@ class TestDistanceStore:
         assert dist.tobytes() == np.ascontiguousarray(want).tobytes()
         return want
 
-    def test_blocks_match_the_request_order_memo(self, corpus):
+    def test_blocks_match_the_pair_memo(self, corpus):
         texts = corpus + list(EXTRA)
         heavy = [parse_smiles(s) for s in texts]
         expanded = [expand(s) for s in texts]  # explicit hydrogens
-        a, b = asymmetric_pair(heavy)
-        ia, ib = heavy.index(a), heavy.index(b)
-        cache, memo = KernelCache(), RequestOrderMemo()
+        cache, memo = KernelCache(), PairMemo()
+        a, b = heavy[texts.index("CC(C)C")], heavy[texts.index("C=CC(=O)O")]
         first = cache.distance_vector(b, a)
-        assert first.tobytes() == memo(b, a).tobytes()
-        assert first.tobytes() != distance_vector(a, b).tobytes()
+        assert first.tobytes() == memo(b, a).tobytes() == distance_vector(a, b).tobytes()
         # Cross blocks over overlapping lists ask for some pairs both ways.
         cols = heavy[20:] + heavy[:5]
         self.check(heavy[25:], cols, cache, memo)
         self.check(cols, heavy[25:], cache, memo)
         self.check(expanded[:30], expanded[:30], cache, memo)
         want = self.check(expanded, expanded, cache, memo)
-        assert want[:, ia, ib].tobytes() == want[:, ib, ia].tobytes() == first.tobytes()
         assert np.array_equal(gram(expanded, self.SPEC, cache), combine(self.SPEC, want, None))
         want = self.check(heavy[::-1], expanded, cache, memo)
         assert np.array_equal(cross_gram(heavy[::-1], expanded, self.SPEC, cache),
@@ -287,7 +259,7 @@ class TestDistanceStore:
         pool = [parse_smiles(s) for s in corpus]
         pool += [random_molecule(rng, max_heavy=8, expanded=rng.random() < 0.5)
                  for _ in range(150)]
-        cache, memo = KernelCache(), RequestOrderMemo()
+        cache, memo = KernelCache(), PairMemo()
         train = pool[:8]
         capacities = []
         for step in range(8, len(pool), 16):

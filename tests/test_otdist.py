@@ -12,7 +12,7 @@ from scipy.optimize import linprog
 
 import molbo
 import oracles
-from conftest import bridges, join_chain, random_molecule, relabel, split_and_rejoin
+from conftest import EXTRA, bridges, join_chain, random_molecule, relabel, split_and_rejoin
 from molbo import otdist
 from molbo.kernel import OTExpSum
 from molbo.molgraph import (
@@ -32,6 +32,7 @@ from molbo.otdist import (
     MISMATCH_PENALTY,
     build_costs,
     distance_vector,
+    distance_vectors,
     solve_ot,
     solve_transport,
 )
@@ -256,11 +257,17 @@ class TestDistanceVector:
             assert np.all(vec >= 0.0)
             assert vec[1] <= 1.0 + 1e-9 and vec[3] <= 1.0 + 1e-9
 
-    def test_symmetry(self):
+    def test_symmetry(self, corpus):
+        """Bit for bit, on random pairs and on every pair of the corpus and
+        ``EXTRA``."""
         rng = random.Random(6)
         for _ in range(25):
             m1, m2 = random_molecule(rng), random_molecule(rng)
-            assert np.abs(distance_vector(m1, m2) - distance_vector(m2, m1)).max() <= 1e-9
+            assert distance_vector(m1, m2).tobytes() == distance_vector(m2, m1).tobytes()
+        mols = [parse_smiles(s) for s in corpus + list(EXTRA)]
+        firsts, seconds = zip(*itertools.combinations(mols, 2))
+        assert (distance_vectors(firsts, seconds).tobytes()
+                == distance_vectors(seconds, firsts).tobytes())
 
     def test_config_order_labels(self):
         labels = [c.label for c in CONFIG_ORDER]
@@ -375,10 +382,18 @@ class TestInheritedClassTables:
         assert splits > 1000
 
     def test_deep_chain_resolves_without_recursion(self):
-        # Deeper than the default recursion limit: resolving the origins
-        # one call per ancestor would raise RecursionError.
-        chain = join_chain(2000)
-        table = otdist._class_table(chain[-1])
+        chain = join_chain(300)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        # far fewer frames than the chain is deep: resolving the origins
+        # one call per ancestor would raise RecursionError
+        sys.setrecursionlimit(depth + 100)
+        try:
+            table = otdist._class_table(chain[-1])
+        finally:
+            sys.setrecursionlimit(limit)
         assert all(m._transport_classes is not None for m in chain)
         assert table == full_class_table(chain[-1])
 

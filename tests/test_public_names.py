@@ -5,6 +5,7 @@ import or string constant equal to it) outside the definition itself,
 in ``src/molbo`` outside ``__init__.py``, or anywhere in ``demos/`` or
 ``perfbench/``.  A top-level definition is its whole statement (a
 function, class or module-level assignment); a method is its ``def``.
+A function nested in another must be used by its enclosing function.
 """
 
 import ast
@@ -89,6 +90,27 @@ def _unreferenced(keep) -> list[str]:
     ]
 
 
+def _nested(node: ast.AST, outer: ast.AST | None = None):
+    """Each function defined inside another, with its nearest enclosing
+    function."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, FUNCTIONS) and outer is not None:
+            yield child, outer
+        yield from _nested(child, child if isinstance(child, FUNCTIONS) else outer)
+
+
+def _unreferenced_nested(source: str) -> list[str]:
+    """Names of the nested functions in ``source`` that their enclosing
+    function does not use outside their own definition."""
+    unused = []
+    for inner, outer in _nested(ast.parse(source)):
+        uses = defaultdict(list)
+        _uses(outer, (), uses)
+        if all(inner in enclosing for enclosing in uses[inner.name]):
+            unused.append(inner.name)
+    return unused
+
+
 def _exported() -> list[str]:
     tree = ast.parse(Path(molbo.__file__).read_text(encoding="utf-8"))
     return [
@@ -113,3 +135,14 @@ def test_every_function_class_and_method_has_a_program_reference():
 def test_every_module_constant_has_a_program_reference():
     assigns = (ast.Assign, ast.AnnAssign)
     assert _unreferenced(lambda name, node: isinstance(node, assigns)) == []
+
+
+def test_every_nested_function_is_used_by_its_enclosing_function():
+    unused = [
+        f"{path.name}:{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _unreferenced_nested(path.read_text(encoding="utf-8"))
+    ]
+    assert unused == []
+    source = "def f():\n    def g():\n        return g()\n    def h():\n        pass\n    h()\n"
+    assert _unreferenced_nested(source) == ["g"]
