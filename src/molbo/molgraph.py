@@ -120,9 +120,11 @@ class Molecule:
     """Immutable connected graph of atoms and bonds.
 
     ``atoms`` is a tuple of Elements (list position is the atom index);
-    ``bonds`` maps sorted index pairs to bond orders.  Valence and
-    connectivity invariants are checked at construction, which also keeps
-    every atom's bond-order sum.  Atom ``i`` carries ``free_valence(i)``
+    ``bonds`` maps sorted index pairs to bond orders.  The constructor
+    checks the valence and connectivity invariants and keeps every atom's
+    bond-order sum; a join product (``join_molecules``) holds the same
+    invariants by construction, re-summing and checking only the new
+    bond's two ends.  Atom ``i`` carries ``free_valence(i)``
     implicit hydrogens besides any explicit H neighbours, so a molecule
     and its hydrogen expansion give the same objectives, bond profiles
     and distances.  Instances cache derived data, each built on first
@@ -130,7 +132,7 @@ class Molecule:
     skeleton, the transport class table (``molbo.otdist``) and
     functional-group sites (``_sites``, filled by ``molbo.synthesis``).
     ``_origin`` is None, or for a join product
-    ``(reagent_a, reagent_b, u, v)``, set by ``molbo.synthesis``: the
+    ``(reagent_a, reagent_b, u, v)``, set by ``join_molecules``: the
     reagents it bonds and the product indices of the new bond's ends
     (the product lists ``reagent_a``'s atoms, then ``reagent_b``'s), from
     which ``molbo.fingerprint`` builds its fingerprint and
@@ -204,9 +206,7 @@ class Molecule:
         for i, elem in enumerate(self.atoms):
             s = self._bond_sums[i]
             if s > elem.default_valence:
-                raise ValenceExceeded(
-                    f"atom {i} ({elem.symbol}) carries bond order {s} > {elem.default_valence}"
-                )
+                raise _valence_exceeded(i, elem, s)
 
     # -- basic accessors -----------------------------------------------
 
@@ -255,6 +255,60 @@ def _bond_sum(neighbors) -> int:
     # Contributions are exact binary fractions, so truncation floors an
     # aromatic sum and keeps any other sum whole.
     return int(sum(order.valence_contribution for _, order in neighbors))
+
+
+def _valence_exceeded(i: int, elem: Element, s: int) -> ValenceExceeded:
+    return ValenceExceeded(
+        f"atom {i} ({elem.symbol}) carries bond order {s} > {elem.default_valence}"
+    )
+
+
+def join_molecules(mol_a: Molecule, mol_b: Molecule, u: int, v: int,
+                   order: BondOrder) -> Molecule:
+    """The product of bonding atom ``u`` of ``mol_a`` to atom ``v`` of
+    ``mol_b`` with ``order``, its origin recorded in ``_origin``.
+
+    The product lists ``mol_a``'s atoms, then ``mol_b``'s, and equals
+    ``Molecule(atoms, bonds)`` in every other slot, bond insertion order
+    included, but is assembled from the reagents' state: ``mol_a``'s
+    adjacency tuples are reused, ``mol_b``'s are shifted, and the new
+    bond is appended at ``u`` and prepended at ``v``, which keeps both
+    tuples sorted because every ``mol_b`` index follows every ``mol_a``
+    index.  Only the bond sums at ``u`` and ``v`` change, so only they
+    are recomputed and checked, in the constructor's order and with its
+    error.  Both reagents are connected and the new bond joins them, so
+    the product is.
+    """
+    n = len(mol_a.atoms)
+    if not (0 <= u < n and 0 <= v < len(mol_b.atoms)):
+        raise InvalidMolecule(f"join ends ({u}, {v}) reference a missing atom")
+    v += n
+    atoms = mol_a.atoms + mol_b.atoms
+    bonds = dict(mol_a.bonds)
+    for (i, j), o in mol_b.bonds.items():
+        bonds[(i + n, j + n)] = o
+    bonds[(u, v)] = order
+    adjacency = [*mol_a._adjacency]
+    adjacency += [tuple([(j + n, o) for j, o in nbrs]) for nbrs in mol_b._adjacency]
+    adjacency[u] += ((v, order),)
+    adjacency[v] = ((u, order), *adjacency[v])
+    sums = [*mol_a._bond_sums, *mol_b._bond_sums]
+    for i in (u, v):
+        sums[i] = s = _bond_sum(adjacency[i])
+        if s > atoms[i].default_valence:
+            raise _valence_exceeded(i, atoms[i], s)
+    product = object.__new__(Molecule)
+    product.atoms = atoms
+    product.bonds = bonds
+    product._adjacency = tuple(adjacency)
+    product._bond_sums = tuple(sums)
+    product._canonical = None
+    product._canonical_heavy_order = None
+    product._origin = (mol_a, mol_b, u, v)
+    product._sites = {}
+    product._skeleton = None
+    product._transport_classes = None
+    return product
 
 
 def expanded_atoms(mol: Molecule):

@@ -11,7 +11,9 @@ on required conditions:
   condensation byproducts (water, HX) are dropped.
 * JOIN (testing): one rule that, under the ``join`` condition, bonds the
   first free-valence heavy atom (canonical order) of two reagents; the
-  product records its reagents and the new bond (``Molecule._origin``).
+  product is assembled from its reagents' state (``join_molecules``, no
+  constructor pass) and records its reagents and the new bond
+  (``Molecule._origin``).
 
 Rules fire in library order; when a functional group matches several
 sites, the one with the smallest canonical atom rank fires.
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import CycleDetected, InvalidMolecule, UnknownMolecule, ValenceExceeded
-from .molgraph import BondOrder, Molecule, parse_smiles, strip_hydrogens
+from .molgraph import BondOrder, Molecule, join_molecules, parse_smiles, strip_hydrogens
 # perfbench/spans.py patches this name here to count hydrogen expansions.
 from .molgraph import add_explicit_hydrogens  # noqa: F401
 
@@ -192,12 +194,14 @@ def _combine(
     """Merge two heavy skeletons, dropping atoms and adding cross bonds.
 
     Cross bonds reference original indices (a-side, b-side).  A join,
-    which drops no atom and adds exactly one cross bond, records its
-    origin on the product: ``(mol_a, mol_b, u, v)`` with ``u`` and ``v``
-    the product indices of the new bond's ends.  That bond is a bridge,
-    so the product's fingerprint and transport class table can be built
-    from the reagents'.
+    which drops no atom and adds exactly one cross bond, is assembled by
+    ``join_molecules`` from its reagents' state and records its origin
+    on the product.  That bond is a bridge, so the product's fingerprint
+    and transport class table can be built from the reagents'.  Any
+    other merge goes through the general constructor.
     """
+    if not drop_a and not drop_b and len(cross_bonds) == 1:
+        return join_molecules(mol_a, mol_b, *cross_bonds[0])
     map_a = {}
     atoms = []
     for i, atom in enumerate(mol_a.atoms):
@@ -218,11 +222,7 @@ def _combine(
             bonds[(map_b[i], map_b[j])] = order
     for a, b, order in cross_bonds:
         bonds[(map_a[a], map_b[b])] = order
-    product = Molecule(atoms, bonds)
-    if not drop_a and not drop_b and len(cross_bonds) == 1:
-        a, b, _ = cross_bonds[0]
-        product._origin = (mol_a, mol_b, map_a[a], map_b[b])
-    return product
+    return Molecule(atoms, bonds)
 
 
 GroupPattern = Callable[[Molecule], list[tuple]]

@@ -52,17 +52,17 @@ class TestSpec:
 
 
 class TestAggregation:
-    def test_single_seed_mean_is_curve_and_stderr_zero(self, tmp_path):
-        # single method, single seed through the aggregation path
+    def test_three_seed_mean_and_stderr_match_per_seed_runs(self, tmp_path):
+        # one method, three seeds: the aggregate against each seed run alone
         spec = BenchSpec(methods=("rand",), seeds=(5, 6, 7), base=base_config())
         result = run_bench(spec, workers=1)
-        only = {5: None}
+        per_seed = {}
         from molbo.optimizer import run
 
         for seed in (5, 6, 7):
             cfg = method_config(base_config(), "rand", seed)
-            only[seed] = run(cfg).best_so_far()
-        curves = np.array([only[s] for s in (5, 6, 7)])
+            per_seed[seed] = run(cfg).best_so_far()
+        curves = np.array([per_seed[s] for s in (5, 6, 7)])
         assert np.allclose(result["rand"]["mean"], curves.mean(axis=0))
         want_stderr = curves.std(axis=0, ddof=1) / np.sqrt(3)
         assert np.allclose(result["rand"]["stderr"], want_stderr)

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from molbo.errors import CycleDetected, UnknownMolecule
+from conftest import bridges, split_and_rejoin
+from molbo.errors import CycleDetected, InvalidMolecule, UnknownMolecule, ValenceExceeded
 from molbo.molgraph import (
+    BondOrder,
     Molecule,
     add_explicit_hydrogens,
     load_pool,
@@ -18,6 +20,7 @@ from molbo.synthesis import (
     OracleKind,
     SynthesisDag,
     TEMPLATE_LIBRARY,
+    _combine,
     _join_site,
     _sites,
     dag_from_json,
@@ -80,6 +83,112 @@ class TestJoinOracle:
             assert expanded.n_atoms == 6 + 6 + 7 - 2  # the new bond takes one H from each
             assert all(expanded.free_valence(i) == 0 for i in range(expanded.n_atoms))
             assert expanded.canonical_form == p.canonical_form
+
+
+def constructed_join(mol_a, mol_b, u, v, order):
+    """The join of atom ``u`` of ``mol_a`` and atom ``v`` of ``mol_b`` through
+    the general constructor, with the bonds in the order a merge inserts
+    them: ``mol_a``'s, then ``mol_b``'s shifted, then the new bond."""
+    n = mol_a.n_atoms
+    bonds = dict(mol_a.bonds)
+    bonds.update({(i + n, j + n): o for (i, j), o in mol_b.bonds.items()})
+    bonds[(u, v + n)] = order
+    return Molecule(mol_a.atoms + mol_b.atoms, bonds)
+
+
+def assert_join_is_constructed(mol_a, mol_b, u, v, order):
+    """``_combine``'s join equals the constructor's product in every slot,
+    or raises the constructor's error; returns whether it succeeded."""
+    try:
+        want = constructed_join(mol_a, mol_b, u, v, order)
+    except ValenceExceeded as error:
+        with pytest.raises(ValenceExceeded) as raised:
+            _combine(mol_a, mol_b, set(), set(), [(u, v, order)])
+        assert str(raised.value) == str(error)
+        return False
+    got = _combine(mol_a, mol_b, set(), set(), [(u, v, order)])
+    for name in Molecule.__slots__:
+        if name == "bonds":
+            assert list(got.bonds.items()) == list(want.bonds.items())
+        elif name == "_origin":
+            assert got._origin == (mol_a, mol_b, u, v + mol_a.n_atoms)
+        else:
+            assert getattr(got, name) == getattr(want, name), name
+    assert got.canonical_form == want.canonical_form
+    assert got.canonical_heavy_order() == want.canonical_heavy_order()
+    return True
+
+
+class TestJoinAssembly:
+    """A join product is assembled from its reagents' state, and equals
+    the product of the general constructor."""
+
+    def test_every_bridge_split_rejoins_to_the_constructed_product(self, cached_molecules):
+        splits = 0
+        for mol in cached_molecules:
+            for i, j in bridges(mol):
+                product = split_and_rejoin(mol, i, j)
+                assert product.canonical_form == mol.canonical_form
+                frag_a, frag_b, u, v = product._origin
+                order = mol.bonds[(i, j)]
+                assert assert_join_is_constructed(frag_a, frag_b, u, v - frag_a.n_atoms, order)
+                splits += 1
+        assert splits > 1000
+
+    @pytest.mark.parametrize("text_a, text_b", [
+        ("CC(=O)O", None),  # a self-join: the same object on both sides
+        ("c1ccccc1", None),
+        ("c1ccccc1", "CC=O"),
+        ("CN", "c1ccncc1"),
+        ("c1ccc2ccccc2c1", "C=CC#N"),
+    ])
+    def test_every_atom_pair_and_order(self, text_a, text_b):
+        mol_a = parse_smiles(text_a)
+        mol_b = mol_a if text_b is None else parse_smiles(text_b)
+        joined = 0
+        for u, v in itertools.product(range(mol_a.n_atoms), range(mol_b.n_atoms)):
+            for order in (BondOrder.SINGLE, BondOrder.DOUBLE):
+                joined += assert_join_is_constructed(mol_a, mol_b, u, v, order)
+        assert joined > 0
+
+    def test_aromatic_ring_atom_join(self):
+        benzene = parse_smiles("c1ccccc1")
+        product = _combine(benzene, benzene, set(), set(), [(0, 3, BondOrder.SINGLE)])
+        assert product.canonical_form == canon("c1ccc(cc1)-c1ccccc1")
+        assert [product.bond_order_sum(i) for i in (0, 9)] == [4, 4]
+        assert assert_join_is_constructed(benzene, benzene, 0, 3, BondOrder.SINGLE)
+
+    @pytest.mark.parametrize("text_a, text_b, u, v, message", [
+        ("CC(C)(C)C", "C", 1, 0, "atom 1 (C) carries bond order 6 > 4"),  # at u
+        ("C", "FC", 0, 0, "atom 1 (F) carries bond order 3 > 1"),  # at v
+        ("FC", "FC", 0, 0, "atom 0 (F) carries bond order 3 > 1"),  # both: u first
+    ])
+    def test_an_end_without_free_valence_raises_the_constructor_error(
+            self, text_a, text_b, u, v, message):
+        mol_a, mol_b = parse_smiles(text_a), parse_smiles(text_b)
+        with pytest.raises(ValenceExceeded) as constructed:
+            constructed_join(mol_a, mol_b, u, v, BondOrder.DOUBLE)
+        with pytest.raises(ValenceExceeded) as assembled:
+            _combine(mol_a, mol_b, set(), set(), [(u, v, BondOrder.DOUBLE)])
+        assert str(assembled.value) == str(constructed.value) == message
+
+    @pytest.mark.parametrize("u, v", [(-1, 0), (0, -1), (2, 0), (0, 3)])
+    def test_an_end_outside_its_reagent_is_rejected(self, u, v):
+        with pytest.raises(InvalidMolecule, match="reference a missing atom"):
+            _combine(parse_smiles("CO"), parse_smiles("CCN"), set(), set(),
+                     [(u, v, BondOrder.SINGLE)])
+
+    def test_joins_skip_the_constructor_and_templates_use_it(self, monkeypatch):
+        acid, alcohol = parse_smiles("CC(=O)O"), parse_smiles("CCO")
+        built = []
+        construct = Molecule.__init__
+        monkeypatch.setattr(Molecule, "__init__",
+                            lambda mol, *args: built.append(mol) or construct(mol, *args))
+        (joined,), _ = synthesize_detailed([acid, alcohol], {"join"}, OracleKind.JOIN)
+        assert built == [] and joined._origin is not None
+        (ester,), rule = synthesize_detailed([acid, alcohol], {"acid_cat"},
+                                             OracleKind.TEMPLATE)
+        assert rule == "esterification" and built == [ester]
 
 
 class TestTemplateOracle:
