@@ -1,10 +1,13 @@
 """Gaussian-process regression over molecules.
 
 The covariance is ``signal_scale**2 * PSD(K) + noise_var * I`` where K is
-the raw kernel Gram over training molecules.  A fit projects K once for
-each distinct kernel spec it meets: its random search projects the Grams
-of all its candidates in one stacked ``psd_project`` call and factorizes
-their covariances in one stacked Cholesky call.  ``build_posterior``
+the raw kernel Gram over training molecules.  A fit scores its
+hyperparameter candidates as stacks: its random search draws all of them
+with one ``rng.uniform`` call, evaluates the Grams of their distinct
+kernel specs with one stacked ``combine`` call, projects them with one
+``psd_project`` call, factorizes every covariance with one Cholesky call
+and takes every log-determinant in one reduction, so a fit projects K
+once for each distinct kernel spec it meets.  ``build_posterior``
 projects K once more.  Cross-covariances with query molecules use raw
 kernel values scaled by ``signal_scale**2``; the prior variance of every
 query is ``signal_scale**2`` times the kernel's closed-form ``diagonal``.
@@ -111,6 +114,14 @@ def _check_finite(*arrays: np.ndarray) -> None:
         raise ValueError("array must not contain infs or NaNs")
 
 
+def _targets(mols: list[Molecule], ys) -> np.ndarray:
+    """``ys`` as a float vector with one value per molecule."""
+    ys = np.asarray(ys, dtype=float)
+    if ys.shape != (len(mols),) or not mols:
+        raise ValueError("need equally many molecules and values (at least one)")
+    return ys
+
+
 def _solve(chol: np.ndarray, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
     """Solve ``chol @ x = rhs``, or ``chol.T @ x = rhs`` with ``transpose``,
     for a C-ordered lower Cholesky factor.
@@ -125,11 +136,17 @@ def _solve(chol: np.ndarray, rhs: np.ndarray, transpose: bool = False) -> np.nda
     return x
 
 
-def _lml(white: np.ndarray, chol: np.ndarray) -> float:
-    """Gaussian log evidence from the whitened residuals and the Cholesky
-    factor of their covariance."""
+def _half_logdet(chol: np.ndarray) -> np.ndarray:
+    """Half the log-determinant of the covariance a Cholesky factor
+    factorizes; over a ``(k, n, n)`` stack, each member's with the bits
+    a one-factor call gives it."""
+    return np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+
+
+def _lml(white: np.ndarray, half_logdet: float) -> float:
+    """Gaussian log evidence from the whitened residuals and the half
+    log-determinant of their covariance."""
     n = white.shape[0]
-    half_logdet = float(np.log(chol.diagonal()).sum())
     return float(-0.5 * white @ white - half_logdet - 0.5 * n * _LOG_2PI)
 
 
@@ -142,40 +159,43 @@ class _FamilyEvaluator:
     """LML evaluation for one training set with precomputed structure.
 
     The kernel ``features`` of the training set do not depend on the
-    searched hyperparameters, so they are gathered once.  ``lml_batch``
-    scores a list of candidates as one stack: one ``combine`` per distinct
-    kernel spec, one ``psd_project`` call over the new specs' Grams, one
-    Cholesky call over all covariances, then two triangular solves per
-    candidate.  The projected Gram of the last candidate's spec is kept,
-    so a candidate that moves only ``noise_var`` or ``signal_scale``
-    (every fingerprint candidate) is not projected again.
+    searched hyperparameters, so they are gathered once.  ``sample``
+    draws a batch of candidates with one ``rng.uniform`` call over their
+    bounds, with the values and generator state that one scalar draw per
+    value in candidate-major order gives.  ``lml_batch`` scores a list of
+    candidates as one stack: one ``combine`` call over the new kernel
+    specs, one ``psd_project`` call over their Grams, one Cholesky call
+    over all covariances, one finiteness check and one log-determinant
+    reduction over the factors, then two triangular solves per candidate.
+    The projected Gram of the last candidate's spec is kept, so a
+    candidate that moves only ``noise_var`` or ``signal_scale`` (every
+    fingerprint candidate) is not projected again.
     """
 
     def __init__(self, mols, ys, family: KernelSpec, cache: KernelCache):
-        self.ys = np.asarray(ys, dtype=float)
+        self.ys = _targets(mols, ys)
         _check_finite(self.ys)
         self.family = family
-        self.n = len(mols)
+        self._ones = np.ones(len(mols))
+        self.names = ["noise_var", "signal_scale"]
+        if isinstance(family, SumKernel):
+            self.names += ["alpha1", "alpha2"]
+        if isinstance(family, (OTExpSum, SumKernel)):
+            self.names += [f"beta{i}" for i in range(4)]
+        ranges = np.array([_PARAM_RANGES[name] for name in self.names], dtype=float)
+        # Log bounds only where the scale is logarithmic: the alpha range
+        # starts at zero.
+        self._log_cols = np.flatnonzero(ranges[:, 2])
+        ranges[self._log_cols, :2] = np.log(ranges[self._log_cols, :2])
+        self._bounds = ranges[:, 0], ranges[:, 1]
         self.features = features(mols, mols, family, cache)
         self._kept: dict[KernelSpec, np.ndarray] = {}
 
-    def param_names(self) -> list[str]:
-        names = ["noise_var", "signal_scale"]
-        if isinstance(self.family, SumKernel):
-            names += ["alpha1", "alpha2"]
-        if isinstance(self.family, (OTExpSum, SumKernel)):
-            names += [f"beta{i}" for i in range(4)]
-        return names
-
-    def sample(self, rng: np.random.Generator) -> dict[str, float]:
-        params = {}
-        for name in self.param_names():
-            lo, hi, log_scale = _PARAM_RANGES[name]
-            if log_scale:
-                params[name] = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-            else:
-                params[name] = float(rng.uniform(lo, hi))
-        return params
+    def sample(self, rng: np.random.Generator, count: int) -> list[dict[str, float]]:
+        """``count`` candidates drawn from the documented ranges."""
+        values = rng.uniform(*self._bounds, size=(count, len(self.names)))
+        values[:, self._log_cols] = np.exp(values[:, self._log_cols])
+        return [dict(zip(self.names, row)) for row in values.tolist()]
 
     @staticmethod
     def clamp(name: str, value: float) -> float:
@@ -192,15 +212,14 @@ class _FamilyEvaluator:
             )
         return ot
 
-    def _factors(self, candidates: list[dict[str, float]]) -> list[np.ndarray | None]:
-        """Cholesky factor of each candidate's covariance, None where it
-        is not positive definite."""
+    def _factors(self, candidates: list[dict[str, float]]) -> tuple[list[int], np.ndarray]:
+        """The indices of the candidates whose covariance is positive
+        definite, and the stack of their Cholesky factors."""
         specs = [self.spec_from(p) for p in candidates]
         grams = dict(self._kept)
         new = [s for s in dict.fromkeys(specs) if s not in grams]
         if new:
-            stack = np.stack([combine(s, *self.features) for s in new])
-            grams.update(zip(new, psd_project(stack)))
+            grams.update(zip(new, psd_project(combine(new, *self.features))))
         self._kept = {specs[-1]: grams[specs[-1]]}
         # Squares of Python floats, as in build_posterior: numpy's square
         # can differ in the last bit.
@@ -210,34 +229,32 @@ class _FamilyEvaluator:
             np.array([p["signal_scale"] ** 2 for p in candidates])[:, None, None],
         )
         try:
-            return list(np.linalg.cholesky(cov))
+            return list(range(len(cov))), np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             pass  # one member failed the stacked call; find which
-        factors = []
-        for mat in cov:
+        good = []
+        for i, mat in enumerate(cov):
             try:
-                factors.append(_cholesky(mat))
+                cov[i] = _cholesky(mat)
             except CholeskyFailure:
-                factors.append(None)
-        return factors
+                continue
+            good.append(i)
+        return good, cov[good]
 
     def lml_batch(
         self, candidates: list[dict[str, float]]
     ) -> list[tuple[float, float] | None]:
         """(log marginal likelihood, profiled mean constant) of each
         candidate, None where its covariance does not factorize."""
-        ones = np.ones(self.n)
-        results = []
-        for chol in self._factors(candidates):
-            if chol is None:
-                results.append(None)
-                continue
-            _check_finite(chol)
+        good, chols = self._factors(candidates)
+        _check_finite(chols)
+        results = [None] * len(candidates)
+        for i, chol, half_logdet in zip(good, chols, _half_logdet(chols).tolist()):
             # Two one-column solves: a two-column solve changes the bits.
             wy = _solve(chol, self.ys)
-            w1 = _solve(chol, ones)
+            w1 = _solve(chol, self._ones)
             mean = float(w1 @ wy / (w1 @ w1))
-            results.append((_lml(wy - mean * w1, chol), mean))
+            results[i] = (_lml(wy - mean * w1, half_logdet), mean)
         return results
 
 
@@ -250,10 +267,11 @@ def fit(
 ) -> GpHyperparams:
     """Maximize the marginal likelihood over the family's hyperparameters.
 
-    Seeded random search (64 draws from the documented ranges, scored as
-    one batch) followed by three greedy coordinate passes with
-    multiplicative steps of 1.5, one trial at a time.  Deterministic
-    given the generator state.
+    Seeded random search (64 candidates from the documented ranges,
+    drawn with one ``rng.uniform`` call and scored as one batch) followed
+    by three greedy coordinate passes with multiplicative steps of 1.5,
+    one trial at a time.  Deterministic given the generator state.
+    ``ys`` must hold one finite value per molecule.
     """
     if len(mols) < 3:
         raise ValueError("fit needs at least three observations")
@@ -271,12 +289,12 @@ def fit(
             if result is not None and result[0] > best_value:
                 best_params, (best_value, best_mean) = params, result
 
-    consider([ev.sample(rng) for _ in range(N_SEARCH_SAMPLES)])
+    consider(ev.sample(rng, N_SEARCH_SAMPLES))
     if best_params is None:
         raise FitFailure("all hyperparameter candidates failed to factorize")
 
     for _ in range(N_REFINE_PASSES):
-        for name in ev.param_names():
+        for name in ev.names:
             for factor in (REFINE_FACTOR, 1.0 / REFINE_FACTOR):
                 trial = dict(best_params)
                 trial[name] = ev.clamp(name, trial[name] * factor)
@@ -304,9 +322,7 @@ def build_posterior(
 ) -> GpPosterior:
     """Factorize the training covariance, precompute dual weights and
     compute the log marginal likelihood of ``ys`` under ``hyper``."""
-    ys = np.asarray(ys, dtype=float)
-    if len(mols) != ys.shape[0] or ys.shape[0] < 1:
-        raise ValueError("need equally many molecules and values (at least one)")
+    ys = _targets(mols, ys)
     if cache is None:
         cache = KernelCache()
     k_psd = psd_project(gram(mols, hyper.kernel_spec, cache))
@@ -322,7 +338,7 @@ def build_posterior(
         hyper=hyper,
         chol_factor=chol,
         alpha_vec=alpha_vec,
-        lml=_lml(white, chol),
+        lml=_lml(white, float(_half_logdet(chol))),
         cache=cache,
     )
 

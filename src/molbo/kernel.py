@@ -5,9 +5,11 @@ sum over the four transport dissimilarities (``exp(-sum_i beta_i d_i)``),
 and their weighted sum ``alpha1 * k_fp + alpha2 * k_ot``.  Every kernel
 value goes through two steps: ``features`` gathers a block's
 hyperparameter-free inputs (transport distances, Tanimoto values) from a
-``KernelCache``, and ``combine`` turns them into kernel values for a spec.
-``gram``, ``cross_gram`` and the GP fit all use them, so a pair has one
-value wherever it is computed.
+``KernelCache``, and ``combine`` turns them into kernel values for a
+sequence of specs of one family, as one stack of blocks.  ``gram``,
+``cross_gram`` and ``diagonal`` use its one-spec case and the GP fit a
+stack of its candidates' specs, so a pair has one value wherever it is
+computed.
 
 Transport distances come from the cache's per-run store: one growing
 array with a row per unordered pair of canonical-form ids and a
@@ -224,21 +226,29 @@ def features(
 
 
 def combine(
-    spec: KernelSpec, dist: np.ndarray | None, k_fp: np.ndarray | None
+    specs: list[KernelSpec], dist: np.ndarray | None, k_fp: np.ndarray | None
 ) -> np.ndarray:
-    """Kernel values of a block from its ``features``.
+    """Kernel values of a block from its ``features``, for each of
+    ``specs``: a ``(len(specs), r, c)`` stack.
 
-    The exponent is a fixed-order elementwise sum, so a pair gets the same
-    bits in a block of any shape.
+    The specs must share one family.  The exponent is a fixed-order
+    elementwise sum, so a pair gets the same bits in a block of any shape
+    and in a stack of any length.
     """
-    if isinstance(spec, FingerprintTanimoto):
-        return k_fp
-    if isinstance(spec, OTExpSum):
-        b0, b1, b2, b3 = spec.betas
+    family = type(specs[0])
+    if any(type(s) is not family for s in specs):
+        raise TypeError("combine takes specs of one family")
+    if family is FingerprintTanimoto:
+        return np.repeat(k_fp[None], len(specs), axis=0)
+    if family is OTExpSum:
+        betas = np.array([s.betas for s in specs], dtype=float)
+        b0, b1, b2, b3 = betas.T[:, :, None, None]
         return np.exp(-(b0 * dist[0] + b1 * dist[1] + b2 * dist[2] + b3 * dist[3]))
-    if isinstance(spec, SumKernel):
-        return spec.alpha1 * k_fp + spec.alpha2 * combine(spec.ot, dist, None)
-    raise TypeError(f"unknown kernel spec: {spec!r}")
+    if family is SumKernel:
+        alphas = np.array([(s.alpha1, s.alpha2) for s in specs], dtype=float)
+        alpha1, alpha2 = alphas.T[:, :, None, None]
+        return alpha1 * k_fp + alpha2 * combine([s.ot for s in specs], dist, None)
+    raise TypeError(f"unknown kernel spec: {specs[0]!r}")
 
 
 def cross_gram(
@@ -250,7 +260,7 @@ def cross_gram(
     """Raw kernel values between two molecule lists (no projection)."""
     if cache is None:
         cache = KernelCache()
-    return combine(spec, *features(rows, cols, spec, cache))
+    return combine([spec], *features(rows, cols, spec, cache))[0]
 
 
 def gram(
@@ -269,7 +279,7 @@ def diagonal(spec: KernelSpec) -> float:
     constants: ``distance_vector(x, x)`` returns ``np.zeros(4)`` and
     ``tanimoto(a, a)`` is exactly 1.0.
     """
-    return float(combine(spec, np.zeros((4, 1, 1)), np.ones((1, 1)))[0, 0])
+    return float(combine([spec], np.zeros((4, 1, 1)), np.ones((1, 1)))[0, 0, 0])
 
 
 def psd_project(values: np.ndarray, floor: float = DEFAULT_PSD_FLOOR) -> np.ndarray:

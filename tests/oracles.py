@@ -9,7 +9,8 @@ Monte Carlo.  The bond-environment cost ``c_str`` is checked against a
 plain multiset Jaccard over entry counts.  Fingerprint path descriptors are checked against the
 plain enumeration that joins each path's tokens in both directions, and
 per-element OT block costs against the transportation simplex on the
-whole block, without matching equal bond profiles first.
+whole block, without matching equal bond profiles first.  The GP fit's
+batched candidate draw is checked against one scalar draw per value.
 """
 
 from collections import Counter
@@ -17,6 +18,7 @@ from collections import Counter
 import numpy as np
 from scipy.optimize import linprog
 
+from molbo.gp import _PARAM_RANGES
 from molbo.molgraph import Molecule, WeightMode, atom_weight
 from molbo.otdist import _profile_cost, build_costs, solve_transport
 
@@ -159,10 +161,21 @@ def block_cost_whole(c1, c2) -> float:
     demand = np.array([n for _, n in c2] + [t1], dtype=float)
     cost, _ = solve_transport(supply, demand, np.array(rows))
     return cost
-    k2 = len(b2.counts)
-    rows = [[_profile_cost(p, q) for q in b2.profiles] + [1.0] for p in b1.profiles]
-    rows.append([1.0] * k2 + [0.0])
-    supply = np.array(b1.counts + (b2.total,), dtype=float)
-    demand = np.array(b2.counts + (b1.total,), dtype=float)
-    cost, _ = solve_transport(supply, demand, np.array(rows))
-    return cost
+
+
+def sample_one_at_a_time(names: list[str], rng: np.random.Generator,
+                         count: int) -> list[dict[str, float]]:
+    """GP search candidates drawn one value at a time: a scalar
+    ``rng.uniform`` per hyperparameter, in candidate-major order, between
+    the log bounds of log-scale parameters and exponentiated."""
+    candidates = []
+    for _ in range(count):
+        params = {}
+        for name in names:
+            lo, hi, log_scale = _PARAM_RANGES[name]
+            if log_scale:
+                params[name] = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+            else:
+                params[name] = float(rng.uniform(lo, hi))
+        candidates.append(params)
+    return candidates

@@ -94,6 +94,16 @@ class TestLogMarginalLikelihood:
         with pytest.raises(ValueError, match="equally many"):
             build_posterior([], [], hyper())
 
+    @pytest.mark.parametrize("ys", [np.zeros(5), np.zeros(7), np.zeros((6, 1))],
+                             ids=["short", "long", "column"])
+    def test_targets_must_be_one_per_molecule(self, ys):
+        # checked before any kernel work, not left to fail inside LAPACK
+        mols = distinct_molecules(random.Random(8), 6)
+        with pytest.raises(ValueError, match="equally many"):
+            fit(mols, ys, OTExpSum(), np.random.default_rng(42))
+        with pytest.raises(ValueError, match="equally many"):
+            build_posterior(mols, ys, hyper())
+
 
 class TestPosterior:
     def test_interpolates_training_points(self):
@@ -251,6 +261,24 @@ class TestProjectionsPerFit:
                            0.010584096155025492)
 
 
+@pytest.mark.parametrize(
+    "family", [FingerprintTanimoto(), OTExpSum(), SumKernel()],
+    ids=lambda f: type(f).__name__,
+)
+def test_batched_draw_is_scalar_draws(family):
+    """One ``rng.uniform`` call over the batch gives the floats and the
+    generator state of one scalar draw per value."""
+    mols = distinct_molecules(random.Random(5), 4)
+    ev = gp._FamilyEvaluator(mols, np.zeros(4), family, KernelCache())
+    for seed in range(60):
+        batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = ev.sample(batched, gp.N_SEARCH_SAMPLES)
+        want = oracles.sample_one_at_a_time(ev.names, scalar, gp.N_SEARCH_SAMPLES)
+        bits = [[(k, v.hex()) for k, v in c.items()] for c in got]
+        assert bits == [[(k, v.hex()) for k, v in c.items()] for c in want]
+        assert batched.bit_generator.state == scalar.bit_generator.state
+
+
 class TestStackedEvaluation:
     """``lml_batch`` scores a stack of candidates with the bits that one
     candidate at a time gets, and skips only the candidates whose
@@ -271,7 +299,7 @@ class TestStackedEvaluation:
         make = self.factory(family)
         stacked, single = make(), make()
         rng = np.random.default_rng(7)
-        candidates = [stacked.sample(rng) for _ in range(gp.N_SEARCH_SAMPLES)]
+        candidates = stacked.sample(rng, gp.N_SEARCH_SAMPLES)
         got = stacked.lml_batch(candidates)
         want = [single.lml_batch([c])[0] for c in candidates]
         assert all(r is not None for r in want)
@@ -291,6 +319,16 @@ class TestStackedEvaluation:
                     gp._solve(chol, rhs, transpose=True),
                     solve_triangular(chol.T, rhs, lower=False),
                 )
+
+    def test_half_logdet_stack_matches_one_factor(self):
+        rng = np.random.default_rng(10)
+        for _ in range(500):
+            k, n = (int(v) for v in rng.integers(1, 20, size=2))
+            a = rng.normal(size=(k, n, n))
+            chols = np.linalg.cholesky(a @ a.transpose(0, 2, 1) + 0.1 * np.eye(n))
+            want = [float(np.log(c.diagonal()).sum()) for c in chols]
+            assert gp._half_logdet(chols).tolist() == want
+            assert [float(gp._half_logdet(c)) for c in chols] == want
 
     @pytest.fixture
     def broken(self, monkeypatch):
@@ -312,7 +350,7 @@ class TestStackedEvaluation:
         make = self.factory(OTExpSum())
         rng = np.random.default_rng(9)
         reference = make()
-        candidates = [reference.sample(rng) for _ in range(8)]
+        candidates = reference.sample(rng, 8)
         want = [reference.lml_batch([c])[0] for c in candidates]
         broken.append(3)
         got = make().lml_batch(candidates)

@@ -248,10 +248,11 @@ class TestDistanceStore:
         self.check(cols, heavy[25:], cache, memo)
         self.check(expanded[:30], expanded[:30], cache, memo)
         want = self.check(expanded, expanded, cache, memo)
-        assert np.array_equal(gram(expanded, self.SPEC, cache), combine(self.SPEC, want, None))
+        assert np.array_equal(gram(expanded, self.SPEC, cache),
+                              combine([self.SPEC], want, None)[0])
         want = self.check(heavy[::-1], expanded, cache, memo)
         assert np.array_equal(cross_gram(heavy[::-1], expanded, self.SPEC, cache),
-                              combine(self.SPEC, want, None))
+                              combine([self.SPEC], want, None)[0])
         assert cache.distance_vector(a, b).tobytes() == first.tobytes()
 
     def test_store_grows_and_keeps_every_cell(self, corpus):
@@ -330,12 +331,9 @@ class TestOneValuePerPair:
     def test_fit_gram_is_gram(self, spec, corpus_mols, corpus_cache):
         ys = np.zeros(len(corpus_mols))
         ev = _FamilyEvaluator(corpus_mols, ys, spec, corpus_cache)
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            fitted = ev.spec_from(ev.sample(rng))
-            assert np.array_equal(
-                combine(fitted, *ev.features), gram(corpus_mols, fitted, corpus_cache)
-            )
+        fitted = [ev.spec_from(p) for p in ev.sample(np.random.default_rng(5), 20)]
+        for spec_i, block in zip(fitted, combine(fitted, *ev.features)):
+            assert np.array_equal(block, gram(corpus_mols, spec_i, corpus_cache))
 
     def test_matches_per_pair_formula(self, spec, corpus_mols, corpus_cache):
         g = gram(corpus_mols, spec, corpus_cache)
@@ -344,3 +342,52 @@ class TestOneValuePerPair:
             for x in corpus_mols
         ])
         assert np.all(np.abs(g - want) <= 1e-12 * np.abs(want))
+
+
+def scalar_formula(spec, dist, k_fp):
+    """The one-spec kernel formula with Python-float parameters."""
+    if isinstance(spec, SumKernel):
+        return spec.alpha1 * k_fp + spec.alpha2 * scalar_formula(spec.ot, dist, None)
+    b0, b1, b2, b3 = spec.betas
+    return np.exp(-(b0 * dist[0] + b1 * dist[1] + b2 * dist[2] + b3 * dist[3]))
+
+
+class TestStackedCombine:
+    """A stack of specs gets, member by member, the bits of one spec at a
+    time and of the scalar formula."""
+
+    @staticmethod
+    def random_specs(family, count, rng):
+        specs = []
+        for _ in range(count):
+            betas = tuple(np.exp(rng.uniform(np.log(1e-4), np.log(10.0), 4)).tolist())
+            alpha1, alpha2 = rng.uniform(0.0, 10.0, 2).tolist()
+            ot = OTExpSum(betas)
+            specs.append(ot if family is OTExpSum else
+                         SumKernel(alpha1=alpha1, alpha2=alpha2, ot=ot))
+        return specs
+
+    @pytest.mark.parametrize("duplicates", [False, True], ids=["corpus", "duplicates"])
+    @pytest.mark.parametrize("family", [OTExpSum, SumKernel], ids=lambda f: f.__name__)
+    def test_stack_is_one_spec_at_a_time(self, family, duplicates, corpus_mols,
+                                         corpus_cache):
+        mols = corpus_mols + corpus_mols[3:9] if duplicates else corpus_mols
+        specs = self.random_specs(family, 24, np.random.default_rng(3))
+        for cols in (mols, mols[::-3]):
+            feats = features(mols, cols, specs[0], corpus_cache)
+            stack = combine(specs, *feats)
+            assert stack.shape == (len(specs), len(mols), len(cols))
+            for spec, block in zip(specs, stack):
+                one = combine([spec], *feats)[0]
+                assert block.tobytes() == one.tobytes()
+                assert one.tobytes() == scalar_formula(spec, *feats).tobytes()
+
+    def test_diagonal_keeps_its_value(self):
+        assert diagonal(FingerprintTanimoto()) == 1.0
+        assert diagonal(OTExpSum((0.3, 2.0, 0.01, 0.5))) == 1.0
+        assert diagonal(SumKernel(alpha1=2.5, alpha2=0.75)) == 3.25
+
+    def test_one_family_per_stack(self, corpus_mols, corpus_cache):
+        feats = features(corpus_mols, corpus_mols, SumKernel(), corpus_cache)
+        with pytest.raises(TypeError, match="one family"):
+            combine([SumKernel(), OTExpSum()], *feats)

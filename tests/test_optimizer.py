@@ -273,6 +273,8 @@ class TestRunLog:
          "0496393992114e5be89e9bab6f582710b3ce3f309767cda775869b04d56eaad2"),
         (SumKernel(),
          "56931cc64127d95cf68d6a05688d6c809cced6cf32899c0845fc5fc99eb4a689"),
+        (OTExpSum(),
+         "f17dde75bda4efd28bcbec6c332e9267d6df550079316835ddfde0fd348933ed"),
     ])
     def test_pinned_guided_log(self, tmp_path, family, digest):
         # the acceptance join config at budget 4; the guided choice rests on
