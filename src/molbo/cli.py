@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -102,7 +103,31 @@ def _load_config_file(path) -> dict:
     if not os.path.exists(path):
         raise FileNotFoundError(f"config file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"config file {path} must hold a JSON object")
+    _check_tables(config)
+    return config
+
+
+def _check_tables(config: dict) -> None:
+    """Reject a ``betas``, ``contribution_table`` or ``qed_bands`` entry of
+    the wrong shape, naming the key."""
+    def numbers(values) -> bool:
+        return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
+
+    betas = config.get("betas", [])
+    if not (isinstance(betas, list) and numbers(betas)):
+        raise ValueError("config key 'betas' must be a list of numbers")
+    table = config.get("contribution_table", {})
+    if not (isinstance(table, dict) and numbers(table.values())):
+        raise ValueError("config key 'contribution_table' must map elements to numbers")
+    bands = config.get("qed_bands", {})
+    if not (isinstance(bands, dict) and all(
+            isinstance(b, dict) and numbers([b.get(k) for k in "abcd"] + [b.get("floor", 0)])
+            for b in bands.values())):
+        raise ValueError("config key 'qed_bands' must map band names to objects of "
+                         "numbers 'a', 'b', 'c', 'd' and an optional 'floor'")
 
 
 def _setting(args, config: dict, name: str, default=None):
@@ -254,11 +279,9 @@ def _cmd_analyze(args) -> int:
         raise ValueError("analyze needs at least two pool molecules")
     objective = _objective(args, config)
     values = [evaluate(objective, m) for m in pool]
-    n = len(pool)
-    all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    n_pairs = len(pool) * (len(pool) - 1) // 2
     rng = np.random.default_rng(args.seed)
-    count = min(args.sample_pairs, len(all_pairs))
-    chosen = rng.choice(len(all_pairs), size=count, replace=False)
+    chosen = rng.choice(n_pairs, size=min(args.sample_pairs, n_pairs), replace=False)
     writer = csv.writer(sys.stdout)
     writer.writerow([
         "distance_unit_raw", "distance_unit_norm",
@@ -266,11 +289,20 @@ def _cmd_analyze(args) -> int:
     ])
     cache = KernelCache()
     for k in sorted(int(c) for c in chosen):
-        i, j = all_pairs[k]
+        i, j = _pair_of_index(k, len(pool))
         vec = cache.distance_vector(pool[i], pool[j])
         writer.writerow([repr(float(v)) for v in vec]
                         + [repr(abs(values[i] - values[j]))])
     return EXIT_OK
+
+
+def _pair_of_index(k: int, n: int) -> tuple[int, int]:
+    """The ``k``-th pair ``(i, j)``, ``i < j < n``, in row-major order: row
+    ``i`` starts at ``i * (m - i) / 2``, ``m = 2n - 1``, so ``i`` is the
+    floor of that quadratic's smaller root at ``k``, exact in integers."""
+    m = 2 * n - 1
+    i = (m - 1 - math.isqrt(m * m - 8 * k - 1)) // 2
+    return i, k - i * (m - i) // 2 + i + 1
 
 
 def _cmd_recipe(args) -> int:

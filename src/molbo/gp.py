@@ -167,8 +167,9 @@ class _FamilyEvaluator:
     specs, one ``psd_project`` call over their Grams, one Cholesky call
     over all covariances, one finiteness check and one log-determinant
     reduction over the factors, then two triangular solves per candidate.
-    The projected Gram of the last candidate's spec is kept, so a
-    candidate that moves only ``noise_var`` or ``signal_scale`` (every
+    An evaluator serves one fit and keeps the projected Gram of every
+    kernel spec it has met, so a candidate whose spec was scored before
+    (one that moves only ``noise_var`` or ``signal_scale``, and every
     fingerprint candidate) is not projected again.
     """
 
@@ -189,7 +190,7 @@ class _FamilyEvaluator:
         ranges[self._log_cols, :2] = np.log(ranges[self._log_cols, :2])
         self._bounds = ranges[:, 0], ranges[:, 1]
         self.features = features(mols, mols, family, cache)
-        self._kept: dict[KernelSpec, np.ndarray] = {}
+        self._grams: dict[KernelSpec, np.ndarray] = {}
 
     def sample(self, rng: np.random.Generator, count: int) -> list[dict[str, float]]:
         """``count`` candidates drawn from the documented ranges."""
@@ -216,11 +217,10 @@ class _FamilyEvaluator:
         """The indices of the candidates whose covariance is positive
         definite, and the stack of their Cholesky factors."""
         specs = [self.spec_from(p) for p in candidates]
-        grams = dict(self._kept)
+        grams = self._grams
         new = [s for s in dict.fromkeys(specs) if s not in grams]
         if new:
             grams.update(zip(new, psd_project(combine(new, *self.features))))
-        self._kept = {specs[-1]: grams[specs[-1]]}
         # Squares of Python floats, as in build_posterior: numpy's square
         # can differ in the last bit.
         cov = _covariance(

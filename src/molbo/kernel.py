@@ -11,15 +11,15 @@ sequence of specs of one family, as one stack of blocks.  ``gram``,
 stack of its candidates' specs, so a pair has one value wherever it is
 computed.
 
-Transport distances come from the cache's per-run store: one growing
-array with a row per unordered pair of canonical-form ids and a
-known-mask, from which ``features`` gathers a block with one fancy index
-after the cache has computed the block's missing pairs in one
-``distance_vectors`` pass.  Each pair is computed once and serves both
-orders, which is exact because ``distance_vector`` is symmetric bit for
-bit; so is a Gram.  Tanimoto values are computed per pair; a Gram
-computes each unordered pair once and mirrors it.  ``diagonal`` is
-``combine`` on the closed-form features of a molecule against itself.
+Both features come from the cache's per-run stores, one per feature
+kind: a growing array with a row per unordered pair of canonical-form
+ids and a known-mask, from which ``features`` gathers a block with one
+fancy index after the cache has computed the block's missing pairs in
+one call (``distance_vectors``, or ``tanimoto`` over the cached
+fingerprints).  Each pair is computed once per run and serves both
+orders, which is exact because ``distance_vector`` and ``tanimoto`` are
+symmetric bit for bit; so is a Gram.  ``diagonal`` is ``combine`` on the
+closed-form features of a molecule against itself.
 The transport kernel is not known to be positive definite, so training
 Gram matrices are projected onto the PSD cone by eigenvalue clamping
 before GP use; cross-covariances keep raw kernel values.
@@ -89,21 +89,24 @@ KernelSpec = FingerprintTanimoto | OTExpSum | SumKernel
 
 
 class KernelCache:
-    """Per-run store of transport distances and memo of fingerprints.
+    """Per-run store of kernel pair features and memo of fingerprints.
 
     Both are keyed by canonical form, so isomorphic molecules share
     entries.  Each canonical form gets an integer id when first seen.
-    The distance vectors live in one growing float array with one row
-    per unordered id pair (the upper triangle packed row by row,
-    ``_cell``) and a known-mask beside it.  Its capacity at least doubles
-    when the ids outgrow it, and the rows of a new id's diagonal are
-    known and zero, as ``distance_vector(x, x)`` is.  A packed triangle
+    Each pair feature (the four transport distances, and the Tanimoto
+    value of each ``FingerprintTanimoto`` spec) lives in its own growing
+    float array with one row per unordered id pair (the upper triangle
+    packed row by row, ``_cell``) and a known-mask beside it.  Its
+    capacity at least doubles when the ids outgrow it.  A packed triangle
     keeps resident only the pairs of ids seen so far, where a square
-    array with room to grow also holds its padding.  ``distances``
-    computes every missing pair of a block in one ``distance_vectors``
-    pass and gathers the block with one fancy index; ``distance_vector``
-    reads the same store one pair at a time.  One row serves both orders
-    of a pair, as ``otdist.distance_vector`` is symmetric bit for bit.
+    array with room to grow also holds its padding.  ``_block`` computes
+    every missing pair of a block in one call and gathers the block with
+    one fancy index; ``features`` reads both features through it, and
+    ``distance_vector`` reads the distance store one pair at a time.  One
+    row serves both orders of a pair, as ``otdist.distance_vector`` and
+    ``tanimoto`` are symmetric bit for bit.  A molecule against itself is
+    computed like any other pair and gets exactly ``0.0`` distances and
+    a Tanimoto value of ``1.0``.
 
     A join product's fingerprint is built from its reagents' cached ones
     and the paths that cross the join bond; a reagent not yet cached is
@@ -116,46 +119,40 @@ class KernelCache:
 
     def __init__(self):
         self._ids: dict[str, int] = {}
-        self._store = np.zeros((0, 4))
-        self._known = np.zeros(0, dtype=bool)
+        self._stores: dict[object, tuple[np.ndarray, np.ndarray]] = {}
         self._fingerprints: dict[tuple[str, int, int], Fingerprint] = {}
 
-    def _ids_of(self, mols: list[Molecule]) -> np.ndarray:
+    def _block(self, kind, width: int, rows: list[Molecule], cols: list[Molecule],
+               compute) -> np.ndarray:
+        """The ``len(rows) x len(cols) x width`` values of feature ``kind``
+        (``"distances"``, or a ``FingerprintTanimoto`` spec) over the block.
+        ``compute(firsts, seconds)`` gives the values of the block's missing
+        unordered pairs, each asked for once."""
         ids = self._ids
-        first_new = len(ids)
-        out = np.array([ids.setdefault(m.canonical_form, len(ids)) for m in mols], dtype=np.intp)
+        row_ids, col_ids = (
+            np.array([ids.setdefault(m.canonical_form, len(ids)) for m in mols], dtype=np.intp)
+            for mols in (rows, cols)
+        )
+        cells = _cell(row_ids[:, None], col_ids)
+        values, known = self._stores.get(kind, (np.zeros((0, width)), np.zeros(0, dtype=bool)))
         n = len(ids)
-        if n > first_new:
-            old = len(self._known)
-            if n * (n + 1) // 2 > old:
-                cap = max(2 * old, n * (n + 1) // 2, 2048)
-                store = np.zeros((cap, 4))
-                known = np.zeros(cap, dtype=bool)
-                store[:old] = self._store
-                known[:old] = self._known
-                self._store, self._known = store, known
-            new = np.arange(first_new, n)
-            self._known[_cell(new, new)] = True  # zero, as distance_vector(x, x) is
-        return out
-
-    def distances(self, rows: list[Molecule], cols: list[Molecule]) -> np.ndarray:
-        """The ``len(rows) x len(cols) x 4`` distance vectors of the
-        block; each missing unordered pair is computed once."""
-        cells = _cell(self._ids_of(rows)[:, None], self._ids_of(cols))
-        i, j = np.nonzero(~self._known[cells])
+        if n * (n + 1) // 2 > len(known):
+            cap = max(2 * len(known), n * (n + 1) // 2, 2048)
+            values = np.concatenate([values, np.zeros((cap - len(known), width))])
+            known = np.concatenate([known, np.zeros(cap - len(known), dtype=bool)])
+            self._stores[kind] = values, known
+        i, j = np.nonzero(~known[cells])
         if len(i):
             missing, one = np.unique(cells[i, j], return_index=True)
-            self._store[missing] = distance_vectors([rows[k] for k in i[one].tolist()],
-                                                    [cols[k] for k in j[one].tolist()])
-            self._known[missing] = True
-        return self._store[cells]
+            firsts = [rows[k] for k in i[one].tolist()]
+            seconds = [cols[k] for k in j[one].tolist()]
+            values[missing] = np.reshape(compute(firsts, seconds), (-1, width))
+            known[missing] = True
+        return values[cells]
 
     def distance_vector(self, x: Molecule, y: Molecule) -> np.ndarray:
-        cell = _cell(*self._ids_of([x, y]))
-        if not self._known[cell]:
-            self._store[cell] = distance_vector(x, y)
-            self._known[cell] = True
-        return self._store[cell].copy()
+        return self._block("distances", 4, [x], [y],
+                           lambda xs, ys: distance_vector(xs[0], ys[0]))[0, 0]
 
     def fingerprint(self, x: Molecule, spec: FingerprintTanimoto) -> Fingerprint:
         n_bits, max_path_len = spec.n_bits, spec.max_path_len
@@ -188,22 +185,6 @@ def _cell(a, b):
     return hi * (hi + 1) // 2 + lo
 
 
-def _pairs(rows: list, cols: list, value) -> np.ndarray:
-    """``value(x, y)`` for every cell of the ``rows`` x ``cols`` block.
-
-    A square block (``cols is rows``) looks each unordered pair up once
-    and mirrors it; ``value`` must then be symmetric bit for bit.
-    """
-    n, m = len(rows), len(cols)
-    if cols is not rows:
-        return np.reshape([value(x, y) for x in rows for y in cols], (n, m))
-    block = np.empty((n, n))
-    upper = np.triu_indices(n)
-    block[upper] = [value(rows[i], rows[j]) for i in range(n) for j in range(i, n)]
-    block[upper[::-1]] = block[upper]
-    return block
-
-
 def features(
     rows: list[Molecule], cols: list[Molecule], spec: KernelSpec, cache: KernelCache
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -216,12 +197,14 @@ def features(
     """
     dist = k_fp = None
     if isinstance(spec, (OTExpSum, SumKernel)):
-        dist = cache.distances(rows, cols).transpose(2, 0, 1)
+        dist = cache._block("distances", 4, rows, cols, distance_vectors).transpose(2, 0, 1)
     fp_spec = spec.fingerprint if isinstance(spec, SumKernel) else spec
     if isinstance(fp_spec, FingerprintTanimoto):
-        row_fps = [cache.fingerprint(x, fp_spec) for x in rows]
-        col_fps = row_fps if cols is rows else [cache.fingerprint(y, fp_spec) for y in cols]
-        k_fp = _pairs(row_fps, col_fps, tanimoto)
+        def tanimotos(xs, ys):  # each molecule's fingerprint looked up once
+            fps = {m: cache.fingerprint(m, fp_spec) for m in dict.fromkeys(xs + ys)}
+            return [tanimoto(fps[x], fps[y]) for x, y in zip(xs, ys)]
+
+        k_fp = cache._block(fp_spec, 1, rows, cols, tanimotos)[..., 0]
     return dist, k_fp
 
 

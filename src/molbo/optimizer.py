@@ -50,6 +50,7 @@ from .synthesis import (
     Condition,
     OracleKind,
     SynthesisDag,
+    _condition_ids,
     record_synthesis,
     synthesize_detailed,
 )
@@ -87,6 +88,7 @@ class RunConfig:
             raise ValueError("explorer_steps must be at least 1")
         if not self.conditions:
             raise ValueError("condition library must not be empty")
+        _condition_ids(self.conditions)  # raises on an unknown condition
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from molbo.cli import main
+from molbo.cli import _pair_of_index, main
 from molbo.molgraph import parse_smiles
 from molbo.synthesis import load_dag
 
@@ -178,6 +178,27 @@ class TestOptimize:
         assert code == 0
         assert json.loads(text)["evaluations"] == 11
 
+    @pytest.mark.parametrize("config,named", [
+        ([1, 2], "JSON object"),
+        ({"betas": 3}, "'betas'"),
+        ({"qed_bands": {"mass": {"a": 1}}}, "'qed_bands'"),
+        ({"contribution_table": [1]}, "'contribution_table'"),
+        ({"conditions": ["nope"]}, "'nope'"),
+    ], ids=["not-an-object", "betas", "qed-bands", "contribution-table", "condition"])
+    def test_malformed_config_exit_2(self, capsys, small_pool_path, tmp_path, config,
+                                     named):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "bad_run.jsonl"
+        code, text, err = run_cli(
+            capsys, "optimize", "--pool", str(small_pool_path), "--seed", "1",
+            "--config", str(cfg_path), "--out", str(out),
+        )
+        assert code == 2
+        assert not text
+        assert named in err
+        assert not out.exists()  # rejected before the log header is written
+
 
 class TestExplore:
     def test_reports_new_molecules(self, capsys, small_pool_path, tmp_path):
@@ -228,6 +249,20 @@ class TestAnalyze:
         )
         assert code == 0
         assert len(list(csv.reader(io.StringIO(out)))) == 8
+
+    def test_pinned_csv(self, capsys, small_pool_path):
+        code, out, _ = run_cli(
+            capsys, "analyze", "--pool", str(small_pool_path),
+            "--sample-pairs", "30", "--seed", "3",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "8f9b0ee366547efcb76855322b427534ecb50da4bbc59a8642412686f8ed8c78")
+
+    def test_pair_of_index_is_the_enumeration(self):
+        for n in range(2, 61):
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            assert [_pair_of_index(k, n) for k in range(len(pairs))] == pairs, n
 
     def test_zero_distance_implies_zero_diff(self, capsys, tmp_path):
         pool = tmp_path / "mix.smi"

@@ -260,6 +260,33 @@ class TestProjectionsPerFit:
         self.assert_pinned(h, spec, 0.11081971916484543, 0.5000000000000001,
                            0.010584096155025492)
 
+    @pytest.mark.parametrize("family", [OTExpSum(), SumKernel()],
+                             ids=lambda f: type(f).__name__)
+    def test_each_spec_projected_once(self, monkeypatch, family):
+        """A refinement trial that returns to a spec scored earlier in the
+        fit, after other specs, reuses its projected Gram."""
+        combined, projected, scored = [], [], []
+        combine, project = gp.combine, gp.psd_project
+        lml_batch = gp._FamilyEvaluator.lml_batch
+
+        def recording_combine(specs, *feats):
+            combined.extend(specs)
+            return combine(specs, *feats)
+
+        def counting_project(values, *args, **kwargs):
+            projected.append(len(values))
+            return project(values, *args, **kwargs)
+
+        def recording_lml_batch(self, candidates):
+            scored.extend(self.spec_from(p) for p in candidates)
+            return lml_batch(self, candidates)
+
+        monkeypatch.setattr(gp, "combine", recording_combine)
+        monkeypatch.setattr(gp, "psd_project", counting_project)
+        monkeypatch.setattr(gp._FamilyEvaluator, "lml_batch", recording_lml_batch)
+        self.fit_six(family)
+        assert len(combined) == len(set(combined)) == len(set(scored)) == sum(projected)
+
 
 @pytest.mark.parametrize(
     "family", [FingerprintTanimoto(), OTExpSum(), SumKernel()],

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import molbo.kernel
-from conftest import EXTRA, random_molecule
-from molbo.fingerprint import tanimoto
+from conftest import EXTRA, join_chain, random_molecule, relabel
+from molbo.fingerprint import path_fingerprint, tanimoto
 from molbo.gp import _FamilyEvaluator
 from molbo.kernel import (
     FingerprintTanimoto,
@@ -187,9 +187,12 @@ def test_square_block_looks_up_each_pair_once(monkeypatch):
     spec = OTExpSum((0.5, 1.0, 0.02, 1.0))
     cache = KernelCache()
     g = gram(mols, spec, cache)
-    assert len(computed) == len(set(computed)) == 10  # the diagonal is known zero
+    # 10 off-diagonal pairs and 5 diagonal ones, each computed once
+    assert len(computed) == len(set(computed)) == 15
+    assert sum(len(pair) == 1 for pair in computed) == 5
+    assert np.all(np.diag(g) == 1.0)
     assert np.array_equal(g, cross_gram(mols, list(mols), spec, cache))
-    assert len(computed) == 10  # a list equal to mols but not it: every cell known
+    assert len(computed) == 15  # a list equal to mols but not it: every cell known
 
 
 def test_cache_shares_isomorphic_entries(monkeypatch):
@@ -269,13 +272,111 @@ class TestDistanceStore:
             self.check(train, candidates, cache, memo)
             train = train + candidates[::3]
             self.check(candidates, train, cache, memo)
-            capacities.append(len(cache._known))
+            capacities.append(len(cache._stores["distances"][1]))
         assert len(set(capacities)) >= 3  # grown at least twice
         ids = cache._ids
+        values, known = cache._stores["distances"]
         for (k1, k2), vec in memo.vectors.items():
-            assert cache._store[_cell(ids[k1], ids[k2])].tobytes() == vec.tobytes()
-        pairs = {frozenset(key) for key in memo.vectors if key[0] != key[1]}
-        assert cache._known.sum() == len(ids) + len(pairs)
+            assert values[_cell(ids[k1], ids[k2])].tobytes() == vec.tobytes()
+        assert known.sum() == len(memo.vectors)  # diagonal pairs included
+
+
+class TestTanimotoStore:
+    """Every Tanimoto cell the store gives has the bits of ``tanimoto`` on
+    freshly built fingerprints, and each unordered pair is computed once
+    per run."""
+
+    SPEC = FingerprintTanimoto()
+
+    @staticmethod
+    def molecules(corpus, seed=4):
+        """The corpus heavy and hydrogen-expanded, random molecules, a
+        chain of join products, relabelled copies and repeated objects."""
+        rng = random.Random(seed)
+        mols = [parse_smiles(s) for s in corpus] + [expand(s) for s in corpus[::4]]
+        mols += [random_molecule(rng, max_heavy=8, expanded=rng.random() < 0.5)
+                 for _ in range(20)]
+        mols += join_chain(6)
+        mols += [relabel(m, rng) for m in mols[::7]] + mols[3:9]
+        rng.shuffle(mols)
+        return mols
+
+    def reference(self, rows, cols):
+        """``tanimoto`` of fingerprints built in full, outside any cache."""
+        spec = self.SPEC
+        fps = {m: path_fingerprint(m, spec.n_bits, spec.max_path_len)
+               for m in dict.fromkeys(rows + cols)}
+        return np.array([[tanimoto(fps[x], fps[y]) for y in cols] for x in rows])
+
+    # alpha2 = 0 leaves the Tanimoto term's bits: x * 1.0 + 0.0 == x.
+    @pytest.mark.parametrize("family", [SPEC, SumKernel(alpha1=1.0, alpha2=0.0)],
+                             ids=lambda f: type(f).__name__)
+    def test_cells_are_tanimoto(self, family, corpus):
+        mols = self.molecules(corpus)
+        cache = KernelCache()
+        blocks = [(mols[20:], mols[:40]), (mols[:40], mols[20:]), (mols, mols),
+                  (mols[::-1], mols), (mols[5:6], mols)]
+        for rows, cols in blocks:
+            want = self.reference(rows, cols)
+            assert np.array_equal(features(rows, cols, family, cache)[1], want)
+            assert np.array_equal(cross_gram(rows, cols, family, cache), want)
+        want = self.reference(mols, mols)
+        assert np.array_equal(gram(mols, family, cache), want)
+        assert np.all(np.diag(want) == 1.0)
+
+    def test_each_pair_computed_once(self, corpus, monkeypatch):
+        mols = self.molecules(corpus, seed=9)
+        values, vectors = [], []
+        one, batch = molbo.kernel.tanimoto, molbo.kernel.distance_vectors
+
+        def counting(a, b):
+            values.append(frozenset((id(a), id(b))))  # one cached object per form
+            return one(a, b)
+
+        def counting_batch(firsts, seconds):
+            vectors.extend(frozenset((x.canonical_form, y.canonical_form))
+                           for x, y in zip(firsts, seconds))
+            return batch(firsts, seconds)
+
+        monkeypatch.setattr(molbo.kernel, "tanimoto", counting)
+        monkeypatch.setattr(molbo.kernel, "distance_vectors", counting_batch)
+        spec = SumKernel(alpha1=2.0, alpha2=3.0)
+        cache = KernelCache()
+        asked = set()
+        for rows, cols in [(mols[:30], mols[:30]), (mols[10:50], mols[:30]),
+                           (mols[:30], mols[10:50]), (mols, mols[::-2]), (mols, mols)]:
+            features(rows, cols, spec, cache)
+            asked |= {frozenset((x.canonical_form, y.canonical_form))
+                      for x in rows for y in cols}
+        assert len(values) == len(set(values)) == len(asked)
+        assert len(vectors) == len(set(vectors)) == len(asked)
+        assert set(vectors) == asked
+
+    def test_store_grows_and_keeps_every_cell(self, corpus):
+        rng = random.Random(8)
+        pool = [parse_smiles(s) for s in corpus]
+        pool += [random_molecule(rng, max_heavy=8, expanded=rng.random() < 0.5)
+                 for _ in range(150)]
+        want = self.reference(pool, pool)
+        cache = KernelCache()
+        train = list(range(8))
+        capacities, asked = [], {}
+        for step in range(8, len(pool), 16):
+            candidates = list(range(step, min(step + 16, len(pool))))
+            for rows, cols in [(train, train), (train, candidates)]:
+                k_fp = features([pool[a] for a in rows], [pool[b] for b in cols],
+                                self.SPEC, cache)[1]
+                assert np.array_equal(k_fp, want[np.ix_(rows, cols)])
+                asked.update({frozenset((pool[a].canonical_form, pool[b].canonical_form)):
+                              (a, b) for a in rows for b in cols})
+            train = train + candidates[::3]
+            capacities.append(len(cache._stores[self.SPEC][1]))
+        assert len(set(capacities)) >= 3  # grown at least twice
+        ids, (values, known) = cache._ids, cache._stores[self.SPEC]
+        assert known.sum() == len(asked)
+        for a, b in asked.values():
+            cell = _cell(ids[pool[a].canonical_form], ids[pool[b].canonical_form])
+            assert values[cell, 0] == want[a, b]
 
 
 FAMILIES = [

@@ -317,6 +317,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             join_config(explorer_steps=0)
 
+    def test_unknown_condition(self):
+        with pytest.raises(ValueError, match="nope"):
+            join_config(conditions=(Condition("join"), Condition("nope")))
+
     def test_duplicate_pool_entries_collapse(self):
         result = run(join_config(initial_pool=("C", "C", "N"), budget_t=0))
         assert len(result.initial_evaluations) == 2

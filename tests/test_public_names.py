@@ -6,13 +6,17 @@ in ``src/molbo`` outside ``__init__.py``, or anywhere in ``demos/`` or
 ``perfbench/``.  A top-level definition is its whole statement (a
 function, class or module-level assignment); a method is its ``def``.
 A function nested in another must be used by its enclosing function.
+Every name the benchmark's span tracer (``perfbench/spans.py``) patches
+must still exist where it patches it.
 """
 
 import ast
+import importlib.util
 from collections import defaultdict
 from pathlib import Path
 
 import molbo
+from molbo.molgraph import Molecule
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "molbo"
@@ -146,3 +150,14 @@ def test_every_nested_function_is_used_by_its_enclosing_function():
     assert unused == []
     source = "def f():\n    def g():\n        return g()\n    def h():\n        pass\n    h()\n"
     assert _unreferenced_nested(source) == ["g"]
+
+
+def test_every_name_the_span_tracer_patches_resolves():
+    path = ROOT / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{owner}.{attr}" for owner, attr, *_ in spans._PATCHES
+               if not hasattr(spans._owner(owner), attr)]
+    assert missing == []
+    assert isinstance(Molecule.__dict__["canonical_form"], property)
