@@ -106,16 +106,32 @@ def _load_config_file(path) -> dict:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    _check_tables(config)
+    _check_config(config)
     return config
 
 
-def _check_tables(config: dict) -> None:
-    """Reject a ``betas``, ``contribution_table`` or ``qed_bands`` entry of
-    the wrong shape, naming the key."""
-    def numbers(values) -> bool:
-        return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
+def _check_config(config: dict) -> None:
+    """Reject a config entry of the wrong shape, naming the key: the run
+    sizes and seed must be integers, the sum kernel's weights numbers,
+    ``conditions`` a list of names, and ``betas``, ``contribution_table``
+    and ``qed_bands`` numbers in their list or tables."""
+    def number(v) -> bool:
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
 
+    def numbers(values) -> bool:
+        return all(number(v) for v in values)
+
+    for key in ("budget", "target", "seed", "explorer_steps", "explorer-steps"):
+        value = config.get(key, 0)
+        if not (isinstance(value, int) and not isinstance(value, bool)):
+            raise ValueError(f"config key {key!r} must be an integer")
+    for key in ("alpha1", "alpha2"):
+        if not number(config.get(key, 0)):
+            raise ValueError(f"config key {key!r} must be a number")
+    conditions = config.get("conditions", [])
+    if not (isinstance(conditions, list)
+            and all(isinstance(c, str) for c in conditions)):
+        raise ValueError("config key 'conditions' must be a list of condition names")
     betas = config.get("betas", [])
     if not (isinstance(betas, list) and numbers(betas)):
         raise ValueError("config key 'betas' must be a list of numbers")
@@ -209,7 +225,7 @@ def _run_config(args, config) -> RunConfig:
     oracle = OracleKind(_setting(args, config, "oracle", "template"))
     cond_ids = config.get("conditions")
     if cond_ids:
-        conditions = tuple(Condition(str(c)) for c in cond_ids)
+        conditions = tuple(Condition(c) for c in cond_ids)
     elif oracle is OracleKind.JOIN:
         conditions = (Condition("join"),)
     else:

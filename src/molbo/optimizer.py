@@ -15,10 +15,14 @@ logged as it is made, best-so-far tracked) and returns the
 - the random body runs the same walk and rates every new unique product
   directly.
 
-Both bodies draw from the one walk generator ``_walk``.  Randomness flows
-from a single seed split into two child streams: one drives exploration
-draws (shared verbatim by both methods, so paired seeds explore
-identically), the other drives model fitting and acquisition sampling.
+Both bodies draw from the one walk generator ``_walk``.  Each draw reads
+a reagent count and a condition count from the generator and picks that
+many distinct indices with ``_pick``, which makes the draws, and leaves
+the generator state, of ``Generator.choice(n, size, replace=False)``
+from scalar ``Generator.integers`` calls.  Randomness flows from a
+single seed split into two child streams: one drives exploration draws
+(shared verbatim by both methods, so paired seeds explore identically),
+the other drives model fitting and acquisition sampling.
 """
 
 from __future__ import annotations
@@ -123,17 +127,45 @@ class RunResult:
 # ---------------------------------------------------------------------------
 
 
+def _pick(rng, n, size):
+    """``size`` (at most 2) distinct indices below ``n``: the list
+    ``rng.choice(n, size, replace=False).tolist()``, leaving the generator
+    in the state ``choice`` leaves it.
+
+    For these sizes ``choice`` runs Floyd's algorithm, drawing each value
+    through the bounded routine that ``integers`` uses, then draws the one
+    swap of its shuffle the same way; a range of one value draws nothing.
+    Scalar ``integers`` calls make the same draws without ``choice``'s
+    Python-level overhead.
+    """
+    if size > 2:
+        raise ValueError("_pick draws at most two indices")
+    if size == 0 or n == 1:
+        return [0] * size
+    if size == 1:
+        return [int(rng.integers(0, n))]
+    a = int(rng.integers(0, n - 1))
+    b = int(rng.integers(0, n))
+    if b == a:
+        b = n - 1
+    return [b, a] if rng.integers(0, 2) == 0 else [a, b]
+
+
 def _walk(pool, conditions, past, oracle, rng, dag, max_failures, step):
     """Rand-Select walk on the synthesis graph, one draw at a time.
 
     A draw picks one or two reagents from ``pool`` and one or two
-    conditions and asks the oracle for products.  It succeeds when a
-    product lies outside ``past`` and the pool: the draw is recorded in
-    ``dag`` (if given) as ``step``, the new molecules are appended to
-    ``pool`` and yielded.  The walk returns after ``max_failures``
-    consecutive failed draws.  Nothing is drawn until the consumer asks
-    for the next success, so a consumer that stops asking leaves the RNG
-    stream and the DAG untouched.
+    conditions and asks the oracle for products: it reads the reagent
+    count from ``rng.random()`` (two with ``REAGENT_PAIR_PROBABILITY``)
+    and the condition count from ``rng.integers(1, 3)``, each capped by
+    what there is, and picks the indices with ``_pick``; the conditions
+    go to the oracle in the order ``conditions`` lists them.  It succeeds
+    when a product lies outside ``past`` and the pool: the draw is
+    recorded in ``dag`` (if given) as ``step``, the new molecules are
+    appended to ``pool`` and yielded.  The walk returns after
+    ``max_failures`` consecutive failed draws.  Nothing is drawn until the
+    consumer asks for the next success, so a consumer that stops asking
+    leaves the RNG stream and the DAG untouched.
     """
     conditions = tuple(conditions)
     keys = {m.canonical_form for m in pool}
@@ -141,11 +173,9 @@ def _walk(pool, conditions, past, oracle, rng, dag, max_failures, step):
     while failures < max_failures:
         size = 2 if rng.random() < REAGENT_PAIR_PROBABILITY else 1
         size = min(size, len(pool))
-        idx = rng.choice(len(pool), size=size, replace=False)
-        reagents = [pool[int(k)] for k in idx]
+        reagents = [pool[k] for k in _pick(rng, len(pool), size)]
         q_size = min(int(rng.integers(1, 3)), len(conditions))
-        q_idx = rng.choice(len(conditions), size=q_size, replace=False)
-        conds = [conditions[int(k)] for k in sorted(q_idx)]
+        conds = [conditions[k] for k in sorted(_pick(rng, len(conditions), q_size))]
         outcome = synthesize_detailed(reagents, conds, oracle)
         new = []
         if outcome is not None:

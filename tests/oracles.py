@@ -10,7 +10,8 @@ plain multiset Jaccard over entry counts.  Fingerprint path descriptors are chec
 plain enumeration that joins each path's tokens in both directions, and
 per-element OT block costs against the transportation simplex on the
 whole block, without matching equal bond profiles first.  The GP fit's
-batched candidate draw is checked against one scalar draw per value.
+batched candidate draw is checked against one scalar draw per value, and
+the walk's index draws against ``Generator.choice``.
 """
 
 from collections import Counter
@@ -179,3 +180,9 @@ def sample_one_at_a_time(names: list[str], rng: np.random.Generator,
                 params[name] = float(rng.uniform(lo, hi))
         candidates.append(params)
     return candidates
+
+
+def pick_by_choice(rng: np.random.Generator, n: int, size: int) -> list[int]:
+    """``size`` distinct indices below ``n`` drawn by numpy's own
+    ``Generator.choice`` without replacement."""
+    return rng.choice(n, size=size, replace=False).tolist()

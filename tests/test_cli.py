@@ -184,7 +184,19 @@ class TestOptimize:
         ({"qed_bands": {"mass": {"a": 1}}}, "'qed_bands'"),
         ({"contribution_table": [1]}, "'contribution_table'"),
         ({"conditions": ["nope"]}, "'nope'"),
-    ], ids=["not-an-object", "betas", "qed-bands", "contribution-table", "condition"])
+        ({"budget": [1]}, "'budget'"),
+        ({"budget": True}, "'budget'"),
+        ({"target": 25.0}, "'target'"),
+        ({"seed": "1"}, "'seed'"),
+        ({"explorer_steps": None}, "'explorer_steps'"),
+        ({"alpha1": [1], "kernel": "sum"}, "'alpha1'"),
+        ({"alpha2": False, "kernel": "sum"}, "'alpha2'"),
+        ({"conditions": 5}, "'conditions'"),
+        ({"conditions": [1]}, "'conditions'"),
+    ], ids=["not-an-object", "betas", "qed-bands", "contribution-table", "condition",
+            "budget-list", "budget-bool", "target-float", "seed-string",
+            "explorer-steps-null", "alpha1-list", "alpha2-bool", "conditions-int",
+            "conditions-not-names"])
     def test_malformed_config_exit_2(self, capsys, small_pool_path, tmp_path, config,
                                      named):
         cfg_path = tmp_path / "bad.json"

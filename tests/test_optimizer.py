@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from molbo import optimizer
 from molbo.kernel import FingerprintTanimoto, OTExpSum, SumKernel
 from molbo.molgraph import add_explicit_hydrogens, load_pool, parse_smiles
@@ -14,6 +15,7 @@ from molbo.synthesis import (
     Condition,
     OracleKind,
     SynthesisDag,
+    dag_to_json,
     recipe,
     replay_recipe,
 )
@@ -115,6 +117,71 @@ class TestExploreAcquisition:
         assert best.canonical_form not in past
 
 
+class TestPick:
+    """``_pick`` makes the draws of ``Generator.choice(n, size,
+    replace=False)``: the same indices, in the same order, and the same
+    generator state after every call, 32-bit buffer included."""
+
+    POOL_SIZES = [*range(1, 301), 10_001, 2**20]
+
+    def test_matches_choice_interleaved_as_the_walk_draws(self):
+        for n in self.POOL_SIZES:
+            for i in range(5):
+                ours = np.random.default_rng(1000 * n + i)
+                ref = np.random.default_rng(1000 * n + i)
+
+                def same(a, b):
+                    # checked after every call, so a draw that leaves the
+                    # 32-bit buffer out of step fails at once
+                    assert a == b, n
+                    assert ours.bit_generator.state == ref.bit_generator.state, n
+
+                for _ in range(10):
+                    same(ours.random(), ref.random())
+                    for size in (min(2, n), 1, 0):
+                        same(optimizer._pick(ours, n, size),
+                             oracles.pick_by_choice(ref, n, size))
+                        if size == min(2, n):
+                            same(ours.integers(1, 3), ref.integers(1, 3))
+
+    def test_rejects_more_than_two(self):
+        with pytest.raises(ValueError):
+            optimizer._pick(np.random.default_rng(0), 10, 3)
+
+    @staticmethod
+    def walk(pool, conditions, oracle, n):
+        dag = SynthesisDag()
+        for m in pool:
+            dag.add_initial(m)
+        rng = np.random.default_rng(4)
+        _, stalled, steps = explore_acquisition(
+            pool, conditions, set(), n, oracle,
+            lambda cands: np.zeros(len(cands)), rng, dag=dag,
+        )
+        return ([m.canonical_form for m in pool], dag_to_json(dag),
+                rng.bit_generator.state, stalled, steps)
+
+    @pytest.mark.parametrize("oracle", [OracleKind.JOIN, OracleKind.TEMPLATE])
+    def test_walk_equals_walk_by_choice(self, monkeypatch, template_pool_path, oracle):
+        if oracle is OracleKind.JOIN:
+            make_pool, conditions = expanded_pool, (Condition("join"),)
+        else:
+            make_pool, conditions = (lambda: load_pool(template_pool_path)), \
+                CONDITION_LIBRARY
+        ours = self.walk(make_pool(), conditions, oracle, 20)
+        monkeypatch.setattr(optimizer, "_pick", oracles.pick_by_choice)
+        assert self.walk(make_pool(), conditions, oracle, 20) == ours
+        *_, stalled, steps = ours
+        assert steps == 20 and not stalled
+
+    def test_walk_without_conditions_stalls_as_by_choice(self, monkeypatch):
+        ours = self.walk(expanded_pool(), (), OracleKind.JOIN, 2)
+        *_, stalled, steps = ours
+        assert stalled and steps == 0
+        monkeypatch.setattr(optimizer, "_pick", oracles.pick_by_choice)
+        assert self.walk(expanded_pool(), (), OracleKind.JOIN, 2) == ours
+
+
 class TestChemboRun:
     def test_budget_zero_returns_pool_argmax(self):
         result = run(join_config(budget_t=0))
@@ -209,6 +276,30 @@ class TestRandRun:
             (7, "C(CC(OC)=O)C(OCC)=O", -1, 17),
             (8, "C(CCC(O)=O)(NCCN)=O", -1, 18),
         ]
+
+    def test_pinned_template_qed_log_budget_30(self, tmp_path, template_pool_path):
+        # the rand-template-qed benchmark configuration at run seed 101000,
+        # the pool spelled as in the pool file; 617 walk draws.  Recorded
+        # with numpy 2.4.6, whose Generator.choice the walk's draws match
+        pool = tuple(line for line in template_pool_path.read_text().splitlines()
+                     if line and not line.startswith("#"))
+        path = tmp_path / "run.jsonl"
+        cfg = join_config(initial_pool=pool, objective=Objective(kind=ObjectiveKind.QED),
+                          budget_t=30, seed=101000, method=Method.RAND,
+                          oracle=OracleKind.TEMPLATE, conditions=CONDITION_LIBRARY,
+                          explorer_steps=20)
+        result = run(cfg, log_path=path)
+        assert len(result.records) == 30 and not result.stalled
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "47cdc768ca088a0249fc7ce63b4c109bceb26cc6af235cfca79241b7f9f7dbfc"
+
+    def test_pinned_join_log_budget_30(self, tmp_path):
+        # 44 walk draws over pools of 10 to 39 molecules
+        path = tmp_path / "run.jsonl"
+        result = run(join_config(budget_t=30, method=Method.RAND), log_path=path)
+        assert len(result.records) == 30 and not result.stalled
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "fd1ac3925b9ba553e902a096e7fd0e0b07d6eecccdbc25e51dd8ded5419197e1"
 
     def test_paired_seed_shares_exploration_stream(self):
         # the same seed produces the same early synthesis products in both
