@@ -48,7 +48,7 @@ from .molgraph import (
     parse_smiles,
     strip_hydrogens,
 )
-from .objectives import Band, Objective, ObjectiveKind, evaluate, objective_from_config
+from .objectives import Band, Objective, ObjectiveKind, evaluate
 from .optimizer import (
     EvaluationRecord,
     Method,

@@ -2,9 +2,14 @@
 
 Subcommands: ``dist``, ``gram``, ``optimize``, ``explore``, ``analyze``,
 ``recipe``.  Stdout carries machine-parseable output only (JSON or CSV);
-diagnostics go to stderr.  A JSON config file can predefine any flag;
-explicitly given flags win.  Exit codes: 0 ok, 2 input error, 3
+diagnostics go to stderr.  Exit codes: 0 ok, 2 input error, 3
 not-found, 4 solver failure.
+
+A JSON config file (``--config``) may set ``pool`` and the settings
+``_HEADER_NAMES`` lists (``explorer-steps`` also names
+``explorer_steps``); given flags win.  ``_header`` puts them in the log
+header's shape, the pool as canonical SMILES, and the codec in
+``optimizer`` reads them, checking each key and supplying each default.
 """
 
 from __future__ import annotations
@@ -28,15 +33,20 @@ from .errors import (
     SolverFailure,
     UnknownMolecule,
 )
-from .kernel import FingerprintTanimoto, KernelCache, OTExpSum, SumKernel, gram
+from .kernel import KernelCache, gram
 from .molgraph import load_pool, parse_smiles
-from .objectives import ObjectiveKind, evaluate, objective_from_config
-from .optimizer import Method, RunConfig, run
+from .objectives import ObjectiveKind, evaluate
+from .optimizer import (
+    _INT,
+    _STR,
+    _entry,
+    config_from_json,
+    kernel_family_from_json,
+    objective_from_json,
+    run,
+)
 from .otdist import CONFIG_ORDER, distance_vector
 from .synthesis import (
-    CONDITION_LIBRARY,
-    Condition,
-    OracleKind,
     SynthesisDag,
     load_dag,
     recipe,
@@ -61,32 +71,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gram", help="kernel Gram matrix over a pool, CSV to stdout")
     p.add_argument("--pool", required=True)
-    p.add_argument("--kernel", choices=("fingerprint", "ot", "sum"), default="ot")
+    p.add_argument("--kernel", choices=("fingerprint", "ot", "sum"))
     p.add_argument("--config")
     p.add_argument("--out")
 
     for name in ("optimize", "explore"):
         p = sub.add_parser(name)
         p.add_argument("--pool")
-        p.add_argument("--objective", choices=[k.value for k in ObjectiveKind],
-                       default=None)
-        p.add_argument("--target", type=int, default=None)
-        p.add_argument("--kernel", choices=("fingerprint", "ot", "sum"), default=None)
-        p.add_argument("--oracle", choices=("template", "join"), default=None)
-        p.add_argument("--budget", type=int, default=None)
-        p.add_argument("--explorer-steps", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--objective", choices=[k.value for k in ObjectiveKind])
+        p.add_argument("--target", type=int)
+        p.add_argument("--kernel", choices=("fingerprint", "ot", "sum"))
+        p.add_argument("--oracle", choices=("template", "join"))
+        p.add_argument("--budget", type=int)
+        p.add_argument("--explorer-steps", type=int)
+        p.add_argument("--seed", type=int)
         p.add_argument("--out")
         p.add_argument("--config")
-        p.add_argument("--method", choices=("chembo", "rand"), default=None)
+        p.add_argument("--method", choices=("chembo", "rand"))
 
     p = sub.add_parser("analyze", help="distance-vs-objective scatter data, CSV")
     p.add_argument("--pool", required=True)
-    p.add_argument("--objective", choices=[k.value for k in ObjectiveKind],
-                   default="qed")
-    p.add_argument("--target", type=int, default=25)
+    p.add_argument("--objective", choices=[k.value for k in ObjectiveKind])
+    p.add_argument("--target", type=int)
     p.add_argument("--sample-pairs", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--config")
 
     p = sub.add_parser("recipe", help="synthesis recipe for a molecule in a DAG file")
@@ -97,93 +105,51 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_file(path) -> dict:
-    if not path:
-        return {}
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
-    if not isinstance(config, dict):
-        raise ValueError(f"config file {path} must hold a JSON object")
-    _check_config(config)
-    return config
+#: The flat settings (flag names and config file keys) that go in the log
+#: header's config, by the header object they go in (None: the top level),
+#: and the header keys of those whose names differ there.
+_HEADER_NAMES = {
+    None: ("budget", "seed", "method", "oracle", "conditions", "explorer_steps"),
+    "objective": ("objective", "target", "contribution_table", "qed_bands"),
+    "kernel": ("kernel", "betas", "alpha1", "alpha2"),
+}
+_RENAMED = {"budget": "budget_t", "objective": "kind", "kernel": "family"}
 
 
-def _check_config(config: dict) -> None:
-    """Reject a config entry of the wrong shape, naming the key: the run
-    sizes and seed must be integers, the sum kernel's weights numbers,
-    ``conditions`` a list of names, and ``betas``, ``contribution_table``
-    and ``qed_bands`` numbers in their list or tables."""
-    def number(v) -> bool:
-        return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-    def numbers(values) -> bool:
-        return all(number(v) for v in values)
-
-    for key in ("budget", "target", "seed", "explorer_steps", "explorer-steps"):
-        value = config.get(key, 0)
-        if not (isinstance(value, int) and not isinstance(value, bool)):
-            raise ValueError(f"config key {key!r} must be an integer")
-    for key in ("alpha1", "alpha2"):
-        if not number(config.get(key, 0)):
-            raise ValueError(f"config key {key!r} must be a number")
-    conditions = config.get("conditions", [])
-    if not (isinstance(conditions, list)
-            and all(isinstance(c, str) for c in conditions)):
-        raise ValueError("config key 'conditions' must be a list of condition names")
-    betas = config.get("betas", [])
-    if not (isinstance(betas, list) and numbers(betas)):
-        raise ValueError("config key 'betas' must be a list of numbers")
-    table = config.get("contribution_table", {})
-    if not (isinstance(table, dict) and numbers(table.values())):
-        raise ValueError("config key 'contribution_table' must map elements to numbers")
-    bands = config.get("qed_bands", {})
-    if not (isinstance(bands, dict) and all(
-            isinstance(b, dict) and numbers([b.get(k) for k in "abcd"] + [b.get("floor", 0)])
-            for b in bands.values())):
-        raise ValueError("config key 'qed_bands' must map band names to objects of "
-                         "numbers 'a', 'b', 'c', 'd' and an optional 'floor'")
+def _header(flat: dict, pool: list[str]) -> dict:
+    """The flat settings and the pool in the log header's shape."""
+    header = {"initial_pool": pool}
+    for section, names in _HEADER_NAMES.items():
+        part = {_RENAMED.get(n, n): flat[n] for n in names if n in flat}
+        header.update(part if section is None else {section: part})
+    return header
 
 
-def _setting(args, config: dict, name: str, default=None):
-    """Flag wins over config file entry wins over default."""
-    value = getattr(args, name.replace("-", "_"), None)
-    if value is not None:
-        return value
-    if name in config:
-        return config[name]
-    return default
-
-
-def _kernel_from_name(name: str, config: dict):
-    betas = tuple(config.get("betas", (1.0, 1.0, 1.0, 1.0)))
-    if name == "fingerprint":
-        return FingerprintTanimoto()
-    if name == "ot":
-        return OTExpSum(betas)
-    if name == "sum":
-        return SumKernel(
-            alpha1=float(config.get("alpha1", 1.0)),
-            alpha2=float(config.get("alpha2", 1.0)),
-            ot=OTExpSum(betas),
-        )
-    raise ValueError(f"unknown kernel {name!r}")
-
-
-def _pool_path(args, config) -> str:
-    path = _setting(args, config, "pool")
-    if not path:
-        raise ValueError("a pool file is required (--pool)")
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"pool file not found: {path}")
-    return path
-
-
-def _objective(args, config):
-    kind_name = _setting(args, config, "objective", "qed")
-    target = _setting(args, config, "target", 25)
-    return objective_from_config(ObjectiveKind(kind_name), int(target), config)
+def _configured(args, read):
+    """The pool file's molecules and ``read`` applied to the settings in
+    the log header's shape, flags over config file entries.  The file's
+    entries are read over the flags first, so that a malformed entry is
+    rejected even where a flag overrides it.  An error names a key by its
+    flat name."""
+    config = {}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
+        if "explorer-steps" in config:
+            config["explorer_steps"] = config.pop("explorer-steps")
+    flags = {k: v for k, v in vars(args).items() if v is not None}
+    pool = load_pool(_entry({**config, **flags}, "pool", _STR))
+    smiles = [m.canonical_form for m in pool]
+    try:
+        read(_header({**flags, **config}, smiles))
+        return pool, read(_header({**config, **flags}, smiles))
+    except ValueError as exc:
+        message = str(exc)
+        for name, key in _RENAMED.items():
+            message = message.replace(f"config key {key!r}", f"config key {name!r}")
+        raise ValueError(message) from None
 
 
 def _cmd_dist(args) -> int:
@@ -198,11 +164,9 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_gram(args) -> int:
-    config = _load_config_file(args.config)
-    pool = load_pool(_pool_path(args, config))
+    pool, spec = _configured(args, lambda h: kernel_family_from_json(h["kernel"]))
     if not pool:
         raise ValueError("pool file contains no molecules")
-    spec = _kernel_from_name(_setting(args, config, "kernel", "ot"), config)
     matrix = gram(pool, spec, KernelCache())
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -216,37 +180,8 @@ def _cmd_gram(args) -> int:
     return EXIT_OK
 
 
-def _run_config(args, config) -> RunConfig:
-    pool_path = _pool_path(args, config)
-    pool = [m.canonical_form for m in load_pool(pool_path)]
-    seed = _setting(args, config, "seed")
-    if seed is None:
-        raise ValueError("a seed is required (--seed)")
-    oracle = OracleKind(_setting(args, config, "oracle", "template"))
-    cond_ids = config.get("conditions")
-    if cond_ids:
-        conditions = tuple(Condition(c) for c in cond_ids)
-    elif oracle is OracleKind.JOIN:
-        conditions = (Condition("join"),)
-    else:
-        conditions = CONDITION_LIBRARY
-    return RunConfig(
-        initial_pool=tuple(pool),
-        objective=_objective(args, config),
-        kernel_family=_kernel_from_name(_setting(args, config, "kernel", "ot"), config),
-        budget_t=int(_setting(args, config, "budget", 10)),
-        seed=int(seed),
-        method=Method(_setting(args, config, "method", "chembo")),
-        oracle=oracle,
-        conditions=conditions,
-        explorer_steps=int(_setting(args, config, "explorer-steps",
-                                    config.get("explorer_steps", 20))),
-    )
-
-
 def _cmd_optimize(args) -> int:
-    config = _load_config_file(args.config)
-    cfg = _run_config(args, config)
+    _, cfg = _configured(args, config_from_json)
     out = args.out or "run_log.jsonl"
     result = run(cfg, log_path=out)
     dag_path = str(Path(out).with_suffix("")) + ".dag.json"
@@ -261,8 +196,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_explore(args) -> int:
-    config = _load_config_file(args.config)
-    cfg = _run_config(args, config)
+    _, cfg = _configured(args, config_from_json)
     from .optimizer import explore_acquisition, _bootstrap, _streams
 
     explore_rng, _ = _streams(cfg.seed)
@@ -287,16 +221,15 @@ def _cmd_explore(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    config = _load_config_file(args.config)
     if args.sample_pairs < 1:
         raise ValueError("--sample-pairs must be at least 1")
-    pool = load_pool(_pool_path(args, config))
+    pool, (objective, seed) = _configured(args, lambda h: (
+        objective_from_json(h["objective"]), _entry(h, "seed", _INT, 0)))
     if len(pool) < 2:
         raise ValueError("analyze needs at least two pool molecules")
-    objective = _objective(args, config)
     values = [evaluate(objective, m) for m in pool]
     n_pairs = len(pool) * (len(pool) - 1) // 2
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(seed)
     chosen = rng.choice(n_pairs, size=min(args.sample_pairs, n_pairs), replace=False)
     writer = csv.writer(sys.stdout)
     writer.writerow([

@@ -183,27 +183,3 @@ def evaluate(obj: Objective, mol: Molecule) -> float:
         return product ** (1.0 / len(scores))
     raise ValueError(f"unknown objective kind {obj.kind!r}")
 
-
-# ---------------------------------------------------------------------------
-# Configuration files
-# ---------------------------------------------------------------------------
-
-
-def objective_from_config(
-    kind: ObjectiveKind, target: int = 25, config: dict | None = None
-) -> Objective:
-    """Build an objective, overriding tables from a config mapping with
-    optional ``contribution_table`` and ``qed_bands`` entries."""
-    contributions = dict(DEFAULT_CONTRIBUTIONS)
-    bands = dict(DEFAULT_QED_BANDS)
-    if config:
-        contributions.update(config.get("contribution_table", {}))
-        for name, raw in config.get("qed_bands", {}).items():
-            bands[name] = Band(
-                a=float(raw["a"]),
-                b=float(raw["b"]),
-                c=float(raw["c"]),
-                d=float(raw["d"]),
-                floor=float(raw.get("floor", 0.05)),
-            )
-    return Objective(kind=kind, target=target, contributions=contributions, qed_bands=bands)

@@ -23,6 +23,11 @@ from scalar ``Generator.integers`` calls.  Randomness flows from a
 single seed split into two child streams: one drives exploration draws
 (shared verbatim by both methods, so paired seeds explore identically),
 the other drives model fitting and acquisition sampling.
+
+The log header holds the run's config as ``config_to_json`` writes it.
+``config_from_json`` is its inverse and the package's one config reader:
+it checks each key as it reads it and supplies every default; the CLI's
+``gram`` and ``analyze`` use its kernel and objective readers alone.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 import enum
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -48,7 +53,7 @@ from .errors import FitFailure
 from .gp import GpHyperparams, build_posterior, fit, posterior_batch
 from .kernel import FingerprintTanimoto, KernelCache, KernelSpec, OTExpSum, SumKernel
 from .molgraph import Molecule, parse_smiles
-from .objectives import Band, Objective, evaluate
+from .objectives import Band, Objective, ObjectiveKind, evaluate
 from .synthesis import (
     CONDITION_LIBRARY,
     Condition,
@@ -240,30 +245,90 @@ def explore_acquisition(
 
 
 # ---------------------------------------------------------------------------
-# Logging
+# Logging: the header's config codec and the log writer
 # ---------------------------------------------------------------------------
 
+_REQUIRED = object()
 
-def _band_to_json(band: Band) -> dict:
-    return {"a": band.a, "b": band.b, "c": band.c, "d": band.d, "floor": band.floor}
+
+def _entry(d: dict, key: str, read, default=_REQUIRED):
+    """``read(d[key])``, or ``default`` if the key is absent; a
+    ``ValueError`` naming the key if it is required and absent, or if
+    ``read`` rejects its value."""
+    if key not in d:
+        if default is _REQUIRED:
+            raise ValueError(f"config key {key!r} is required")
+        return default
+    try:
+        return read(d[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"config key {key!r}: {exc}") from None
+
+
+def _of_type(*types):
+    """A reader that passes a value of one of ``types`` through; a bool,
+    which Python counts as an int, is none of them."""
+    names = " or ".join(t.__name__ for t in types)
+
+    def read(value):
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise TypeError(f"must be {names}, not {type(value).__name__}")
+        return value
+
+    return read
+
+
+_INT, _NUMBER, _STR, _LIST, _OBJECT = (
+    _of_type(int), _of_type(int, float), _of_type(str), _of_type(list), _of_type(dict))
+
+
+def _band_from_json(raw) -> Band:
+    """A band of floats; ``floor`` defaults to 0.05."""
+    raw = _OBJECT(raw)
+    return Band(*(float(_entry(raw, k, _NUMBER)) for k in "abcd"),
+                floor=float(_entry(raw, "floor", _NUMBER, 0.05)))
+
+
+def objective_from_json(d: dict) -> Objective:
+    """The objective of a header's ``objective`` object.  A partial
+    ``contribution_table`` or ``qed_bands`` merges over the defaults;
+    contributions keep the numbers given."""
+    objective = Objective(kind=_entry(d, "kind", ObjectiveKind, ObjectiveKind.QED),
+                          target=_entry(d, "target", _INT, 25))
+    table = _entry(d, "contribution_table",
+                   lambda t: {k: _NUMBER(v) for k, v in _OBJECT(t).items()}, {})
+    bands = _entry(d, "qed_bands",
+                   lambda t: {k: _entry(t, k, _band_from_json) for k in _OBJECT(t)}, {})
+    return replace(objective, contributions={**objective.contributions, **table},
+                   qed_bands={**objective.qed_bands, **bands})
 
 
 def kernel_family_to_json(spec: KernelSpec) -> dict:
     if isinstance(spec, FingerprintTanimoto):
-        return {"family": "fingerprint", "n_bits": spec.n_bits,
-                "max_path_len": spec.max_path_len}
+        return {"family": "fingerprint", **asdict(spec)}
     if isinstance(spec, OTExpSum):
         return {"family": "ot", "betas": list(spec.betas)}
     if isinstance(spec, SumKernel):
-        return {
-            "family": "sum",
-            "alpha1": spec.alpha1,
-            "alpha2": spec.alpha2,
-            "n_bits": spec.fingerprint.n_bits,
-            "max_path_len": spec.fingerprint.max_path_len,
-            "betas": list(spec.ot.betas),
-        }
+        return {**kernel_family_to_json(spec.fingerprint), **kernel_family_to_json(spec.ot),
+                "family": "sum", "alpha1": spec.alpha1, "alpha2": spec.alpha2}
     raise TypeError(f"unknown kernel spec {spec!r}")
+
+
+def kernel_family_from_json(d: dict) -> KernelSpec:
+    """The kernel spec of a header's ``kernel`` object.  Every kernel key
+    present is checked, whether or not the family uses it; an absent key
+    takes the kernel's default.  Betas keep the numbers given, alphas
+    become floats."""
+    fingerprint = FingerprintTanimoto(
+        **{k: _entry(d, k, _INT) for k in ("n_bits", "max_path_len") if k in d})
+    ot = _entry(d, "betas", lambda v: OTExpSum(tuple(map(_NUMBER, _LIST(v)))), OTExpSum())
+    alphas = {k: float(_entry(d, k, _NUMBER)) for k in ("alpha1", "alpha2") if k in d}
+    specs = {"fingerprint": fingerprint, "ot": ot,
+             "sum": SumKernel(**alphas, fingerprint=fingerprint, ot=ot)}
+    family = _entry(d, "family", _STR, "ot")
+    if family not in specs:
+        raise ValueError(f"config key 'family': unknown kernel family {family!r}")
+    return specs[family]
 
 
 def config_to_json(cfg: RunConfig) -> dict:
@@ -273,7 +338,7 @@ def config_to_json(cfg: RunConfig) -> dict:
             "kind": cfg.objective.kind.value,
             "target": cfg.objective.target,
             "contribution_table": dict(sorted(cfg.objective.contributions.items())),
-            "qed_bands": {k: _band_to_json(b) for k, b in sorted(cfg.objective.qed_bands.items())},
+            "qed_bands": {k: asdict(b) for k, b in sorted(cfg.objective.qed_bands.items())},
         },
         "kernel": kernel_family_to_json(cfg.kernel_family),
         "budget_t": cfg.budget_t,
@@ -283,6 +348,30 @@ def config_to_json(cfg: RunConfig) -> dict:
         "conditions": [c.id for c in cfg.conditions],
         "explorer_steps": cfg.explorer_steps,
     }
+
+
+def config_from_json(d: dict) -> RunConfig:
+    """The ``RunConfig`` of a header's config, ``config_to_json``'s
+    inverse.  ``initial_pool`` and ``seed`` are required; every other key
+    takes its default when absent: budget 10, the guided method, the
+    template oracle, the oracle's conditions (``join`` alone for the join
+    oracle, the whole library otherwise; an empty list counts as absent),
+    20 explorer steps, and the defaults of ``objective_from_json`` and
+    ``kernel_family_from_json``.  Each key is checked as it is read."""
+    oracle = _entry(d, "oracle", OracleKind, OracleKind.TEMPLATE)
+    default_conditions = (Condition("join"),) if oracle is OracleKind.JOIN else CONDITION_LIBRARY
+    return RunConfig(
+        initial_pool=_entry(d, "initial_pool", lambda v: tuple(map(_STR, _LIST(v)))),
+        objective=objective_from_json(_entry(d, "objective", _OBJECT, {})),
+        kernel_family=kernel_family_from_json(_entry(d, "kernel", _OBJECT, {})),
+        budget_t=_entry(d, "budget_t", _INT, 10),
+        seed=_entry(d, "seed", _INT),
+        method=_entry(d, "method", Method, Method.CHEMBO),
+        oracle=oracle,
+        conditions=_entry(d, "conditions", lambda v: tuple(Condition(_STR(c)) for c in _LIST(v))
+                          or default_conditions, default_conditions),
+        explorer_steps=_entry(d, "explorer_steps", _INT, 20),
+    )
 
 
 class RunLogWriter:
@@ -295,11 +384,10 @@ class RunLogWriter:
         self._fh = open(path, "w", encoding="utf-8")
 
     def write_header(self, cfg: RunConfig, initial_evaluations):
-        payload = {
+        self._write({
             "config": config_to_json(cfg),
             "initial_evaluations": [[k, v] for k, v in initial_evaluations],
-        }
-        self._write(payload)
+        })
 
     def write_record(self, rec: EvaluationRecord):
         self._write(

@@ -96,6 +96,15 @@ class TestGram:
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "c863adebaed127a1b91ee40596c12812e8379fbc367881898b641fe0742c6806"
 
+    def test_config_entries_match_flags(self, capsys, small_pool_path, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kernel": "fingerprint"}))
+        pool = ("--pool", str(small_pool_path))
+        code, by_file, _ = run_cli(capsys, "gram", *pool, "--config", str(cfg_path))
+        assert code == 0
+        assert by_file == run_cli(capsys, "gram", *pool, "--kernel", "fingerprint")[1]
+        assert by_file != run_cli(capsys, "gram", *pool)[1]  # the OT default
+
     def test_missing_pool_exit_2(self, capsys, tmp_path):
         missing = tmp_path / "nope.smi"
         code, _, err = run_cli(capsys, "gram", "--pool", str(missing))
@@ -193,17 +202,21 @@ class TestOptimize:
         ({"alpha2": False, "kernel": "sum"}, "'alpha2'"),
         ({"conditions": 5}, "'conditions'"),
         ({"conditions": [1]}, "'conditions'"),
+        ({"pool": [1]}, "'pool'"),
+        ({"pool": 1}, "'pool'"),
     ], ids=["not-an-object", "betas", "qed-bands", "contribution-table", "condition",
             "budget-list", "budget-bool", "target-float", "seed-string",
             "explorer-steps-null", "alpha1-list", "alpha2-bool", "conditions-int",
-            "conditions-not-names"])
+            "conditions-not-names", "pool-list", "pool-int"])
     def test_malformed_config_exit_2(self, capsys, small_pool_path, tmp_path, config,
                                      named):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(config))
         out = tmp_path / "bad_run.jsonl"
+        # a config that sets the pool gets no --pool flag, which would win
+        pool_flag = [] if "pool" in config else ["--pool", str(small_pool_path)]
         code, text, err = run_cli(
-            capsys, "optimize", "--pool", str(small_pool_path), "--seed", "1",
+            capsys, "optimize", *pool_flag, "--seed", "1",
             "--config", str(cfg_path), "--out", str(out),
         )
         assert code == 2
@@ -212,7 +225,69 @@ class TestOptimize:
         assert not out.exists()  # rejected before the log header is written
 
 
+    # sha256 of the header line of `optimize --budget 0`, recorded before the
+    # config codec replaced the CLI's own config parsing
+    @pytest.mark.parametrize("config,digest", [
+        ({"objective": "heavy_atom", "target": 10, "oracle": "join", "budget": 5,
+          "seed": 3, "explorer_steps": 6},
+         "51ebac772e2a06d569d7a66ca1a7dd12b5f60ac8c070b6276da709de56c4d861"),
+        ({"kernel": "sum", "betas": [1, 2, 1, 1], "alpha1": 1, "contribution_table": {"C": 1},
+          "qed_bands": {"mass": {"a": 0, "b": 10, "c": 20, "d": 30}}, "objective": "qed",
+          "seed": 5, "oracle": "join"},
+         "7131212ac7a5da445d7fce9697ee5ad7378b957a5e6e734a964cc3a29a89148b"),
+        ({"kernel": "ot", "betas": [0.5, 1.0, 2.0, 0.25], "objective": "logp", "seed": 7,
+          "method": "rand", "explorer-steps": 9},
+         "a60aec17a81573bac9ef25f74b8c402c6a571a1f46872ccabe27f0bd61750c3e"),
+        ({"kernel": "fingerprint", "objective": "penlogp", "seed": 9, "oracle": "template",
+          "conditions": ["heat", "base"]},
+         "742674ba6b50f110ddf2cdd1946667be2a113ce4e18b7af34ed9275008fead72"),
+    ], ids=["flat", "sum", "ot", "fingerprint"])
+    def test_pinned_header(self, capsys, small_pool_path, tmp_path, config, digest):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"pool": str(small_pool_path), **config}))
+        out = tmp_path / "header.jsonl"
+        code, _, _ = run_cli(capsys, "optimize", "--config", str(cfg_path),
+                             "--budget", "0", "--out", str(out))
+        assert code == 0
+        header = out.read_bytes().split(b"\n")[0]
+        assert hashlib.sha256(header).hexdigest() == digest
+
+    def test_config_entries_match_flags(self, capsys, small_pool_path, tmp_path):
+        settings = {"objective": "logp", "target": 7, "kernel": "fingerprint",
+                    "oracle": "join", "budget": 2, "explorer_steps": 5, "seed": 4,
+                    "method": "chembo"}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"pool": str(small_pool_path), **settings}))
+        by_file, by_flags = tmp_path / "file.jsonl", tmp_path / "flags.jsonl"
+        code, file_out, _ = run_cli(capsys, "optimize", "--config", str(cfg_path),
+                                    "--out", str(by_file))
+        assert code == 0
+        flags = [f"--{k.replace('_', '-')}={v}" for k, v in settings.items()]
+        code, flag_out, _ = run_cli(capsys, "optimize", "--pool", str(small_pool_path),
+                                    *flags, "--out", str(by_flags))
+        assert code == 0
+        assert file_out == flag_out
+        assert by_file.read_bytes() == by_flags.read_bytes()
+        assert json.loads(by_file.read_text().splitlines()[0])["config"]["kernel"] == {
+            "family": "fingerprint", "n_bits": 2048, "max_path_len": 7}
+
+
 class TestExplore:
+    def test_config_entries_match_flags(self, capsys, small_pool_path, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"oracle": "join", "explorer-steps": 4, "seed": 5}))
+        dags = tmp_path / "file.dag.json", tmp_path / "flags.dag.json"
+        code, file_out, _ = run_cli(capsys, "explore", "--pool", str(small_pool_path),
+                                    "--config", str(cfg_path), "--out", str(dags[0]))
+        assert code == 0
+        code, flag_out, _ = run_cli(capsys, "explore", "--pool", str(small_pool_path),
+                                    "--oracle", "join", "--explorer-steps", "4",
+                                    "--seed", "5", "--out", str(dags[1]))
+        assert code == 0
+        assert file_out == flag_out
+        assert len(json.loads(file_out)["new_molecules"]) == 4
+        assert dags[0].read_bytes() == dags[1].read_bytes()
+
     def test_reports_new_molecules(self, capsys, small_pool_path, tmp_path):
         dag_out = tmp_path / "explore.dag.json"
         code, out, _ = run_cli(
@@ -270,6 +345,16 @@ class TestAnalyze:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "8f9b0ee366547efcb76855322b427534ecb50da4bbc59a8642412686f8ed8c78")
+
+    def test_config_entries_match_flags(self, capsys, small_pool_path, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"objective": "heavy_atom", "target": 4, "seed": 9}))
+        pool = ("--pool", str(small_pool_path), "--sample-pairs", "12")
+        code, by_file, _ = run_cli(capsys, "analyze", *pool, "--config", str(cfg_path))
+        assert code == 0
+        assert by_file == run_cli(capsys, "analyze", *pool, "--objective", "heavy_atom",
+                                  "--target", "4", "--seed", "9")[1]
+        assert by_file != run_cli(capsys, "analyze", *pool)[1]  # qed, seed 0
 
     def test_pair_of_index_is_the_enumeration(self):
         for n in range(2, 61):

@@ -11,9 +11,9 @@ from molbo.objectives import (
     Objective,
     ObjectiveKind,
     evaluate,
-    objective_from_config,
     ring_data,
 )
+from molbo.optimizer import objective_from_json
 
 
 def expand(text):
@@ -144,7 +144,7 @@ class TestConfig:
             "contribution_table": {"C": 1.0},
             "qed_bands": {"mass": {"a": 0, "b": 10, "c": 20, "d": 30, "floor": 0.1}},
         }
-        obj = objective_from_config(ObjectiveKind.LOGP, 25, config)
+        obj = objective_from_json({"kind": "logp", "target": 25, **config})
         assert obj.contributions["C"] == 1.0
         assert obj.contributions["O"] == DEFAULT_CONTRIBUTIONS["O"]
         assert obj.qed_bands["mass"].floor == 0.1
