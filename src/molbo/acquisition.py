@@ -4,7 +4,9 @@ EI, UCB and a top-two variant of EI (TTEI) score candidates from the GP
 posterior.  The optimizer samples one acquisition per iteration from an
 adaptive multiplicative-weights distribution: the acquisition used has
 its weight multiplied by ``exp(eta)`` whenever the iteration improved
-the incumbent, and weights are renormalized after every update.
+the incumbent, and weights are renormalized after every update.  EI
+(and TTEI through it) imports ``scipy.special.ndtr`` at its first call;
+importing this module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -14,12 +16,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 DEFAULT_TT_EPSILON = 0.3
 ENSEMBLE_ETA = 0.5
+
+#: ``scipy.special.ndtr``, imported by the first ``ei``.
+_ndtr = None
 
 
 class AcquisitionKind(enum.Enum):
@@ -38,6 +42,9 @@ def ucb_beta_schedule(t: int) -> float:
 def ei(mu, sigma, best):
     """Expected improvement over ``best``; exact max(0, mu - best) at
     sigma = 0.  Accepts scalars or arrays."""
+    global _ndtr
+    if _ndtr is None:
+        from scipy.special import ndtr as _ndtr
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     if np.any(sigma < 0):
@@ -45,7 +52,7 @@ def ei(mu, sigma, best):
     safe = np.where(sigma > 0, sigma, 1.0)
     z = (mu - best) / safe
     pdf = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
-    value = (mu - best) * ndtr(z) + safe * pdf
+    value = (mu - best) * _ndtr(z) + safe * pdf
     value = np.where(sigma > 0, value, np.maximum(0.0, mu - best))
     return float(value) if value.ndim == 0 else value
 

@@ -7,14 +7,14 @@ randomness in every method, which reduces comparison variance relative
 to fully independent runs.  Runs may execute in separate worker
 processes (one per core unless ``workers`` says otherwise); aggregation
 is deterministic either way because each run depends only on its own
-seed.
+seed.  ``run_bench`` imports ``ProcessPoolExecutor`` only when it starts
+workers.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -95,6 +95,8 @@ def run_bench(
             partial_fh = stack.enter_context(open(partial_path, "w", encoding="utf-8"))
         job_map = map
         if n_workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=n_workers))
             job_map = pool.map
         for method, seed, curve in job_map(_run_job, jobs):

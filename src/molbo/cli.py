@@ -111,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
 _HEADER_NAMES = {
     None: ("budget", "seed", "method", "oracle", "conditions", "explorer_steps"),
     "objective": ("objective", "target", "contribution_table", "qed_bands"),
-    "kernel": ("kernel", "betas", "alpha1", "alpha2"),
+    "kernel": ("kernel", "n_bits", "max_path_len", "betas", "alpha1", "alpha2"),
 }
 _RENAMED = {"budget": "budget_t", "objective": "kind", "kernel": "family"}
 

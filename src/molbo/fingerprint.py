@@ -5,7 +5,8 @@ descriptor string (element symbols alternating with bond symbols, read
 in the lexicographically smaller direction); descriptors are hashed to
 bit positions.  The hash is pinned so fingerprints are bit-stable: FNV-1a
 64-bit with the offset basis XORed with the seed 0x5EED, reduced modulo
-``n_bits``.
+``n_bits``.  Molecules of one run share most of their descriptors, so
+the hash is memoized per descriptor string.
 
 A fingerprint is an OR over descriptor hashes, so a join product ``P``
 that bonds reagents ``A`` and ``B`` by one new bond ``(u, v)`` inherits
@@ -21,6 +22,7 @@ reagents' fingerprints enumerates only the crossing paths.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import LengthMismatch
@@ -34,12 +36,22 @@ DEFAULT_N_BITS = 2048
 DEFAULT_MAX_PATH_LEN = 7
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def _hash64(descriptor: str) -> int:
     h = _FNV_OFFSET
     for byte in descriptor.encode("ascii"):
         h ^= byte
         h = (h * _FNV_PRIME) & _MASK64
     return h
+
+
+def check_parameters(n_bits: int, max_path_len: int) -> None:
+    """``ValueError`` unless ``n_bits`` is a power of two >= 64 and
+    ``max_path_len`` lies in 1..10."""
+    if n_bits < 64 or n_bits & (n_bits - 1):
+        raise ValueError("n_bits must be a power of two >= 64")
+    if not 1 <= max_path_len <= 10:
+        raise ValueError("max_path_len must lie in 1..10")
 
 
 @dataclass(frozen=True)
@@ -155,10 +167,7 @@ def path_fingerprint(
     ``max_path_len``.  Their bits are ORed with the hashes of the paths
     that cross the join bond alone; the result equals full enumeration.
     """
-    if n_bits < 64 or n_bits & (n_bits - 1):
-        raise ValueError("n_bits must be a power of two >= 64")
-    if not 1 <= max_path_len <= 10:
-        raise ValueError("max_path_len must lie in 1..10")
+    check_parameters(n_bits, max_path_len)
     if reagents is None:
         bits = 0
         descriptors = path_descriptors(mol, max_path_len)

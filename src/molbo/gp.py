@@ -17,7 +17,9 @@ multiplicative coordinate refinement; the mean constant is profiled out
 analytically (its generalized-least-squares optimum given the other
 parameters).  ``build_posterior`` reports the log marginal likelihood of
 its hyperparameters from the same Cholesky factor that scores queries.
-Every triangular solve goes through ``_solve``.
+Every triangular solve goes through ``_solve``, which imports scipy's
+LAPACK ``dtrtrs`` at its first call, so importing this module loads
+numpy alone and a process that never fits a GP never loads scipy.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
 from .errors import CholeskyFailure, FitFailure
 from .kernel import (
@@ -122,6 +123,10 @@ def _targets(mols: list[Molecule], ys) -> np.ndarray:
     return ys
 
 
+#: ``scipy.linalg.lapack.dtrtrs``, imported by the first ``_solve``.
+_dtrtrs = None
+
+
 def _solve(chol: np.ndarray, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
     """Solve ``chol @ x = rhs``, or ``chol.T @ x = rhs`` with ``transpose``,
     for a C-ordered lower Cholesky factor.
@@ -130,7 +135,10 @@ def _solve(chol: np.ndarray, rhs: np.ndarray, transpose: bool = False) -> np.nda
     ``scipy.linalg.solve_triangular`` does, so the bits are scipy's
     without its per-call argument checks.  Callers check finiteness.
     """
-    x, info = dtrtrs(chol.T, rhs, lower=0, trans=0 if transpose else 1)
+    global _dtrtrs
+    if _dtrtrs is None:
+        from scipy.linalg.lapack import dtrtrs as _dtrtrs
+    x, info = _dtrtrs(chol.T, rhs, lower=0, trans=0 if transpose else 1)
     if info:
         raise np.linalg.LinAlgError(f"triangular solve failed: info {info}")
     return x

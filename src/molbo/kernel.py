@@ -36,6 +36,7 @@ from .fingerprint import (
     DEFAULT_MAX_PATH_LEN,
     DEFAULT_N_BITS,
     Fingerprint,
+    check_parameters,
     path_fingerprint,
     tanimoto,
 )
@@ -55,6 +56,9 @@ class FingerprintTanimoto:
 
     n_bits: int = DEFAULT_N_BITS
     max_path_len: int = DEFAULT_MAX_PATH_LEN
+
+    def __post_init__(self):
+        check_parameters(self.n_bits, self.max_path_len)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,10 @@ Shipped kinds:
   (``max(0, size - 6)`` summed over a minimum cycle basis).
 * qed: geometric mean of four trapezoidal desirability scores in (0, 1]
   (molecular mass, logp, H-bond donors, H-bond acceptors).
+
+Only the penalized kind needs networkx, for the minimum cycle basis;
+``ring_data`` imports it, so a process that never scores penalized logP
+never loads it.
 """
 
 from __future__ import annotations
@@ -23,8 +27,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from typing import Mapping
-
-import networkx as nx
 
 from .errors import MissingContribution
 from .molgraph import Molecule, WeightMode, expanded_atoms, molecular_weight
@@ -108,14 +110,6 @@ def _contribution_sum(obj: Objective, mol: Molecule) -> float:
     return total
 
 
-def _heavy_graph(mol: Molecule) -> nx.Graph:
-    g = nx.Graph()
-    heavy = set(mol.heavy_indices())
-    g.add_nodes_from(heavy)
-    g.add_edges_from((i, j) for (i, j) in mol.bonds if i in heavy and j in heavy)
-    return g
-
-
 def ring_data(mol: Molecule) -> tuple[list[set[int]], float, float]:
     """Minimum cycle basis plus the derived penalties.
 
@@ -123,7 +117,13 @@ def ring_data(mol: Molecule) -> tuple[list[set[int]], float, float]:
     ``sum(max(0, len(ring) - 6))`` and a ring counts as fused when it
     shares an atom with another basis ring.
     """
-    rings = [set(c) for c in nx.minimum_cycle_basis(_heavy_graph(mol))]
+    import networkx as nx
+
+    g = nx.Graph()
+    heavy = set(mol.heavy_indices())
+    g.add_nodes_from(heavy)
+    g.add_edges_from((i, j) for (i, j) in mol.bonds if i in heavy and j in heavy)
+    rings = [set(c) for c in nx.minimum_cycle_basis(g)]
     penalty = float(sum(max(0, len(r) - 6) for r in rings))
     fused = 0
     for i, r in enumerate(rings):

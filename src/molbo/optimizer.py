@@ -314,15 +314,23 @@ def kernel_family_to_json(spec: KernelSpec) -> dict:
     raise TypeError(f"unknown kernel spec {spec!r}")
 
 
+def _spec_field(spec_type, key: str, read):
+    """A reader of field ``key`` of a kernel spec: ``read``, then the
+    spec's own range check on a spec that sets that field alone."""
+    return lambda value: getattr(spec_type(**{key: read(value)}), key)
+
+
 def kernel_family_from_json(d: dict) -> KernelSpec:
     """The kernel spec of a header's ``kernel`` object.  Every kernel key
-    present is checked, whether or not the family uses it; an absent key
-    takes the kernel's default.  Betas keep the numbers given, alphas
-    become floats."""
-    fingerprint = FingerprintTanimoto(
-        **{k: _entry(d, k, _INT) for k in ("n_bits", "max_path_len") if k in d})
+    present is checked, type and range, whether or not the family uses
+    it; an absent key takes the kernel's default.  Betas keep the numbers
+    given, alphas become floats."""
+    fingerprint = FingerprintTanimoto(**{
+        k: _entry(d, k, _spec_field(FingerprintTanimoto, k, _INT))
+        for k in ("n_bits", "max_path_len") if k in d})
     ot = _entry(d, "betas", lambda v: OTExpSum(tuple(map(_NUMBER, _LIST(v)))), OTExpSum())
-    alphas = {k: float(_entry(d, k, _NUMBER)) for k in ("alpha1", "alpha2") if k in d}
+    alphas = {k: _entry(d, k, _spec_field(SumKernel, k, lambda v: float(_NUMBER(v))))
+              for k in ("alpha1", "alpha2") if k in d}
     specs = {"fingerprint": fingerprint, "ot": ot,
              "sum": SumKernel(**alphas, fingerprint=fingerprint, ot=ot)}
     family = _entry(d, "family", _STR, "ot")

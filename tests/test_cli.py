@@ -204,10 +204,14 @@ class TestOptimize:
         ({"conditions": [1]}, "'conditions'"),
         ({"pool": [1]}, "'pool'"),
         ({"pool": 1}, "'pool'"),
+        ({"n_bits": 100, "kernel": "fingerprint"}, "'n_bits'"),
+        ({"max_path_len": 0}, "'max_path_len'"),
+        ({"alpha1": 20, "kernel": "sum"}, "'alpha1'"),
     ], ids=["not-an-object", "betas", "qed-bands", "contribution-table", "condition",
             "budget-list", "budget-bool", "target-float", "seed-string",
             "explorer-steps-null", "alpha1-list", "alpha2-bool", "conditions-int",
-            "conditions-not-names", "pool-list", "pool-int"])
+            "conditions-not-names", "pool-list", "pool-int", "n-bits-range",
+            "max-path-len-range", "alpha1-range"])
     def test_malformed_config_exit_2(self, capsys, small_pool_path, tmp_path, config,
                                      named):
         cfg_path = tmp_path / "bad.json"
@@ -270,6 +274,17 @@ class TestOptimize:
         assert by_file.read_bytes() == by_flags.read_bytes()
         assert json.loads(by_file.read_text().splitlines()[0])["config"]["kernel"] == {
             "family": "fingerprint", "n_bits": 2048, "max_path_len": 7}
+
+    def test_config_sets_fingerprint_parameters(self, capsys, small_pool_path, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kernel": "fingerprint", "n_bits": 512,
+                                        "max_path_len": 3}))
+        out = tmp_path / "run.jsonl"
+        code, _, _ = run_cli(capsys, "optimize", "--pool", str(small_pool_path), "--seed", "1",
+                             "--budget", "0", "--config", str(cfg_path), "--out", str(out))
+        assert code == 0
+        assert json.loads(out.read_text().splitlines()[0])["config"]["kernel"] == {
+            "family": "fingerprint", "n_bits": 512, "max_path_len": 3}
 
 
 class TestExplore:

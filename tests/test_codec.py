@@ -192,12 +192,17 @@ class TestMalformed:
         (with_entry(["method"], "bo"), ["'method'"]),
         (with_entry(["objective", "contribution_table"], {"C": None}),
          ["'contribution_table'"]),
-        (with_entry(["kernel", "alpha1"], 20.0), ["alphas"]),  # unused by ot, still read
+        # alpha1 is unused by the ot family, and still read
+        (with_entry(["kernel", "alpha1"], 20.0), ["alphas", "'alpha1'"]),
+        (with_entry(["kernel", "alpha2"], -0.5), ["'alpha2'"]),
+        (with_entry(["kernel", "n_bits"], 100), ["'n_bits'", "power of two"]),
+        (with_entry(["kernel", "max_path_len"], 11), ["'max_path_len'", "1..10"]),
         ({"seed": 1}, ["'initial_pool'"]),
         ({"initial_pool": ["C", "N"]}, ["'seed'"]),
     ], ids=["budget-bool", "family", "three-betas", "band-without-c", "pool-string",
             "pool-not-strings", "objective-string", "seed-float", "n-bits-string",
-            "method", "contribution-null", "alpha-out-of-range", "no-pool", "no-seed"])
+            "method", "contribution-null", "alpha-out-of-range", "alpha2-out-of-range",
+            "n-bits-out-of-range", "max-path-len-out-of-range", "no-pool", "no-seed"])
     def test_rejected_naming_the_key(self, header, named):
         with pytest.raises(ValueError) as err:
             config_from_json(header)

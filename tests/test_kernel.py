@@ -70,6 +70,12 @@ class TestKernelValue:
         with pytest.raises(ValueError):
             SumKernel(alpha1=11.0)
 
+    @pytest.mark.parametrize("fields", [{"n_bits": 100}, {"n_bits": 32},
+                                        {"max_path_len": 0}, {"max_path_len": 11}])
+    def test_fingerprint_ranges_checked_at_construction(self, fields):
+        with pytest.raises(ValueError, match=next(iter(fields))):
+            FingerprintTanimoto(**fields)
+
 
 class TestGram:
     def test_single_molecule(self):

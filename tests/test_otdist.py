@@ -1,16 +1,12 @@
 import itertools
-import os
 import random
-import subprocess
 import sys
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-import molbo
 import oracles
 from conftest import EXTRA, bridges, join_chain, random_molecule, relabel, split_and_rejoin
 from molbo import otdist
@@ -422,14 +418,3 @@ def test_structure_cost_is_the_multiset_jaccard(cached_molecules):
             p2 = [bond_profile(m2, j) for j in range(m2.n_atoms)]
             want = np.array([[jaccard[p, q] for q in p2] for p in p1])
             assert np.array_equal(build_costs(m1, m2).c_str, want)
-
-
-def test_import_loads_no_scipy_optimize():
-    """The OT blocks are solved in-package; importing scipy.optimize (for
-    an assignment solver, say) would add about 16 MB of resident memory.
-    A subprocess, because the tests themselves import ``linprog``."""
-    src = str(Path(molbo.__file__).parents[1])
-    code = "import sys, molbo; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
