@@ -16,13 +16,18 @@ logged as it is made, best-so-far tracked) and returns the
   directly.
 
 Both bodies draw from the one walk generator ``_walk``.  Each draw reads
-a reagent count and a condition count from the generator and picks that
-many distinct indices with ``_pick``, which makes the draws, and leaves
-the generator state, of ``Generator.choice(n, size, replace=False)``
-from scalar ``Generator.integers`` calls.  Randomness flows from a
-single seed split into two child streams: one drives exploration draws
-(shared verbatim by both methods, so paired seeds explore identically),
-the other drives model fitting and acquisition sampling.
+a reagent count and a condition count and picks that many distinct
+indices with ``_pick``.  A ``_Pcg64Stream`` makes the draws, not
+``Generator.choice`` or any other numpy call: Python arithmetic on
+blocks of the exploration generator's raw PCG64 outputs gives the values
+of ``random``, ``integers`` and ``choice(n, size, replace=False)``, and
+the generator is synced to the state those calls leave at every success
+the walk yields and when it returns or raises.
+``tests/test_optimizer.py::TestPick`` is the test that fails on a numpy
+that draws differently.  Randomness flows from a single seed split into
+two child streams: one drives exploration draws (shared verbatim by
+both methods, so paired seeds explore identically), the other drives
+model fitting and acquisition sampling.
 
 The log header holds the run's config as ``config_to_json`` writes it.
 ``config_from_json`` is its inverse and the package's one config reader:
@@ -131,29 +136,126 @@ class RunResult:
 # Random-walk exploration
 # ---------------------------------------------------------------------------
 
+_BLOCK = 128  # raw outputs a stream fetches at a time
+_SPAN = 1 << 32  # the widest range of the 32-bit bounded draw
 
-def _pick(rng, n, size):
-    """``size`` (at most 2) distinct indices below ``n``: the list
-    ``rng.choice(n, size, replace=False).tolist()``, leaving the generator
-    in the state ``choice`` leaves it.
+
+class _Pcg64Stream:
+    """The draws of ``Generator.random()`` and scalar
+    ``Generator.integers(low, high)``, for ``high - low`` up to ``2**32``,
+    on a generator over ``PCG64``, made in Python from blocks of the bit
+    generator's raw 64-bit outputs.
+
+    ``random()`` is an output's top 53 bits times ``2**-53``.
+    ``integers`` is numpy's 32-bit Lemire draw with rejection, taken from
+    PCG64's half-word buffer (each output gives its low half, then its
+    high half); a range of one value draws nothing.  The blocks come from
+    a copy of the bit generator, so the caller's generator stands still
+    until ``sync`` advances it by the outputs used and writes the buffer
+    (``has_uint32``, and ``uinteger`` even when stale), leaving it where
+    numpy's own calls would have left it.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        bitgen = rng.bit_generator
+        if type(bitgen) is not np.random.PCG64:
+            raise ValueError(
+                f"walk draws need a Generator over PCG64, not {type(bitgen).__name__}")
+        self._bitgen = bitgen
+        self._ahead = np.random.PCG64(0)  # the read-ahead copy; _load sets its state
+        self._load()
+
+    def _load(self):
+        """Start from the caller's generator as it stands."""
+        self._synced = self._bitgen.state
+        self._ahead.state = self._synced
+        self._raw: list[int] = []  # unused outputs, next last
+        self._fetched = 0  # outputs fetched since the last sync
+        self._has32 = self._synced["has_uint32"]
+        self._uint32 = self._synced["uinteger"]
+
+    def _next64(self) -> int:
+        try:
+            return self._raw.pop()
+        except IndexError:
+            self._raw = self._ahead.random_raw(_BLOCK)[::-1].tolist()
+            self._fetched += _BLOCK
+            return self._raw.pop()
+
+    def _next32(self) -> int:
+        if self._has32:
+            self._has32 = 0
+            return self._uint32
+        x = self._next64()
+        self._has32, self._uint32 = 1, x >> 32
+        return x & 0xFFFFFFFF
+
+    def random(self) -> float:
+        return (self._next64() >> 11) * 2.0**-53
+
+    def integers(self, low: int, high: int) -> int:
+        n = high - low
+        if n == 1:
+            return low
+        if not 1 < n < _SPAN:
+            if n != _SPAN:
+                raise ValueError(f"range of {n} values: the stream draws 1 to 2**32")
+            return low + self._next32()
+        m = self._next32() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = _SPAN % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next32() * n
+        return low + (m >> 32)
+
+    def sync(self):
+        """Move the caller's generator to where the draws so far leave it.
+        Nothing if nothing was drawn since the last sync, so a sync after
+        a yield leaves alone what the consumer drew since."""
+        used = self._fetched - len(self._raw)
+        if used == 0 and self._has32 == self._synced["has_uint32"]:
+            return
+        self._bitgen.advance(used)
+        state = self._bitgen.state
+        state["has_uint32"], state["uinteger"] = self._has32, self._uint32
+        self._bitgen.state = self._synced = state
+        self._fetched = len(self._raw)
+
+    def resume(self):
+        """Start over from the caller's generator if anything else drew
+        from it since the last sync."""
+        if self._bitgen.state != self._synced:
+            self._load()
+
+
+def _pick(stream: _Pcg64Stream, n, size):
+    """``size`` (at most 2) distinct indices below ``n`` (at most
+    ``2**32``): the list ``rng.choice(n, size, replace=False).tolist()``
+    on the stream's generator ``rng``, which, once synced, is left in the
+    state ``choice`` leaves it.  The stream makes the draws, not
+    ``choice``.
 
     For these sizes ``choice`` runs Floyd's algorithm, drawing each value
     through the bounded routine that ``integers`` uses, then draws the one
     swap of its shuffle the same way; a range of one value draws nothing.
-    Scalar ``integers`` calls make the same draws without ``choice``'s
-    Python-level overhead.
+    The stream's ``integers`` makes those draws without numpy's per-call
+    overhead.  ``tests/test_optimizer.py::TestPick`` checks every value
+    and the synced state against ``choice``; it is the test that fails on
+    a numpy that draws differently.
     """
     if size > 2:
         raise ValueError("_pick draws at most two indices")
+    if n > _SPAN:
+        raise ValueError(f"_pick draws below at most 2**32, not {n}")
     if size == 0 or n == 1:
         return [0] * size
     if size == 1:
-        return [int(rng.integers(0, n))]
-    a = int(rng.integers(0, n - 1))
-    b = int(rng.integers(0, n))
+        return [stream.integers(0, n)]
+    a = stream.integers(0, n - 1)
+    b = stream.integers(0, n)
     if b == a:
         b = n - 1
-    return [b, a] if rng.integers(0, 2) == 0 else [a, b]
+    return [b, a] if stream.integers(0, 2) == 0 else [a, b]
 
 
 def _walk(pool, conditions, past, oracle, rng, dag, max_failures, step):
@@ -161,47 +263,62 @@ def _walk(pool, conditions, past, oracle, rng, dag, max_failures, step):
 
     A draw picks one or two reagents from ``pool`` and one or two
     conditions and asks the oracle for products: it reads the reagent
-    count from ``rng.random()`` (two with ``REAGENT_PAIR_PROBABILITY``)
-    and the condition count from ``rng.integers(1, 3)``, each capped by
-    what there is, and picks the indices with ``_pick``; the conditions
-    go to the oracle in the order ``conditions`` lists them.  It succeeds
-    when a product lies outside ``past`` and the pool: the draw is
-    recorded in ``dag`` (if given) as ``step``, the new molecules are
-    appended to ``pool`` and yielded.  The walk returns after
-    ``max_failures`` consecutive failed draws.  Nothing is drawn until the
-    consumer asks for the next success, so a consumer that stops asking
-    leaves the RNG stream and the DAG untouched.
+    count from ``random()`` (two with ``REAGENT_PAIR_PROBABILITY``) and
+    the condition count from ``integers(1, 3)``, each capped by what there
+    is, and picks the indices with ``_pick``; the conditions go to the
+    oracle in the order ``conditions`` lists them.  It succeeds when a
+    product lies outside ``past`` and the pool: the draw is recorded in
+    ``dag`` (if given) as ``step``, the new molecules are appended to
+    ``pool`` and yielded.  The walk returns after ``max_failures``
+    consecutive failed draws.
+
+    Every draw comes from a ``_Pcg64Stream`` over ``rng``, not from
+    ``rng.choice`` or any other numpy call, so ``rng`` must be a
+    ``Generator`` over ``PCG64`` (a ``ValueError`` otherwise).  The values
+    and the generator state are those of ``rng``'s own ``random``,
+    ``integers`` and ``choice`` calls; ``TestPick`` is the test that fails
+    on a numpy that draws differently.  ``rng`` is synced at every yield,
+    at return and when the walk raises, and the stream starts over from
+    ``rng`` if the consumer drew from it between successes.  Nothing is
+    drawn until the consumer asks for the next success, so a consumer
+    that stops asking leaves the RNG stream and the DAG untouched.
     """
     conditions = tuple(conditions)
     keys = {m.canonical_form for m in pool}
+    stream = _Pcg64Stream(rng)
     failures = 0
-    while failures < max_failures:
-        size = 2 if rng.random() < REAGENT_PAIR_PROBABILITY else 1
-        size = min(size, len(pool))
-        reagents = [pool[k] for k in _pick(rng, len(pool), size)]
-        q_size = min(int(rng.integers(1, 3)), len(conditions))
-        conds = [conditions[k] for k in sorted(_pick(rng, len(conditions), q_size))]
-        outcome = synthesize_detailed(reagents, conds, oracle)
-        new = []
-        if outcome is not None:
-            products, template = outcome
-            new = [
-                p
-                for p in sorted(products, key=lambda m: m.canonical_form)
-                if p.canonical_form not in keys and p.canonical_form not in past
-            ]
-        if not new:
-            failures += 1
-            continue
-        failures = 0
-        if dag is not None:
-            record_synthesis(
-                dag, new, [r.canonical_form for r in reagents], template, conds, step
-            )
-        step += 1
-        pool.extend(new)
-        keys.update(p.canonical_form for p in new)
-        yield new
+    try:
+        while failures < max_failures:
+            size = 2 if stream.random() < REAGENT_PAIR_PROBABILITY else 1
+            size = min(size, len(pool))
+            reagents = [pool[k] for k in _pick(stream, len(pool), size)]
+            q_size = min(stream.integers(1, 3), len(conditions))
+            conds = [conditions[k] for k in sorted(_pick(stream, len(conditions), q_size))]
+            outcome = synthesize_detailed(reagents, conds, oracle)
+            new = []
+            if outcome is not None:
+                products, template = outcome
+                new = [
+                    p
+                    for p in sorted(products, key=lambda m: m.canonical_form)
+                    if p.canonical_form not in keys and p.canonical_form not in past
+                ]
+            if not new:
+                failures += 1
+                continue
+            failures = 0
+            if dag is not None:
+                record_synthesis(
+                    dag, new, [r.canonical_form for r in reagents], template, conds, step
+                )
+            step += 1
+            pool.extend(new)
+            keys.update(p.canonical_form for p in new)
+            stream.sync()
+            yield new
+            stream.resume()
+    finally:
+        stream.sync()
 
 
 def explore_acquisition(

@@ -11,7 +11,8 @@ plain enumeration that joins each path's tokens in both directions, and
 per-element OT block costs against the transportation simplex on the
 whole block, without matching equal bond profiles first.  The GP fit's
 batched candidate draw is checked against one scalar draw per value, and
-the walk's index draws against ``Generator.choice``.
+the walk's draws against a walk whose every draw is numpy's own
+``Generator.random``, ``integers`` or ``choice`` call.
 """
 
 from collections import Counter
@@ -21,7 +22,9 @@ from scipy.optimize import linprog
 
 from molbo.gp import _PARAM_RANGES
 from molbo.molgraph import Molecule, WeightMode, atom_weight
+from molbo.optimizer import REAGENT_PAIR_PROBABILITY
 from molbo.otdist import _profile_cost, build_costs, solve_transport
+from molbo.synthesis import record_synthesis, synthesize_detailed
 
 
 def _weights(mol: Molecule, mode: WeightMode) -> np.ndarray:
@@ -186,3 +189,35 @@ def pick_by_choice(rng: np.random.Generator, n: int, size: int) -> list[int]:
     """``size`` distinct indices below ``n`` drawn by numpy's own
     ``Generator.choice`` without replacement."""
     return rng.choice(n, size=size, replace=False).tolist()
+
+
+def walk_by_choice(pool, conditions, past, oracle, rng, dag, max_failures, step):
+    """The synthesis-graph walk of ``optimizer._walk``, every draw a call
+    on ``rng`` itself: ``random()`` for the reagent count,
+    ``integers(1, 3)`` for the condition count and ``pick_by_choice`` for
+    the indices."""
+    conditions = tuple(conditions)
+    keys = {m.canonical_form for m in pool}
+    failures = 0
+    while failures < max_failures:
+        size = min(2 if rng.random() < REAGENT_PAIR_PROBABILITY else 1, len(pool))
+        reagents = [pool[k] for k in pick_by_choice(rng, len(pool), size)]
+        q_size = min(int(rng.integers(1, 3)), len(conditions))
+        conds = [conditions[k] for k in sorted(pick_by_choice(rng, len(conditions), q_size))]
+        outcome = synthesize_detailed(reagents, conds, oracle)
+        new = []
+        if outcome is not None:
+            products, template = outcome
+            new = [p for p in sorted(products, key=lambda m: m.canonical_form)
+                   if p.canonical_form not in keys and p.canonical_form not in past]
+        if not new:
+            failures += 1
+            continue
+        failures = 0
+        if dag is not None:
+            record_synthesis(dag, new, [r.canonical_form for r in reagents], template, conds,
+                             step)
+        step += 1
+        pool.extend(new)
+        keys.update(p.canonical_form for p in new)
+        yield new

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -18,6 +19,7 @@ from molbo.synthesis import (
     dag_to_json,
     recipe,
     replay_recipe,
+    synthesize_detailed,
 )
 
 JOIN_POOL = ("C", "N", "O", "CC", "CO", "CN", "CCO", "CCC", "CCN", "COC")
@@ -118,35 +120,72 @@ class TestExploreAcquisition:
 
 
 class TestPick:
-    """``_pick`` makes the draws of ``Generator.choice(n, size,
-    replace=False)``: the same indices, in the same order, and the same
-    generator state after every call, 32-bit buffer included."""
+    """``_pick`` on a ``_Pcg64Stream`` makes the draws of
+    ``Generator.choice(n, size, replace=False)``: the same indices, in the
+    same order, and, once the stream is synced, the same generator state
+    after every call, 32-bit buffer included."""
 
-    POOL_SIZES = [*range(1, 301), 10_001, 2**20]
+    # 2**31 + 1 rejects about half its 32-bit draws; 2**32 takes them whole
+    POOL_SIZES = [*range(1, 301), 10_001, 2**20, 2**31 + 1, 2**32]
 
     def test_matches_choice_interleaved_as_the_walk_draws(self):
         for n in self.POOL_SIZES:
             for i in range(5):
                 ours = np.random.default_rng(1000 * n + i)
                 ref = np.random.default_rng(1000 * n + i)
+                stream = optimizer._Pcg64Stream(ours)
 
                 def same(a, b):
-                    # checked after every call, so a draw that leaves the
-                    # 32-bit buffer out of step fails at once
+                    # synced and checked after every call, so a draw that
+                    # leaves the 32-bit buffer out of step fails at once
+                    stream.sync()
                     assert a == b, n
                     assert ours.bit_generator.state == ref.bit_generator.state, n
 
                 for _ in range(10):
-                    same(ours.random(), ref.random())
+                    same(stream.random(), ref.random())
                     for size in (min(2, n), 1, 0):
-                        same(optimizer._pick(ours, n, size),
+                        same(optimizer._pick(stream, n, size),
                              oracles.pick_by_choice(ref, n, size))
                         if size == min(2, n):
-                            same(ours.integers(1, 3), ref.integers(1, 3))
+                            same(stream.integers(1, 3), ref.integers(1, 3))
+
+    def test_range_of_one_draws_nothing(self):
+        rng = np.random.default_rng(0)
+        rng.integers(0, 3)  # leaves a half-word in the buffer
+        before = rng.bit_generator.state
+        stream = optimizer._Pcg64Stream(rng)
+        assert optimizer._pick(stream, 1, 1) == [0]
+        assert stream.integers(5, 6) == 5
+        stream.sync()
+        assert rng.bit_generator.state == before
 
     def test_rejects_more_than_two(self):
         with pytest.raises(ValueError):
-            optimizer._pick(np.random.default_rng(0), 10, 3)
+            optimizer._pick(optimizer._Pcg64Stream(np.random.default_rng(0)), 10, 3)
+
+    def test_rejects_ranges_past_32_bits(self):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        stream = optimizer._Pcg64Stream(rng)
+        for size in (1, 2):
+            with pytest.raises(ValueError, match="2\\*\\*32"):
+                optimizer._pick(stream, 2**32 + 1, size)
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            stream.integers(0, 2**32 + 1)
+        stream.sync()
+        assert rng.bit_generator.state == before
+
+    def test_walk_rejects_other_bit_generators(self):
+        pool = expanded_pool()
+        rng = np.random.Generator(np.random.MT19937(0))
+        walk = optimizer._walk(pool, (Condition("join"),), set(), OracleKind.JOIN, rng,
+                               None, 10, 1)
+        with pytest.raises(ValueError, match="MT19937"):
+            next(walk)
+        with pytest.raises(ValueError, match="MT19937"):
+            explore_acquisition(pool, (Condition("join"),), set(), 2, OracleKind.JOIN,
+                                lambda cands: np.zeros(len(cands)), rng)
 
     @staticmethod
     def walk(pool, conditions, oracle, n):
@@ -169,7 +208,7 @@ class TestPick:
             make_pool, conditions = (lambda: load_pool(template_pool_path)), \
                 CONDITION_LIBRARY
         ours = self.walk(make_pool(), conditions, oracle, 20)
-        monkeypatch.setattr(optimizer, "_pick", oracles.pick_by_choice)
+        monkeypatch.setattr(optimizer, "_walk", oracles.walk_by_choice)
         assert self.walk(make_pool(), conditions, oracle, 20) == ours
         *_, stalled, steps = ours
         assert steps == 20 and not stalled
@@ -178,8 +217,57 @@ class TestPick:
         ours = self.walk(expanded_pool(), (), OracleKind.JOIN, 2)
         *_, stalled, steps = ours
         assert stalled and steps == 0
-        monkeypatch.setattr(optimizer, "_pick", oracles.pick_by_choice)
+        monkeypatch.setattr(optimizer, "_walk", oracles.walk_by_choice)
         assert self.walk(expanded_pool(), (), OracleKind.JOIN, 2) == ours
+
+    @pytest.mark.parametrize("meddle", [False, True])
+    def test_consumer_that_stops_leaves_the_state_of_choice(self, template_pool_path,
+                                                             meddle):
+        """A consumer takes k < n successes and stops; with ``meddle`` it
+        also draws from the generator itself between successes."""
+        def take(walk_fn, k):
+            pool = load_pool(template_pool_path)
+            rng = np.random.default_rng(11)
+            walk = walk_fn(pool, CONDITION_LIBRARY, set(), OracleKind.TEMPLATE, rng,
+                           None, 100, 1)
+            states, meddled = [], []
+            for new in itertools.islice(walk, k):
+                states.append((rng.bit_generator.state, [m.canonical_form for m in new]))
+                if meddle:
+                    meddled.append(rng.integers(0, 7))
+            del walk  # closing the walk draws nothing
+            return states, meddled, rng.bit_generator.state, len(pool)
+
+        ours = take(optimizer._walk, 5)
+        assert len(ours[0]) == 5
+        assert ours == take(oracles.walk_by_choice, 5)
+
+    def test_walk_that_raises_leaves_the_state_of_choice(self, monkeypatch,
+                                                         template_pool_path):
+        def failing_on(call):
+            calls = itertools.count(1)
+
+            def synthesize(*args):
+                if next(calls) == call:
+                    raise RuntimeError("oracle failed")
+                return synthesize_detailed(*args)
+
+            return synthesize
+
+        states = []
+        for module, walk_fn in ((optimizer, optimizer._walk),
+                                (oracles, oracles.walk_by_choice)):
+            monkeypatch.setattr(module, "synthesize_detailed", failing_on(40))
+            rng = np.random.default_rng(11)
+            walk = walk_fn(load_pool(template_pool_path), CONDITION_LIBRARY, set(),
+                           OracleKind.TEMPLATE, rng, None, 100, 1)
+            successes = 0
+            with pytest.raises(RuntimeError, match="oracle failed"):
+                for _ in walk:
+                    successes += 1
+            states.append((successes, rng.bit_generator.state))
+        assert states[0] == states[1]
+        assert states[0][0] > 0
 
 
 class TestChemboRun:
