@@ -8,7 +8,9 @@ kernel specs with one stacked ``combine`` call, projects them with one
 ``psd_project`` call, factorizes every covariance with one Cholesky call
 and takes every log-determinant in one reduction, so a fit projects K
 once for each distinct kernel spec it meets.  ``build_posterior``
-projects K once more.  Cross-covariances with query molecules use raw
+projects K once more.  A projection costs one stacked Cholesky when
+every Gram in it is certified clear of the floor, and ``eigh`` over the
+stack only when one is not.  Cross-covariances with query molecules use raw
 kernel values scaled by ``signal_scale**2``; the prior variance of every
 query is ``signal_scale**2`` times the kernel's closed-form ``diagonal``.
 The mean is a fitted constant.  Hyperparameters are chosen by maximizing

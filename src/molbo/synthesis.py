@@ -25,6 +25,7 @@ recipe is the target's ancestor closure in topological order.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 from dataclasses import dataclass
 from typing import Callable
@@ -65,6 +66,12 @@ def _condition_ids(conditions) -> frozenset[str]:
             raise ValueError(f"unknown condition {cid!r}")
         ids.add(cid)
     return frozenset(ids)
+
+
+@functools.lru_cache(maxsize=256)
+def _memo_condition_ids(conditions: tuple) -> frozenset[str]:
+    """``_condition_ids`` once per distinct conditions tuple."""
+    return _condition_ids(conditions)
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +315,17 @@ def synthesize_detailed(reagents, conditions, oracle: OracleKind):
     reagents = list(reagents)
     if not 1 <= len(reagents) <= 3:
         raise ValueError("synthesize_detailed takes one to three reagents")
-    cond_ids = _condition_ids(conditions)
-    heavy = [strip_hydrogens(m) for m in reagents]
+    conditions = tuple(conditions)
+    try:
+        cond_ids = _memo_condition_ids(conditions)
+    except TypeError:  # an unhashable entry, which _condition_ids rejects
+        cond_ids = _condition_ids(conditions)
     library = _LIBRARIES.get(oracle)
     if library is None:
         raise ValueError(f"unknown oracle {oracle!r}")
-    if len(heavy) != 2:
+    if len(reagents) != 2:
         return None
+    heavy = [strip_hydrogens(m) for m in reagents]
     for template in library:
         if not template.required_conditions <= cond_ids:
             continue

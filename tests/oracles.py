@@ -12,7 +12,9 @@ per-element OT block costs against the transportation simplex on the
 whole block, without matching equal bond profiles first.  The GP fit's
 batched candidate draw is checked against one scalar draw per value, and
 the walk's draws against a walk whose every draw is numpy's own
-``Generator.random``, ``integers`` or ``choice`` call.
+``Generator.random``, ``integers`` or ``choice`` call.  The PSD
+projection is checked against the ``eigh``-and-clamp projection that
+runs on every stack, with no Cholesky certificate in front of it.
 """
 
 from collections import Counter
@@ -20,6 +22,7 @@ from collections import Counter
 import numpy as np
 from scipy.optimize import linprog
 
+from molbo.errors import EigenFailure
 from molbo.gp import _PARAM_RANGES
 from molbo.molgraph import Molecule, WeightMode, atom_weight
 from molbo.optimizer import REAGENT_PAIR_PROBABILITY
@@ -221,3 +224,28 @@ def walk_by_choice(pool, conditions, past, oracle, rng, dag, max_failures, step)
         pool.extend(new)
         keys.update(p.canonical_form for p in new)
         yield new
+
+
+def psd_project_by_eigh(values: np.ndarray, floor: float) -> np.ndarray:
+    """``kernel.psd_project`` with ``eigh`` on every stack: each member
+    whose smallest eigenvalue is below ``floor`` (or NaN) has its
+    eigenvalues clamped up to ``floor`` and is rebuilt; every other member
+    comes back as it was."""
+    if floor < 0:
+        raise ValueError("floor must be nonnegative")
+    mirrored = np.swapaxes(values, -1, -2)
+    if not (np.abs(values - mirrored) <= 1e-12).all() and not np.allclose(
+        values, mirrored, atol=1e-12, rtol=0.0
+    ):
+        raise ValueError("psd_project expects a symmetric matrix")
+    try:
+        w, v = np.linalg.eigh(values)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(str(exc)) from exc
+    out = values.copy()
+    low = ~(w[..., 0] >= floor)
+    if low.any():
+        w, v = np.maximum(w[low], floor), v[low]
+        projected = (v * w[..., None, :]) @ np.swapaxes(v, -1, -2)
+        out[low] = (projected + np.swapaxes(projected, -1, -2)) / 2.0
+    return out

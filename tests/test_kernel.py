@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from molbo.kernel import (
 )
 from molbo.molgraph import add_explicit_hydrogens, parse_smiles
 from molbo.otdist import distance_vector
+from oracles import psd_project_by_eigh
 
 
 def expand(text):
@@ -175,6 +177,155 @@ class TestPsdProject:
         stack[6, 0, 1] += 1e-6
         with pytest.raises(ValueError, match="symmetric"):
             psd_project(stack)
+
+
+def spd_with_min_eigenvalue(rng, n, lowest):
+    """A random symmetric matrix with eigenvalues ``lowest`` and 1..2."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    w = np.concatenate([[lowest], rng.uniform(1.0, 2.0, n - 1)])
+    a = (q * w) @ q.T
+    return (a + a.T) / 2.0
+
+
+def certificate_margin(values, floor):
+    """``floor + delta`` of ``psd_project``'s Cholesky certificate."""
+    n = values.shape[-1]
+    eps = np.finfo(np.float64).eps
+    return floor + molbo.kernel._CERTIFICATE_FACTOR * (n + 1) ** 2 * n * eps * np.abs(values).max()
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The stacks ``np.linalg.eigh`` is called on from here on."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return calls
+
+
+class TestPsdCertificate:
+    """The Cholesky certificate never changes ``psd_project``'s verdict:
+    every result equals the ``eigh``-and-clamp projection bit for bit."""
+
+    FLOOR = molbo.kernel.DEFAULT_PSD_FLOOR
+
+    def lowest_eigenvalues(self, n):
+        probe = spd_with_min_eigenvalue(np.random.default_rng(0), n, 1.0)
+        delta = certificate_margin(probe, self.FLOOR) - self.FLOOR
+        return [1.0, 1e-2, 1e-4, 1e-6, 1e-8, self.FLOOR + 100 * delta, self.FLOOR + 2 * delta,
+                self.FLOOR + delta / 2, self.FLOOR, self.FLOOR / 2, 0.0, -1e-3]
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 15])
+    def test_single_matrices_match_eigh(self, n):
+        rng = np.random.default_rng(n)
+        for lowest in self.lowest_eigenvalues(n):
+            a = spd_with_min_eigenvalue(rng, n, lowest)
+            for floor in (self.FLOOR, 0.0):
+                assert np.array_equal(psd_project(a, floor), psd_project_by_eigh(a, floor))
+
+    def test_float32_matches_eigh(self):
+        # eigh errs by float32 rounding here, far beyond a float64 margin;
+        # some of the singular members factor in float32 all the same.
+        rng = np.random.default_rng(4)
+        for lowest in (1e-5, 1e-6, 1e-7, 1e-8, 0.0):
+            for _ in range(300):
+                a = spd_with_min_eigenvalue(rng, 15, lowest).astype(np.float32)
+                assert np.array_equal(psd_project(a), psd_project_by_eigh(a, self.FLOOR))
+
+    @pytest.mark.parametrize("floor", [molbo.kernel.DEFAULT_PSD_FLOOR, 0.0])
+    def test_stacks_match_eigh(self, floor):
+        rng = np.random.default_rng(5)
+        members = [spd_with_min_eigenvalue(rng, 9, lowest)
+                   for lowest in self.lowest_eigenvalues(9)]
+        for stop in range(1, len(members) + 1):
+            stack = np.stack(members[:stop])
+            assert np.array_equal(psd_project(stack, floor), psd_project_by_eigh(stack, floor))
+        stack = np.stack(members)
+        nested = psd_project(stack.reshape(3, 4, 9, 9), floor)
+        assert np.array_equal(nested, psd_project_by_eigh(stack, floor).reshape(3, 4, 9, 9))
+
+    def test_stack_with_low_member_matches_eigh(self):
+        stack = TestPsdProject.stack_with_low_member()
+        floor = self.FLOOR
+        assert np.array_equal(psd_project(stack), psd_project_by_eigh(stack, floor))
+        nested = stack.reshape(2, 4, 7, 7)
+        assert np.array_equal(psd_project(nested), psd_project_by_eigh(nested, floor))
+
+    def test_asymmetry_within_tolerance_reads_the_lower_triangle(self, eigh_calls):
+        # The lower triangle's smallest eigenvalue lies 4e-13 under the
+        # floor and the upper one's 5e-13 above it (both 2x2 eigenvalues
+        # are t and 2 - t for off-diagonal 1 - t): a certificate that read
+        # the upper triangle would skip the projection eigh makes.
+        floor = self.FLOOR
+        g = np.array([[1.0, 1.0 - (floor + 5e-13)], [1.0 - (floor - 4e-13), 1.0]])
+        expected = psd_project_by_eigh(g, floor)
+        assert not np.array_equal(expected, g)
+        eigh_calls.clear()
+        assert np.array_equal(psd_project(g, floor), expected)
+        assert eigh_calls == [(2, 2)]
+        within = np.array([[2.0, 0.5], [0.5 + 5e-13, 2.0]])
+        for floor in (self.FLOOR, 0.0):
+            assert np.array_equal(psd_project(within, floor), psd_project_by_eigh(within, floor))
+
+    @pytest.mark.parametrize("rows", [
+        [[np.inf, 0.0], [0.0, 1.0]],
+        [[1.0, np.inf], [np.inf, 1.0]],
+        [[-np.inf, 0.0], [0.0, 1.0]],
+        [[1.0, 0.0], [0.0, np.inf]],
+    ])
+    def test_inf_entries_match_eigh(self, rows):
+        def outcome(project):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    result = project(np.array(rows), self.FLOOR)
+                except Exception as exc:  # the same exception must come back
+                    result = (type(exc), str(exc))
+            return result, [(w.category, str(w.message)) for w in caught]
+
+        got, got_warnings = outcome(psd_project)
+        expected, expected_warnings = outcome(psd_project_by_eigh)
+        if isinstance(expected, np.ndarray):
+            assert np.array_equal(got, expected, equal_nan=True)
+        else:
+            assert got == expected
+        assert got_warnings == expected_warnings
+
+    def test_certified_stack_skips_eigh(self, eigh_calls):
+        rng = np.random.default_rng(7)
+        stack = np.stack([spd_with_min_eigenvalue(rng, 15, 1e-3) for _ in range(64)])
+        out = psd_project(stack)
+        assert eigh_calls == []
+        assert np.array_equal(out, stack) and out is not stack
+
+    def test_one_low_member_runs_eigh_on_the_stack(self, eigh_calls):
+        rng = np.random.default_rng(8)
+        stack = np.stack([spd_with_min_eigenvalue(rng, 15, 1e-3) for _ in range(64)])
+        stack[40] = spd_with_min_eigenvalue(rng, 15, -1e-3)
+        expected = psd_project_by_eigh(stack, self.FLOOR)
+        eigh_calls.clear()
+        assert np.array_equal(psd_project(stack), expected)
+        assert eigh_calls == [stack.shape]
+
+    def test_gram_with_equal_fingerprints_is_projected(self, eigh_calls):
+        # Long chains have the same paths up to max_path_len bonds, so two
+        # distinct molecules share a fingerprint and the Gram is singular.
+        spec = FingerprintTanimoto()
+        mols = [expand(s) for s in ("C" * 11, "C" * 12, "CCO", "CC(=O)O", "c1ccccc1", "CCN")]
+        cache = KernelCache()
+        assert cache.fingerprint(mols[0], spec) == cache.fingerprint(mols[1], spec)
+        g = gram(mols, spec, cache)
+        assert g[0, 1] == 1.0
+        expected = psd_project_by_eigh(g, self.FLOOR)
+        assert not np.array_equal(expected, g)
+        eigh_calls.clear()
+        assert np.array_equal(psd_project(g), expected)
+        assert eigh_calls == [g.shape]
 
 
 def test_square_block_looks_up_each_pair_once(monkeypatch):

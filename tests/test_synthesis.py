@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import molbo.synthesis as synthesis
 from conftest import bridges, split_and_rejoin
 from molbo.errors import CycleDetected, InvalidMolecule, UnknownMolecule, ValenceExceeded
 from molbo.molgraph import (
@@ -264,6 +265,50 @@ class TestTemplateOracle:
             synthesize_detailed([], {"join"}, OracleKind.JOIN)
         with pytest.raises(ValueError):
             synthesize_detailed([expand("C")] * 4, {"join"}, OracleKind.JOIN)
+
+    def test_errors_come_in_order_with_one_reagent(self):
+        mol = parse_smiles("C")
+        for reagents in ([], [mol] * 4):
+            with pytest.raises(ValueError, match="one to three reagents"):
+                synthesize_detailed(reagents, {"plasma"}, "no-such-oracle")
+        with pytest.raises(ValueError, match="unknown condition 'plasma'"):
+            synthesize_detailed([mol], {"plasma"}, "no-such-oracle")
+        with pytest.raises(ValueError, match="unknown condition"):
+            synthesize_detailed([mol], [["join"]], OracleKind.JOIN)  # unhashable entry
+        with pytest.raises(ValueError, match="unknown oracle"):
+            synthesize_detailed([mol], (Condition("join"),), "no-such-oracle")
+
+    def test_conditions_validated_once_per_tuple(self, monkeypatch):
+        calls = []
+        condition_ids = synthesis._condition_ids
+
+        def counting(conditions):
+            calls.append(conditions)
+            return condition_ids(conditions)
+
+        monkeypatch.setattr(synthesis, "_condition_ids", counting)
+        synthesis._memo_condition_ids.cache_clear()
+        a, b = parse_smiles("CC(=O)O"), parse_smiles("CCO")
+        conds = [Condition("heat"), Condition("acid_cat")]
+        try:
+            for _ in range(3):
+                _, rule = synthesize_detailed([a, b], conds, OracleKind.TEMPLATE)
+                assert rule == "esterification"
+                assert synthesize_detailed([a], conds, OracleKind.TEMPLATE) is None
+        finally:
+            synthesis._memo_condition_ids.cache_clear()
+        assert calls == [tuple(conds)]
+
+    def test_one_reagent_is_not_stripped(self, monkeypatch):
+        stripped = []
+        monkeypatch.setattr(synthesis, "strip_hydrogens",
+                            lambda m: stripped.append(m) or strip_hydrogens(m))
+        acid = expand("CC(=O)O")
+        assert synthesize_detailed([acid], {"acid_cat"}, OracleKind.TEMPLATE) is None
+        assert stripped == []
+        assert synthesize_detailed([acid, expand("CCO")], {"acid_cat"},
+                                   OracleKind.TEMPLATE) is not None
+        assert len(stripped) == 2
 
 
 class TestDag:
