@@ -19,7 +19,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -255,8 +254,6 @@ def _pair_of_index(k: int, n: int) -> tuple[int, int]:
 
 
 def _cmd_recipe(args) -> int:
-    if not os.path.exists(args.dag):
-        raise FileNotFoundError(f"DAG file not found: {args.dag}")
     dag: SynthesisDag = load_dag(args.dag)
     key = args.molecule
     if key not in dag.nodes:

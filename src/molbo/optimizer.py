@@ -17,17 +17,16 @@ logged as it is made, best-so-far tracked) and returns the
 
 Both bodies draw from the one walk generator ``_walk``.  Each draw reads
 a reagent count and a condition count and picks that many distinct
-indices with ``_pick``.  A ``_Pcg64Stream`` makes the draws, not
-``Generator.choice`` or any other numpy call: Python arithmetic on
-blocks of the exploration generator's raw PCG64 outputs gives the values
-of ``random``, ``integers`` and ``choice(n, size, replace=False)``, and
-the generator is synced to the state those calls leave at every success
-the walk yields and when it returns or raises.
-``tests/test_optimizer.py::TestPick`` is the test that fails on a numpy
-that draws differently.  Randomness flows from a single seed split into
-two child streams: one drives exploration draws (shared verbatim by
-both methods, so paired seeds explore identically), the other drives
-model fitting and acquisition sampling.
+indices with ``_pick``.  A ``_Pcg64Stream`` makes the draws in Python
+from blocks of the exploration generator's raw PCG64 outputs, with the
+values of ``random``, ``integers`` and ``choice(n, size, replace=False)``.
+The generator belongs to the walk until the walk closes, and only then
+stands where those numpy calls would have left it; no one may draw from
+it in between.  ``tests/test_optimizer.py::TestPick`` is the test that
+fails on a numpy that draws differently.  Randomness flows from a single
+seed split into two child streams: one drives exploration draws (shared
+verbatim by both methods, so paired seeds explore identically), the
+other drives model fitting and acquisition sampling.
 
 The log header holds the run's config as ``config_to_json`` writes it.
 ``config_from_json`` is its inverse and the package's one config reader:
@@ -150,10 +149,11 @@ class _Pcg64Stream:
     ``integers`` is numpy's 32-bit Lemire draw with rejection, taken from
     PCG64's half-word buffer (each output gives its low half, then its
     high half); a range of one value draws nothing.  The blocks come from
-    a copy of the bit generator, so the caller's generator stands still
-    until ``sync`` advances it by the outputs used and writes the buffer
-    (``has_uint32``, and ``uinteger`` even when stale), leaving it where
-    numpy's own calls would have left it.
+    the caller's bit generator, which belongs to the stream until ``sync``
+    steps it back over the unused outputs (PCG64 is an LCG, so ``advance``
+    goes backwards too) and writes the buffer (``has_uint32``, and
+    ``uinteger`` even when stale): only then does it stand where numpy's
+    own calls would have left it.
     """
 
     def __init__(self, rng: np.random.Generator):
@@ -162,24 +162,15 @@ class _Pcg64Stream:
             raise ValueError(
                 f"walk draws need a Generator over PCG64, not {type(bitgen).__name__}")
         self._bitgen = bitgen
-        self._ahead = np.random.PCG64(0)  # the read-ahead copy; _load sets its state
-        self._load()
-
-    def _load(self):
-        """Start from the caller's generator as it stands."""
-        self._synced = self._bitgen.state
-        self._ahead.state = self._synced
-        self._raw: list[int] = []  # unused outputs, next last
-        self._fetched = 0  # outputs fetched since the last sync
-        self._has32 = self._synced["has_uint32"]
-        self._uint32 = self._synced["uinteger"]
+        state = bitgen.state
+        self._has32, self._uint32 = state["has_uint32"], state["uinteger"]
+        self._raw: list[int] = []  # fetched outputs not yet used, next last
 
     def _next64(self) -> int:
         try:
             return self._raw.pop()
         except IndexError:
-            self._raw = self._ahead.random_raw(_BLOCK)[::-1].tolist()
-            self._fetched += _BLOCK
+            self._raw = self._bitgen.random_raw(_BLOCK)[::-1].tolist()
             return self._raw.pop()
 
     def _next32(self) -> int:
@@ -209,30 +200,19 @@ class _Pcg64Stream:
         return low + (m >> 32)
 
     def sync(self):
-        """Move the caller's generator to where the draws so far leave it.
-        Nothing if nothing was drawn since the last sync, so a sync after
-        a yield leaves alone what the consumer drew since."""
-        used = self._fetched - len(self._raw)
-        if used == 0 and self._has32 == self._synced["has_uint32"]:
-            return
-        self._bitgen.advance(used)
+        """Hand the generator back; a second sync changes nothing."""
+        self._bitgen.advance(-len(self._raw) % 2**128)
+        self._raw = []
         state = self._bitgen.state
         state["has_uint32"], state["uinteger"] = self._has32, self._uint32
-        self._bitgen.state = self._synced = state
-        self._fetched = len(self._raw)
-
-    def resume(self):
-        """Start over from the caller's generator if anything else drew
-        from it since the last sync."""
-        if self._bitgen.state != self._synced:
-            self._load()
+        self._bitgen.state = state
 
 
 def _pick(stream: _Pcg64Stream, n, size):
     """``size`` (at most 2) distinct indices below ``n`` (at most
     ``2**32``): the list ``rng.choice(n, size, replace=False).tolist()``
-    on the stream's generator ``rng``, which, once synced, is left in the
-    state ``choice`` leaves it.  The stream makes the draws, not
+    on the stream's generator ``rng``, which the stream's ``sync`` leaves
+    in the state ``choice`` leaves it.  The stream makes the draws, not
     ``choice``.
 
     For these sizes ``choice`` runs Floyd's algorithm, drawing each value
@@ -272,16 +252,14 @@ def _walk(pool, conditions, past, oracle, rng, dag, max_failures, step):
     ``pool`` and yielded.  The walk returns after ``max_failures``
     consecutive failed draws.
 
-    Every draw comes from a ``_Pcg64Stream`` over ``rng``, not from
-    ``rng.choice`` or any other numpy call, so ``rng`` must be a
-    ``Generator`` over ``PCG64`` (a ``ValueError`` otherwise).  The values
-    and the generator state are those of ``rng``'s own ``random``,
-    ``integers`` and ``choice`` calls; ``TestPick`` is the test that fails
-    on a numpy that draws differently.  ``rng`` is synced at every yield,
-    at return and when the walk raises, and the stream starts over from
-    ``rng`` if the consumer drew from it between successes.  Nothing is
-    drawn until the consumer asks for the next success, so a consumer
-    that stops asking leaves the RNG stream and the DAG untouched.
+    Every draw comes from a ``_Pcg64Stream`` over ``rng``, so ``rng`` must
+    be a ``Generator`` over ``PCG64`` (a ``ValueError`` otherwise), and
+    the values are those of ``rng``'s own ``random``, ``integers`` and
+    ``choice`` calls (``TestPick`` fails on a numpy that draws
+    differently).  ``rng`` belongs to the walk until it closes (returns,
+    raises or is closed), and only then stands where those calls leave it;
+    the consumer must not draw from it between successes.  Nothing is
+    drawn until the consumer asks for the next success.
     """
     conditions = tuple(conditions)
     keys = {m.canonical_form for m in pool}
@@ -314,9 +292,7 @@ def _walk(pool, conditions, past, oracle, rng, dag, max_failures, step):
             step += 1
             pool.extend(new)
             keys.update(p.canonical_form for p in new)
-            stream.sync()
             yield new
-            stream.resume()
     finally:
         stream.sync()
 
@@ -339,6 +315,8 @@ def explore_acquisition(
     ``pool`` in place so growth persists across outer iterations.  After
     ``100 * n`` consecutive failed draws the walk stops early, stalled.
     The argmax is over pool molecules outside ``past`` (None if none).
+    The walk is closed before the scorer runs, so ``rng`` then stands
+    where numpy's own draws would have left it.
 
     Returns ``(best candidate or None, stalled, steps taken)``.
     """
@@ -346,6 +324,7 @@ def explore_acquisition(
         raise ValueError("pool must not be empty")
     walk = _walk(pool, conditions, past, oracle, rng, dag, STALL_FACTOR * n, start_step)
     successes = sum(1 for _ in itertools.islice(walk, n))
+    walk.close()
 
     candidates = [m for m in pool if m.canonical_form not in past]
     if not candidates:

@@ -524,16 +524,39 @@ def dag_to_json(dag: SynthesisDag) -> dict:
     }
 
 
-def dag_from_json(data: dict) -> SynthesisDag:
+def _strings(raw: dict, key: str) -> list[str]:
+    value = raw[key]
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError(f"{key!r} must be a list of strings")
+    return value
+
+
+def dag_from_json(data) -> SynthesisDag:
+    """``dag_to_json``'s inverse; a ``ValueError`` names the missing key,
+    or the molecule whose node is malformed or whose parent is missing."""
+    if not isinstance(data, dict) or not isinstance(data.get("nodes"), list):
+        raise ValueError("a DAG file holds an object with a 'nodes' list")
     dag = SynthesisDag()
     for raw in data["nodes"]:
-        dag.nodes[raw["molecule"]] = SynthesisNode(
-            molecule=raw["molecule"],
-            parents=tuple(raw["parents"]),
-            template=raw["template"],
-            conditions=frozenset(raw["conditions"]),
-            step=int(raw["step"]),
-        )
+        if not isinstance(raw, dict) or not isinstance(raw.get("molecule"), str):
+            raise ValueError(f"DAG node {raw!r} has no 'molecule' string")
+        name = raw["molecule"]
+        try:
+            dag.nodes[name] = SynthesisNode(
+                molecule=name,
+                parents=tuple(_strings(raw, "parents")),
+                template=raw["template"],
+                conditions=frozenset(_strings(raw, "conditions")),
+                step=int(raw["step"]),
+            )
+        except KeyError as exc:
+            raise ValueError(f"DAG node {name!r} has no {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"DAG node {name!r}: {exc}") from None
+    for node in dag.nodes.values():
+        for parent in node.parents:
+            if parent not in dag.nodes:
+                raise ValueError(f"DAG node {node.molecule!r}: parent {parent!r} not in file")
     return dag
 
 

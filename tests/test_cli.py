@@ -423,6 +423,33 @@ class TestRecipe:
         assert code == 3
         assert "error" in err
 
+    @pytest.mark.parametrize("content, named", [
+        ("{}", "'nodes'"),
+        ("[1]", "'nodes'"),
+        ('{"nodes": [1]}', "'molecule'"),
+        ('{"nodes": [{"molecule": "CC", "template": null, "conditions": [], "step": 0}]}',
+         "'parents'"),
+        ('{"nodes": [{"molecule": "CC", "parents": "C", "template": null, "conditions": [],'
+         ' "step": 0}]}', "'parents'"),
+        ('{"nodes": [{"molecule": "CCC", "parents": ["C", "CC"], "template": "join",'
+         ' "conditions": ["join"], "step": 1}, {"molecule": "C", "parents": [],'
+         ' "template": null, "conditions": [], "step": 0}]}', "'CC'"),
+        ("{nodes", "Expecting"),
+    ])
+    def test_malformed_dag_exit_2(self, capsys, tmp_path, content, named):
+        dag_path = tmp_path / "bad.dag.json"
+        dag_path.write_text(content)
+        code, out, err = run_cli(capsys, "recipe", "--dag", str(dag_path), "--molecule", "CCC")
+        assert code == 2 and not out
+        assert err.startswith("error: ") and named in err
+        assert "Traceback" not in err
+
+    def test_missing_dag_file_exit_2(self, capsys, tmp_path):
+        dag_path = tmp_path / "absent.dag.json"
+        code, out, err = run_cli(capsys, "recipe", "--dag", str(dag_path), "--molecule", "CC")
+        assert code == 2 and not out
+        assert str(dag_path) in err
+
 
 def test_module_entry_point(small_pool_path):
     proc = subprocess.run(

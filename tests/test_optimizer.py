@@ -220,27 +220,48 @@ class TestPick:
         monkeypatch.setattr(optimizer, "_walk", oracles.walk_by_choice)
         assert self.walk(expanded_pool(), (), OracleKind.JOIN, 2) == ours
 
-    @pytest.mark.parametrize("meddle", [False, True])
-    def test_consumer_that_stops_leaves_the_state_of_choice(self, template_pool_path,
-                                                             meddle):
-        """A consumer takes k < n successes and stops; with ``meddle`` it
-        also draws from the generator itself between successes."""
+    def test_consumer_that_stops_leaves_the_state_of_choice(self, template_pool_path):
+        """A consumer takes 5 successes on the template pool, which span
+        several of the stream's blocks, stops and closes the walk."""
         def take(walk_fn, k):
             pool = load_pool(template_pool_path)
             rng = np.random.default_rng(11)
             walk = walk_fn(pool, CONDITION_LIBRARY, set(), OracleKind.TEMPLATE, rng,
                            None, 100, 1)
-            states, meddled = [], []
-            for new in itertools.islice(walk, k):
-                states.append((rng.bit_generator.state, [m.canonical_form for m in new]))
-                if meddle:
-                    meddled.append(rng.integers(0, 7))
-            del walk  # closing the walk draws nothing
-            return states, meddled, rng.bit_generator.state, len(pool)
+            products = [[m.canonical_form for m in new] for new in itertools.islice(walk, k)]
+            walk.close()  # closing the walk draws nothing
+            return products, rng.bit_generator.state, len(pool)
 
         ours = take(optimizer._walk, 5)
         assert len(ours[0]) == 5
         assert ours == take(oracles.walk_by_choice, 5)
+
+    @pytest.mark.parametrize("oracle", [OracleKind.JOIN, OracleKind.TEMPLATE])
+    def test_explore_acquisition_syncs_before_it_scores(self, monkeypatch,
+                                                          template_pool_path, oracle):
+        """The scorer sees the generator where the reference walk's own
+        draws leave it after the same successes, walk still referenced."""
+        if oracle is OracleKind.JOIN:
+            make_pool, conditions = expanded_pool, (Condition("join"),)
+        else:
+            make_pool, conditions = (lambda: load_pool(template_pool_path)), \
+                CONDITION_LIBRARY
+
+        def scored_states():
+            rng = np.random.default_rng(4)
+            states = []
+
+            def scorer(cands):
+                states.append(rng.bit_generator.state)
+                return np.zeros(len(cands))
+
+            explore_acquisition(make_pool(), conditions, set(), 7, oracle, scorer, rng)
+            return states
+
+        ours = scored_states()
+        assert len(ours) == 1
+        monkeypatch.setattr(optimizer, "_walk", oracles.walk_by_choice)
+        assert scored_states() == ours
 
     def test_walk_that_raises_leaves_the_state_of_choice(self, monkeypatch,
                                                          template_pool_path):
