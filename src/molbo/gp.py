@@ -18,7 +18,9 @@ the log marginal likelihood with a seeded random search followed by
 multiplicative coordinate refinement; the mean constant is profiled out
 analytically (its generalized-least-squares optimum given the other
 parameters).  ``build_posterior`` reports the log marginal likelihood of
-its hyperparameters from the same Cholesky factor that scores queries.
+its hyperparameters from the same Cholesky factor that scores queries;
+a covariance that does not factorize gets ten times the noise, up to
+the top of its range, before it raises.
 Every triangular solve goes through ``_solve``, which imports scipy's
 LAPACK ``dtrtrs`` at its first call, so importing this module loads
 numpy alone and a process that never fits a GP never loads scipy.
@@ -108,7 +110,7 @@ def _cholesky(mat: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise CholeskyFailure(
             "covariance not positive definite; fit skips this hyperparameter "
-            "candidate and build_posterior raises"
+            "candidate and build_posterior first raises the noise to its cap"
         ) from exc
 
 
@@ -331,14 +333,24 @@ def build_posterior(
     cache: KernelCache | None = None,
 ) -> GpPosterior:
     """Factorize the training covariance, precompute dual weights and
-    compute the log marginal likelihood of ``ys`` under ``hyper``."""
+    compute the log marginal likelihood of ``ys`` under ``hyper``.
+
+    A covariance that fails to factorize is retried with ``noise_var``
+    ten times larger, capped at ``NOISE_RANGE[1]``; the posterior's
+    ``hyper`` holds the noise that factorized.  A failure at the cap
+    raises ``CholeskyFailure``."""
     ys = _targets(mols, ys)
     if cache is None:
         cache = KernelCache()
     k_psd = psd_project(gram(mols, hyper.kernel_spec, cache))
-    chol = _cholesky(
-        _covariance(k_psd, hyper.noise_var, hyper.signal_scale**2)
-    )
+    while True:
+        try:
+            chol = _cholesky(_covariance(k_psd, hyper.noise_var, hyper.signal_scale**2))
+            break
+        except CholeskyFailure:
+            if hyper.noise_var >= NOISE_RANGE[1]:
+                raise
+            hyper = replace(hyper, noise_var=min(10.0 * hyper.noise_var, NOISE_RANGE[1]))
     centered = ys - hyper.mean_const
     _check_finite(centered, chol)
     white = _solve(chol, centered)

@@ -9,6 +9,11 @@ closures ``1``-``9`` and ``%nn``, bond symbols ``- = # :`` and bare
 bracket atoms ``[X]``.  Charges, isotopes, stereo marks and
 dot-separated fragments are rejected.
 
+The ``Molecule`` constructor, which checks every invariant, runs only
+for parsed molecules, hydrogen expansions and heavy skeletons.  Every
+synthesis product is assembled by ``join_molecules`` from its two
+reagents' state, less at most one terminal leaving atom.
+
 Canonical forms are written over the heavy-atom skeleton.  An acyclic
 skeleton (every molecule the benchmark workloads make) gets rooted-subtree
 codes: an atom's code is its token followed by its children's codes,
@@ -122,8 +127,8 @@ class Molecule:
     ``atoms`` is a tuple of Elements (list position is the atom index);
     ``bonds`` maps sorted index pairs to bond orders.  The constructor
     checks the valence and connectivity invariants and keeps every atom's
-    bond-order sum; a join product (``join_molecules``) holds the same
-    invariants by construction, re-summing and checking only the new
+    bond-order sum; a synthesis product (``join_molecules``) holds the
+    same invariants by construction, re-summing and checking only the new
     bond's two ends.  Atom ``i`` carries ``free_valence(i)``
     implicit hydrogens besides any explicit H neighbours, so a molecule
     and its hydrogen expansion give the same objectives, bond profiles
@@ -131,7 +136,7 @@ class Molecule:
     use: the canonical form and canonical heavy order, the heavy
     skeleton, the transport class table (``molbo.otdist``) and
     functional-group sites (``_sites``, filled by ``molbo.synthesis``).
-    ``_origin`` is None, or for a join product
+    ``_origin`` is None, or for a product that drops no atom
     ``(reagent_a, reagent_b, u, v)``, set by ``join_molecules``: the
     reagents it bonds and the product indices of the new bond's ends
     (the product lists ``reagent_a``'s atoms, then ``reagent_b``'s), from
@@ -263,36 +268,69 @@ def _valence_exceeded(i: int, elem: Element, s: int) -> ValenceExceeded:
     )
 
 
-def join_molecules(mol_a: Molecule, mol_b: Molecule, u: int, v: int,
-                   order: BondOrder) -> Molecule:
-    """The product of bonding atom ``u`` of ``mol_a`` to atom ``v`` of
-    ``mol_b`` with ``order``, its origin recorded in ``_origin``.
+def _drop_leaving(mol: Molecule, x: int, end: int, shift: int):
+    """``mol``'s atoms, bonds, adjacency and bond sums less its terminal
+    atom ``x``, bonded to ``end``: later indices move down one, then all
+    move up ``shift``.  Adjacency tuples that nothing renumbers are reused."""
+    if not 0 <= x < len(mol.atoms) or [j for j, _ in mol._adjacency[x]] != [end]:
+        raise InvalidMolecule(f"leaving atom {x} is not a terminal neighbour of atom {end}")
+    bonds = {(i + shift - (i > x), j + shift - (j > x)): o
+             for (i, j), o in mol.bonds.items() if i != x != j}
+    adjacency = [
+        nbrs if not shift and nbrs[-1][0] < x
+        else tuple([(j + shift - (j > x), o) for j, o in nbrs if j != x])
+        for nbrs in mol._adjacency[:x] + mol._adjacency[x + 1:]
+    ]
+    sums = mol._bond_sums
+    return mol.atoms[:x] + mol.atoms[x + 1:], bonds, adjacency, [*sums[:x], *sums[x + 1:]]
 
-    The product lists ``mol_a``'s atoms, then ``mol_b``'s, and equals
-    ``Molecule(atoms, bonds)`` in every other slot, bond insertion order
-    included, but is assembled from the reagents' state: ``mol_a``'s
-    adjacency tuples are reused, ``mol_b``'s are shifted, and the new
-    bond is appended at ``u`` and prepended at ``v``, which keeps both
-    tuples sorted because every ``mol_b`` index follows every ``mol_a``
-    index.  Only the bond sums at ``u`` and ``v`` change, so only they
-    are recomputed and checked, in the constructor's order and with its
-    error.  Both reagents are connected and the new bond joins them, so
-    the product is.
+
+def join_molecules(mol_a: Molecule, mol_b: Molecule, u: int, v: int,
+                   order: BondOrder, leaving: tuple[int, int] | None = None) -> Molecule:
+    """The product of bonding atom ``u`` of ``mol_a`` to atom ``v`` of
+    ``mol_b`` with ``order``, less the ``leaving`` atom ``(side, index)``
+    if given, which must be terminal and bonded to ``u`` (side 0) or to
+    ``v`` (side 1), else ``InvalidMolecule``.
+
+    The product lists the kept atoms of ``mol_a``, then of ``mol_b``, and
+    equals the constructor's product in every slot, bond insertion order
+    included.  Adjacency tuples are reused, or renumbered past the leaving
+    atom and shifted, and the new bond is appended at ``u`` and prepended
+    at ``v``, so all stay sorted.  Only the sums at ``u`` and ``v`` change;
+    they are recomputed and checked in the constructor's order, with its
+    error.  Reagents stay connected without a terminal atom, and the new
+    bond joins them.  ``_origin`` records ``(mol_a, mol_b, u, v)``, ends as
+    product indices, if no atom leaves, and None otherwise.
     """
     n = len(mol_a.atoms)
     if not (0 <= u < n and 0 <= v < len(mol_b.atoms)):
         raise InvalidMolecule(f"join ends ({u}, {v}) reference a missing atom")
+    side, x = leaving or (None, None)
+    if side == 0:
+        atoms, bonds, adjacency, sums = _drop_leaving(mol_a, x, u, 0)
+        u -= u > x
+        n -= 1
+    elif side in (None, 1):
+        atoms, bonds = mol_a.atoms, dict(mol_a.bonds)
+        adjacency, sums = [*mol_a._adjacency], [*mol_a._bond_sums]
+    else:
+        raise InvalidMolecule(f"leaving side {side} is neither 0 nor 1")
+    if side == 1:
+        atoms_b, bonds_b, adjacency_b, sums_b = _drop_leaving(mol_b, x, v, n)
+        bonds.update(bonds_b)
+        v -= v > x
+    else:
+        atoms_b, sums_b = mol_b.atoms, mol_b._bond_sums
+        for (i, j), o in mol_b.bonds.items():
+            bonds[(i + n, j + n)] = o
+        adjacency_b = [tuple([(j + n, o) for j, o in nbrs]) for nbrs in mol_b._adjacency]
+    atoms += atoms_b
+    adjacency += adjacency_b
+    sums += sums_b
     v += n
-    atoms = mol_a.atoms + mol_b.atoms
-    bonds = dict(mol_a.bonds)
-    for (i, j), o in mol_b.bonds.items():
-        bonds[(i + n, j + n)] = o
     bonds[(u, v)] = order
-    adjacency = [*mol_a._adjacency]
-    adjacency += [tuple([(j + n, o) for j, o in nbrs]) for nbrs in mol_b._adjacency]
     adjacency[u] += ((v, order),)
     adjacency[v] = ((u, order), *adjacency[v])
-    sums = [*mol_a._bond_sums, *mol_b._bond_sums]
     for i in (u, v):
         sums[i] = s = _bond_sum(adjacency[i])
         if s > atoms[i].default_valence:
@@ -304,7 +342,7 @@ def join_molecules(mol_a: Molecule, mol_b: Molecule, u: int, v: int,
     product._bond_sums = tuple(sums)
     product._canonical = None
     product._canonical_heavy_order = None
-    product._origin = (mol_a, mol_b, u, v)
+    product._origin = None if leaving else (mol_a, mol_b, u, v)
     product._sites = {}
     product._skeleton = None
     product._transport_classes = None

@@ -8,15 +8,16 @@ on required conditions:
 
 * TEMPLATE: five bimolecular rewrite rules (esterification, amide
   coupling, Williamson ether, imine formation, N-alkylation); the
-  condensation byproducts (water, HX) are dropped.
+  condensation byproducts (water, HX) are dropped, each as the one
+  terminal leaving atom it takes from its reagent.
 * JOIN (testing): one rule that, under the ``join`` condition, bonds the
   first free-valence heavy atom (canonical order) of two reagents; the
-  product is assembled from its reagents' state (``join_molecules``, no
-  constructor pass) and records its reagents and the new bond
-  (``Molecule._origin``).
+  product records its reagents and the new bond (``Molecule._origin``).
 
 Rules fire in library order; when a functional group matches several
-sites, the one with the smallest canonical atom rank fires.
+sites, the one with the smallest canonical atom rank fires.  Every
+product of either oracle is assembled from its reagents' state by
+``molgraph.join_molecules``, never by the ``Molecule`` constructor.
 
 Every product node in the DAG keeps the reagents that produced it, so a
 recipe is the target's ancestor closure in topological order.
@@ -87,11 +88,19 @@ def _sites(mol: Molecule, pattern: Callable) -> list[tuple]:
     return memo[pattern]
 
 
+# The finders test a bond order per neighbour.  On Python 3.11 reading an
+# enum member as a class attribute (``BondOrder.SINGLE``) goes through
+# ``EnumType.__getattr__``, several times slower than a module global.
+_SINGLE, _DOUBLE = BondOrder.SINGLE, BondOrder.DOUBLE
+
+
 def _canonical_rank(mol: Molecule) -> dict[int, int]:
     return {atom: pos for pos, atom in enumerate(mol.canonical_heavy_order())}
 
 
 def _sorted_sites(mol: Molecule, sites: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    if len(sites) < 2:
+        return sites
     rank = _canonical_rank(mol)
     return sorted(sites, key=lambda site: tuple(rank[a] for a in site))
 
@@ -104,11 +113,11 @@ def find_carboxylic_acids(mol: Molecule) -> list[tuple[int, int, int]]:
             continue
         carbonyl = [
             j for j, o in mol.neighbors(c)
-            if o is BondOrder.DOUBLE and mol.atoms[j].symbol == "O" and mol.degree(j) == 1
+            if o is _DOUBLE and mol.atoms[j].symbol == "O" and mol.degree(j) == 1
         ]
         hydroxyl = [
             j for j, o in mol.neighbors(c)
-            if o is BondOrder.SINGLE and mol.atoms[j].symbol == "O"
+            if o is _SINGLE and mol.atoms[j].symbol == "O"
             and mol.degree(j) == 1 and mol.free_valence(j) >= 1
         ]
         if carbonyl and hydroxyl:
@@ -118,7 +127,7 @@ def find_carboxylic_acids(mol: Molecule) -> list[tuple[int, int, int]]:
 
 def _is_carboxyl_carbon(mol: Molecule, c: int) -> bool:
     return any(
-        o is BondOrder.DOUBLE and mol.atoms[j].symbol == "O"
+        o is _DOUBLE and mol.atoms[j].symbol == "O"
         for j, o in mol.neighbors(c)
     )
 
@@ -130,7 +139,7 @@ def find_alcohols(mol: Molecule) -> list[tuple[int]]:
         if mol.atoms[o].symbol != "O" or mol.degree(o) != 1 or mol.free_valence(o) < 1:
             continue
         j, order = mol.neighbors(o)[0]
-        if order is BondOrder.SINGLE and mol.atoms[j].symbol == "C" and not _is_carboxyl_carbon(mol, j):
+        if order is _SINGLE and mol.atoms[j].symbol == "C" and not _is_carboxyl_carbon(mol, j):
             sites.append((o,))
     return _sorted_sites(mol, sites)
 
@@ -142,7 +151,7 @@ def find_primary_amines(mol: Molecule) -> list[tuple[int]]:
         if mol.atoms[n].symbol != "N" or mol.degree(n) != 1 or mol.free_valence(n) != 2:
             continue
         j, order = mol.neighbors(n)[0]
-        if order is BondOrder.SINGLE and mol.atoms[j].symbol == "C":
+        if order is _SINGLE and mol.atoms[j].symbol == "C":
             sites.append((n,))
     return _sorted_sites(mol, sites)
 
@@ -153,7 +162,7 @@ def find_amines_with_h(mol: Molecule) -> list[tuple[int]]:
     for n in range(mol.n_atoms):
         if mol.atoms[n].symbol != "N" or mol.free_valence(n) < 1:
             continue
-        if all(o is BondOrder.SINGLE for _, o in mol.neighbors(n)):
+        if all(o is _SINGLE for _, o in mol.neighbors(n)):
             sites.append((n,))
     return _sorted_sites(mol, sites)
 
@@ -165,7 +174,7 @@ def find_halide_carbons(mol: Molecule) -> list[tuple[int, int]]:
         if mol.atoms[c].symbol != "C":
             continue
         for j, o in mol.neighbors(c):
-            if o is BondOrder.SINGLE and mol.atoms[j].symbol in ("Cl", "Br", "I"):
+            if o is _SINGLE and mol.atoms[j].symbol in ("Cl", "Br", "I"):
                 sites.append((c, j))
     return _sorted_sites(mol, sites)
 
@@ -178,7 +187,7 @@ def find_aldehydes(mol: Molecule) -> list[tuple[int, int]]:
             continue
         carbonyl = [
             j for j, o in mol.neighbors(c)
-            if o is BondOrder.DOUBLE and mol.atoms[j].symbol == "O" and mol.degree(j) == 1
+            if o is _DOUBLE and mol.atoms[j].symbol == "O" and mol.degree(j) == 1
         ]
         others = [j for j, _ in mol.neighbors(c) if j not in carbonyl]
         if carbonyl and len(others) <= 1:
@@ -187,49 +196,8 @@ def find_aldehydes(mol: Molecule) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Graph rewrites
+# Rule libraries
 # ---------------------------------------------------------------------------
-
-
-def _combine(
-    mol_a: Molecule,
-    mol_b: Molecule,
-    drop_a: set[int],
-    drop_b: set[int],
-    cross_bonds: list[tuple[int, int, BondOrder]],
-) -> Molecule:
-    """Merge two heavy skeletons, dropping atoms and adding cross bonds.
-
-    Cross bonds reference original indices (a-side, b-side).  A join,
-    which drops no atom and adds exactly one cross bond, is assembled by
-    ``join_molecules`` from its reagents' state and records its origin
-    on the product.  That bond is a bridge, so the product's fingerprint
-    and transport class table can be built from the reagents'.  Any
-    other merge goes through the general constructor.
-    """
-    if not drop_a and not drop_b and len(cross_bonds) == 1:
-        return join_molecules(mol_a, mol_b, *cross_bonds[0])
-    map_a = {}
-    atoms = []
-    for i, atom in enumerate(mol_a.atoms):
-        if i not in drop_a:
-            map_a[i] = len(atoms)
-            atoms.append(atom)
-    map_b = {}
-    for i, atom in enumerate(mol_b.atoms):
-        if i not in drop_b:
-            map_b[i] = len(atoms)
-            atoms.append(atom)
-    bonds = {}
-    for (i, j), order in mol_a.bonds.items():
-        if i in map_a and j in map_a:
-            bonds[(map_a[i], map_a[j])] = order
-    for (i, j), order in mol_b.bonds.items():
-        if i in map_b and j in map_b:
-            bonds[(map_b[i], map_b[j])] = order
-    for a, b, order in cross_bonds:
-        bonds[(map_a[a], map_b[b])] = order
-    return Molecule(atoms, bonds)
 
 
 GroupPattern = Callable[[Molecule], list[tuple]]
@@ -337,13 +305,13 @@ def synthesize_detailed(reagents, conditions, oracle: OracleKind):
             if not sites_b:
                 continue
             sites = (sites_a[0], sites_b[0])
-            drop = (set(), set())
+            leaving = None
             if template.leaving is not None:
                 side, pos = template.leaving
-                drop[side].add(sites[side][pos])
-            bond = (sites[0][0], sites[1][0], template.order)
+                leaving = (side, sites[side][pos])
             try:
-                product = _combine(heavy[i], heavy[j], drop[0], drop[1], [bond])
+                product = join_molecules(heavy[i], heavy[j], sites[0][0], sites[1][0],
+                                         template.order, leaving)
             except (ValenceExceeded, InvalidMolecule):
                 continue  # template reports no-fire on invalid output
             return {product}, template.name

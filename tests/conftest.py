@@ -10,11 +10,12 @@ from molbo.molgraph import (
     Molecule,
     PERIODIC_TABLE,
     add_explicit_hydrogens,
+    join_molecules,
     load_pool,
     parse_smiles,
 )
 from molbo.optimizer import explore_acquisition
-from molbo.synthesis import CONDITION_LIBRARY, Condition, OracleKind, _combine
+from molbo.synthesis import CONDITION_LIBRARY, Condition, OracleKind
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -141,7 +142,7 @@ def split_and_rejoin(mol, i, j):
     frag_a, index_a = _fragment(mol, sorted(side))
     frag_b, index_b = _fragment(mol, [a for a in range(mol.n_atoms) if a not in side])
     order = mol.bonds[(i, j)]
-    return _combine(frag_a, frag_b, set(), set(), [(index_a[i], index_b[j], order)])
+    return join_molecules(frag_a, frag_b, index_a[i], index_b[j], order)
 
 
 def join_chain(n_joins):
@@ -151,5 +152,5 @@ def join_chain(n_joins):
     for k in range(n_joins):
         atom = parse_smiles("CNO"[k % 3])
         end = chain[-1].n_atoms - 1
-        chain.append(_combine(chain[-1], atom, set(), set(), [(end, 0, BondOrder.SINGLE)]))
+        chain.append(join_molecules(chain[-1], atom, end, 0, BondOrder.SINGLE))
     return chain

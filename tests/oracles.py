@@ -15,6 +15,9 @@ the walk's draws against a walk whose every draw is numpy's own
 ``Generator.random``, ``integers`` or ``choice`` call.  The PSD
 projection is checked against the ``eigh``-and-clamp projection that
 runs on every stack, with no Cholesky certificate in front of it.
+Template products are checked against the general merge that maps both
+reagents' kept atoms to new indices and runs the ``Molecule``
+constructor on the result.
 """
 
 from collections import Counter
@@ -24,7 +27,7 @@ from scipy.optimize import linprog
 
 from molbo.errors import EigenFailure
 from molbo.gp import _PARAM_RANGES
-from molbo.molgraph import Molecule, WeightMode, atom_weight
+from molbo.molgraph import BondOrder, Molecule, WeightMode, atom_weight
 from molbo.optimizer import REAGENT_PAIR_PROBABILITY
 from molbo.otdist import _profile_cost, build_costs, solve_transport
 from molbo.synthesis import record_synthesis, synthesize_detailed
@@ -249,3 +252,33 @@ def psd_project_by_eigh(values: np.ndarray, floor: float) -> np.ndarray:
         projected = (v * w[..., None, :]) @ np.swapaxes(v, -1, -2)
         out[low] = (projected + np.swapaxes(projected, -1, -2)) / 2.0
     return out
+
+
+def combine_by_constructor(mol_a: Molecule, mol_b: Molecule, drop_a: set[int],
+                           drop_b: set[int],
+                           cross_bonds: list[tuple[int, int, BondOrder]]) -> Molecule:
+    """Merge two heavy skeletons, dropping atoms and adding cross bonds,
+    through the general constructor: ``mol_a``'s kept atoms, then
+    ``mol_b``'s; ``mol_a``'s bonds, then ``mol_b``'s, then the cross
+    bonds, which reference original indices (a-side, b-side)."""
+    map_a = {}
+    atoms = []
+    for i, atom in enumerate(mol_a.atoms):
+        if i not in drop_a:
+            map_a[i] = len(atoms)
+            atoms.append(atom)
+    map_b = {}
+    for i, atom in enumerate(mol_b.atoms):
+        if i not in drop_b:
+            map_b[i] = len(atoms)
+            atoms.append(atom)
+    bonds = {}
+    for (i, j), order in mol_a.bonds.items():
+        if i in map_a and j in map_a:
+            bonds[(map_a[i], map_a[j])] = order
+    for (i, j), order in mol_b.bonds.items():
+        if i in map_b and j in map_b:
+            bonds[(map_b[i], map_b[j])] = order
+    for a, b, order in cross_bonds:
+        bonds[(map_a[a], map_b[b])] = order
+    return Molecule(atoms, bonds)

@@ -30,8 +30,8 @@ from molbo.fingerprint import (
     path_fingerprint,
     tanimoto,
 )
-from molbo.molgraph import BondOrder, add_explicit_hydrogens, parse_smiles
-from molbo.synthesis import _combine, synthesize_detailed
+from molbo.molgraph import BondOrder, add_explicit_hydrogens, join_molecules, parse_smiles
+from molbo.synthesis import synthesize_detailed
 
 
 def expand(text):
@@ -196,10 +196,8 @@ class TestJoinInheritance:
 
     def test_same_product_from_different_pairs(self):
         spec = FingerprintTanimoto()
-        first = _combine(parse_smiles("CC"), parse_smiles("OC"), set(), set(),
-                         [(1, 0, BondOrder.SINGLE)])
-        second = _combine(parse_smiles("CCO"), parse_smiles("C"), set(), set(),
-                          [(2, 0, BondOrder.SINGLE)])
+        first = join_molecules(parse_smiles("CC"), parse_smiles("OC"), 1, 0, BondOrder.SINGLE)
+        second = join_molecules(parse_smiles("CCO"), parse_smiles("C"), 2, 0, BondOrder.SINGLE)
         assert first.canonical_form == second.canonical_form
         assert first._origin[:2] != second._origin[:2]
         bits = [KernelCache().fingerprint(p, spec) for p in (first, second)]

@@ -8,7 +8,7 @@ from scipy.linalg import solve_triangular
 import oracles
 from conftest import random_molecule
 from molbo import gp
-from molbo.errors import FitFailure
+from molbo.errors import CholeskyFailure, FitFailure
 from molbo.gp import (
     GpHyperparams,
     build_posterior,
@@ -204,11 +204,45 @@ class TestFit:
                 np.random.default_rng(0))
 
     def test_cholesky_failure_raises(self):
-        from molbo.errors import CholeskyFailure
-        from molbo.gp import _cholesky
-
         with pytest.raises(CholeskyFailure):
-            _cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            gp._cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+class TestPosteriorJitter:
+    """``build_posterior`` raises the noise tenfold per failed Cholesky,
+    up to the top of ``NOISE_RANGE``."""
+
+    @pytest.fixture
+    def shifted(self, monkeypatch):
+        """Make ``psd_project`` return ``-shift * I``, so the covariance
+        factorizes only once the noise exceeds ``shift``."""
+        shift = []
+        monkeypatch.setattr(gp, "psd_project",
+                            lambda values: -shift[0] * np.eye(values.shape[-1]))
+        return shift
+
+    def test_escalated_noise_is_recorded_and_used(self, shifted):
+        mols = distinct_molecules(random.Random(8), 5)
+        ys = np.linspace(0, 1, 5)
+        shifted.append(0.05)
+        post = build_posterior(mols, ys, hyper(noise=1e-4))
+        assert post.hyper == hyper(noise=1e-4 * 10.0 * 10.0 * 10.0)
+        direct = build_posterior(mols, ys, post.hyper)
+        assert direct.hyper == post.hyper and direct.lml == post.lml
+        assert np.array_equal(direct.chol_factor, post.chol_factor)
+        assert np.array_equal(direct.alpha_vec, post.alpha_vec)
+
+    def test_failure_at_the_cap_raises(self, shifted, monkeypatch):
+        tried = []
+        factor = gp._cholesky
+        monkeypatch.setattr(gp, "_cholesky",
+                            lambda mat: tried.append(mat[0, 0]) or factor(mat))
+        shifted.append(100.0)
+        with pytest.raises(CholeskyFailure):
+            build_posterior(distinct_molecules(random.Random(8), 5), np.zeros(5),
+                            hyper(noise=3e-4))
+        # 3e-4 .. 3.0, then 30 capped to the top of the range
+        assert len(tried) == 6 and tried[-1] == -100.0 + gp.NOISE_RANGE[1]
 
 
 class TestProjectionsPerFit:

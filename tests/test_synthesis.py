@@ -1,16 +1,21 @@
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 
 import molbo.synthesis as synthesis
-from conftest import bridges, split_and_rejoin
+import oracles
+from conftest import DATA_DIR, bridges, relabel, split_and_rejoin
+from molbo import otdist
 from molbo.errors import CycleDetected, InvalidMolecule, UnknownMolecule, ValenceExceeded
+from molbo.kernel import FingerprintTanimoto, KernelCache
 from molbo.molgraph import (
     BondOrder,
     Molecule,
     add_explicit_hydrogens,
+    join_molecules,
     load_pool,
     parse_smiles,
     strip_hydrogens,
@@ -21,7 +26,6 @@ from molbo.synthesis import (
     OracleKind,
     SynthesisDag,
     TEMPLATE_LIBRARY,
-    _combine,
     _join_site,
     _sites,
     dag_from_json,
@@ -98,16 +102,16 @@ def constructed_join(mol_a, mol_b, u, v, order):
 
 
 def assert_join_is_constructed(mol_a, mol_b, u, v, order):
-    """``_combine``'s join equals the constructor's product in every slot,
+    """``join_molecules`` equals the constructor's product in every slot,
     or raises the constructor's error; returns whether it succeeded."""
     try:
         want = constructed_join(mol_a, mol_b, u, v, order)
     except ValenceExceeded as error:
         with pytest.raises(ValenceExceeded) as raised:
-            _combine(mol_a, mol_b, set(), set(), [(u, v, order)])
+            join_molecules(mol_a, mol_b, u, v, order)
         assert str(raised.value) == str(error)
         return False
-    got = _combine(mol_a, mol_b, set(), set(), [(u, v, order)])
+    got = join_molecules(mol_a, mol_b, u, v, order)
     for name in Molecule.__slots__:
         if name == "bonds":
             assert list(got.bonds.items()) == list(want.bonds.items())
@@ -154,7 +158,7 @@ class TestJoinAssembly:
 
     def test_aromatic_ring_atom_join(self):
         benzene = parse_smiles("c1ccccc1")
-        product = _combine(benzene, benzene, set(), set(), [(0, 3, BondOrder.SINGLE)])
+        product = join_molecules(benzene, benzene, 0, 3, BondOrder.SINGLE)
         assert product.canonical_form == canon("c1ccc(cc1)-c1ccccc1")
         assert [product.bond_order_sum(i) for i in (0, 9)] == [4, 4]
         assert assert_join_is_constructed(benzene, benzene, 0, 3, BondOrder.SINGLE)
@@ -170,26 +174,128 @@ class TestJoinAssembly:
         with pytest.raises(ValenceExceeded) as constructed:
             constructed_join(mol_a, mol_b, u, v, BondOrder.DOUBLE)
         with pytest.raises(ValenceExceeded) as assembled:
-            _combine(mol_a, mol_b, set(), set(), [(u, v, BondOrder.DOUBLE)])
+            join_molecules(mol_a, mol_b, u, v, BondOrder.DOUBLE)
         assert str(assembled.value) == str(constructed.value) == message
 
     @pytest.mark.parametrize("u, v", [(-1, 0), (0, -1), (2, 0), (0, 3)])
     def test_an_end_outside_its_reagent_is_rejected(self, u, v):
         with pytest.raises(InvalidMolecule, match="reference a missing atom"):
-            _combine(parse_smiles("CO"), parse_smiles("CCN"), set(), set(),
-                     [(u, v, BondOrder.SINGLE)])
+            join_molecules(parse_smiles("CO"), parse_smiles("CCN"), u, v, BondOrder.SINGLE)
 
-    def test_joins_skip_the_constructor_and_templates_use_it(self, monkeypatch):
+    def test_no_synthesis_product_runs_the_constructor(self, monkeypatch):
         acid, alcohol = parse_smiles("CC(=O)O"), parse_smiles("CCO")
+        pool = load_pool(DATA_DIR / "pool_template.smi")
         built = []
         construct = Molecule.__init__
         monkeypatch.setattr(Molecule, "__init__",
                             lambda mol, *args: built.append(mol) or construct(mol, *args))
         (joined,), _ = synthesize_detailed([acid, alcohol], {"join"}, OracleKind.JOIN)
-        assert built == [] and joined._origin is not None
-        (ester,), rule = synthesize_detailed([acid, alcohol], {"acid_cat"},
-                                             OracleKind.TEMPLATE)
-        assert rule == "esterification" and built == [ester]
+        assert joined._origin is not None
+        fired = 0
+        for conditions in ({"acid_cat"}, {"heat", "base"}):
+            for reagents in itertools.permutations(pool, 2):
+                outcome = synthesize_detailed(reagents, conditions, OracleKind.TEMPLATE)
+                fired += outcome is not None
+                assert outcome is None or next(iter(outcome[0]))._origin is None
+        assert fired > 10 and built == []
+
+
+def template_applications(mols):
+    """Every way a template rule bonds two of ``mols``: for each rule, each
+    ordered pair and each pair of their sites, the reagents, the new
+    bond's ends and order, and the leaving atom ``(side, index)``."""
+    for rule in TEMPLATE_LIBRARY:
+        for mol_a, mol_b in itertools.product(mols, repeat=2):
+            sites_b = rule.required_groups[1](mol_b)
+            for site_a, site_b in itertools.product(rule.required_groups[0](mol_a), sites_b):
+                side, pos = rule.leaving
+                leaving = (side, (site_a, site_b)[side][pos])
+                yield mol_a, mol_b, site_a[0], site_b[0], rule.order, leaving
+
+
+def assembled_and_constructed(mol_a, mol_b, u, v, order, leaving):
+    """``join_molecules``' product and the general merge's, which drops
+    the same atom and adds the same bond."""
+    drop = (set(), set())
+    drop[leaving[0]].add(leaving[1])
+    want = oracles.combine_by_constructor(mol_a, mol_b, *drop, [(u, v, order)])
+    return join_molecules(mol_a, mol_b, u, v, order, leaving), want
+
+
+@pytest.fixture(scope="module")
+def template_products():
+    """One generation of the products the template rules make from the
+    molecules of ``pool_template.smi``, in canonical-form order."""
+    products = {}
+    for application in template_applications(load_pool(DATA_DIR / "pool_template.smi")):
+        got, _ = assembled_and_constructed(*application)
+        products.setdefault(got.canonical_form, got)
+    return [products[k] for k in sorted(products)]
+
+
+class TestTemplateAssembly:
+    """A template product, which loses a leaving atom, is assembled from
+    its reagents' state and equals the general constructor's product."""
+
+    def test_every_rule_and_order_equals_the_constructed_product(self, template_products):
+        # Relabelled copies put the leaving atoms at other indices: as
+        # parsed, every halogen is its molecule's last atom.
+        rng = random.Random(7)
+        mols = load_pool(DATA_DIR / "pool_template.smi") + template_products
+        mols += [relabel(mol, rng) for mol in mols for _ in range(2)]
+        positions = {0: set(), 1: set()}
+        products = 0
+        for mol_a, mol_b, u, v, order, leaving in template_applications(mols):
+            got, want = assembled_and_constructed(mol_a, mol_b, u, v, order, leaving)
+            for name in Molecule.__slots__:
+                if name == "bonds":
+                    assert list(got.bonds.items()) == list(want.bonds.items())
+                else:
+                    assert getattr(got, name) == getattr(want, name), name
+            assert got._origin is None
+            assert got.canonical_form == want.canonical_form
+            assert got.canonical_heavy_order() == want.canonical_heavy_order()
+            side, x = leaving
+            last = (mol_a, mol_b)[side].n_atoms - 1
+            positions[side].add("first" if x == 0 else "last" if x == last else "middle")
+            products += 1
+        assert products > 1000
+        assert positions == {0: {"first", "middle", "last"}, 1: {"first", "middle", "last"}}
+
+    def test_products_get_the_kernel_features_of_their_parsed_form(self, template_products):
+        spec = FingerprintTanimoto()
+        assert len(template_products) > 10
+        for product in template_products:
+            fresh = parse_smiles(product.canonical_form)
+            bits = [KernelCache().fingerprint(mol, spec) for mol in (product, fresh)]
+            assert bits[0] == bits[1]
+            assert otdist._class_table(product) == otdist._class_table(fresh)
+
+    @pytest.mark.parametrize("text_a, text_b, u, v, leaving, message", [
+        # the dropped chlorine leaves three bonds on atom 1, which the double bond overfills
+        ("CC(C)(C)Cl", "CN", 1, 1, (0, 4), "atom 1 (C) carries bond order 5 > 4"),
+        ("CN", "CC(C)(C)Cl", 1, 1, (1, 4), "atom 3 (C) carries bond order 5 > 4"),
+        ("OC(C)(C)C", "CC(=O)N", 1, 3, (0, 0), "atom 0 (C) carries bond order 5 > 4"),
+    ])
+    def test_an_overfilled_end_raises_the_constructor_error(self, text_a, text_b, u, v,
+                                                           leaving, message):
+        mol_a, mol_b = parse_smiles(text_a), parse_smiles(text_b)
+        with pytest.raises(ValenceExceeded) as constructed:
+            assembled_and_constructed(mol_a, mol_b, u, v, BondOrder.DOUBLE, leaving)
+        with pytest.raises(ValenceExceeded) as assembled:
+            join_molecules(mol_a, mol_b, u, v, BondOrder.DOUBLE, leaving)
+        assert str(assembled.value) == str(constructed.value) == message
+
+    @pytest.mark.parametrize("leaving", [
+        (0, 0), (0, 1), (0, 2), (0, 5), (0, -1), (1, 1), (1, 2), (2, 0), (-1, 0)])
+    def test_a_leaving_atom_must_be_a_terminal_neighbour_of_its_end(self, leaving):
+        # CCC(=O)O joined at its carboxyl carbon (2) and CN at its N (1):
+        # only atoms 3 and 4 of the acid and atom 0 of CN may leave
+        mol_a, mol_b = parse_smiles("CCC(=O)O"), parse_smiles("CN")
+        with pytest.raises(InvalidMolecule):
+            join_molecules(mol_a, mol_b, 2, 1, BondOrder.SINGLE, leaving)
+        for u, valid in ((2, (0, 3)), (2, (0, 4)), (1, (1, 0))):
+            join_molecules(mol_a, mol_b, u, 1, BondOrder.SINGLE, valid)
 
 
 class TestTemplateOracle:
@@ -246,6 +352,21 @@ class TestTemplateOracle:
             [expand("CC(=O)O"), expand("NCCO")], {"acid_cat"}, OracleKind.TEMPLATE
         )[0]
         assert {m.canonical_form for m in products} == {canon("CC(=O)OCCN")}
+
+    @pytest.mark.parametrize("text, pattern, count", [
+        ("OC(=O)CCC(=O)O", synthesis.find_carboxylic_acids, 2),
+        ("OCC(CO)CO", synthesis.find_alcohols, 3),
+        ("NCCCN", synthesis.find_primary_amines, 2),
+        ("CNCCNC", synthesis.find_amines_with_h, 2),
+        ("BrCC(Cl)CI", synthesis.find_halide_carbons, 3),
+        ("O=CCCC=O", synthesis.find_aldehydes, 2),
+    ])
+    def test_every_site_comes_in_canonical_rank_order(self, text, pattern, count):
+        rng = random.Random(3)
+        for mol in [parse_smiles(text)] + [relabel(parse_smiles(text), rng) for _ in range(6)]:
+            rank = {atom: r for r, atom in enumerate(mol.canonical_heavy_order())}
+            keys = [tuple(rank[a] for a in site) for site in pattern(mol)]
+            assert len(keys) == count and keys == sorted(keys)
 
     def test_smallest_canonical_site_fires(self):
         # diol partner: the rewrite is deterministic across spellings
