@@ -17,7 +17,10 @@ plans while the program stays well posed.
 
 Atoms with equal (element, bond profile) are interchangeable for this
 cost structure, so both solvers work on classes of them, and
-``_profile_cost`` is the one place ``c_str`` is computed.  ``solve_ot``
+``_profile_cost`` is the one place ``c_str`` is computed.  It returns
+``c_str`` times ``_SCALE = lcm(1, ..., 12)``, an exact integer, since a
+bond profile has at most six entries; the float paths divide by the
+scale, which rounds each ``c_str`` once.  ``solve_ot``
 is the reference: it expands hydrogens, groups the atoms into classes in
 sorted order, solves the whole class-level problem and returns the plan
 expanded back to atom level by uniform splitting, which preserves
@@ -37,10 +40,14 @@ because ``c_str`` is a metric, leaving ``max(a - b, 0)`` on each side.
 ``np.add.reduceat`` gives each element's residual totals, and a residual
 costs the larger total when one side is empty (a one-sided element
 included) or every residual profile has at most one bond (hydrogen,
-halogens).  Only residuals with a profile of two or more bonds stay in
-Python: a cheapest-first fill when one side has a single class, and the
-transportation simplex when both sides have two or more.  All atoms of
-one element share one mass, so the mass-weighted block is the unit block
+halogens).  Residuals with a profile of two or more bonds are closed
+exactly on the integer scale, where a unit left to a sink costs
+``_SCALE``: a cheapest-first fill in int64 numpy, for all of a slab's
+cells at once, when one side has a single class, and the transportation
+simplex on Python ints, one cell at a time, when both sides have two or
+more.  Each element block is thus its exact optimum, rounded once, a
+value no solver or summation order can change.  All atoms of one element
+share one mass, so the mass-weighted block is the unit block
 scaled by that mass and one solve serves both weight modes.  The per-pair
 sums run element by element in sorted order, so a pair gets the same
 bits in a block of any size.
@@ -53,9 +60,8 @@ its reagents' tallies with the classes of the new bond's two ends moved
 and their implicit hydrogens changed by the free-valence difference; a
 reagent with no table yet is built first, by a loop over origins.
 ``distance_vector`` is symmetric bit for bit, as OTMANN's distance is:
-every step but the simplex treats the two sides alike, and the simplex,
-which may round differently on a transposed problem, gets each residual
-with its sides in one canonical order (``_residual_cost``).
+each element block is an exact optimum, the same for both orders of a
+pair, and every other step treats the two sides alike.
 """
 
 from __future__ import annotations
@@ -190,14 +196,25 @@ def _joined_tally(mol: Molecule) -> Counter:
     return +tally  # drops the classes the join emptied
 
 
+#: The integer scale of every ``c_str``: ``lcm(1, ..., 12)``.  A bond
+#: profile lists at most six bonds (sulfur's valence), so the union of
+#: two profiles, the denominator of ``c_str``, divides it.
+_SCALE = 27720
+
+
 @functools.lru_cache(maxsize=1 << 16)
-def _profile_cost(p: _Profile, q: _Profile) -> float:
-    """``c_str`` between two atoms or classes, which depends only on their
-    bond profiles: one minus the multiset Jaccard overlap, and 0 when both
-    profiles are empty."""
+def _profile_cost(p: _Profile, q: _Profile) -> int:
+    """``c_str`` between two atoms or classes times ``_SCALE``, an exact
+    integer.  ``c_str`` depends only on the bond profiles: one minus their
+    multiset Jaccard overlap, and 0 when both profiles are empty.  Raises
+    ValueError for profiles whose union does not divide the scale."""
     inter = sum((Counter(p) & Counter(q)).values())
     union = len(p) + len(q) - inter
-    return 1.0 - inter / union if union else 0.0
+    if not union:
+        return 0
+    if _SCALE % union:
+        raise ValueError(f"bond profiles with {union} entries in their union exceed the cost scale")
+    return (union - inter) * (_SCALE // union)
 
 
 def _atom_keys(mol: Molecule) -> list[tuple[str, _Profile]]:
@@ -216,7 +233,7 @@ def build_costs(m1: Molecule, m2: Molecule) -> CostMatrices:
     a1 = _atom_keys(add_explicit_hydrogens(m1))
     a2 = _atom_keys(add_explicit_hydrogens(m2))
     c_lbl = np.array([[0.0 if s == t else MISMATCH_PENALTY for t, _ in a2] for s, _ in a1])
-    c_str = np.array([[_profile_cost(p, q) for _, q in a2] for _, p in a1])
+    c_str = np.array([[_profile_cost(p, q) for _, q in a2] for _, p in a1]) / _SCALE
     return CostMatrices(c_lbl=c_lbl, c_str=c_str)
 
 
@@ -227,55 +244,69 @@ def build_costs(m1: Molecule, m2: Molecule) -> CostMatrices:
 _REDUCED_COST_TOL = 1e-10
 
 
-def solve_transport(
-    supply: np.ndarray, demand: np.ndarray, cost: np.ndarray
-) -> tuple[float, np.ndarray]:
+def solve_transport(supply, demand, cost) -> tuple[float, list[list[float]]]:
     """Exact primal simplex for the balanced transportation problem.
 
     Minimizes ``<X, cost>`` subject to row sums equal to ``supply``,
-    column sums equal to ``demand`` and ``X >= 0``.  Entering variables
-    follow the most-negative reduced cost with first-index ties; if the
-    pivot budget is exceeded the rule switches to Bland's (first negative
-    in row-major order), which cannot cycle.  Raises SolverFailure only
-    if even that fails to terminate.
+    column sums equal to ``demand`` and ``X >= 0``, and returns the
+    optimal value and the plan as a list of rows.  The arguments are
+    sequences or arrays, ``cost`` two-dimensional, and the solve runs on
+    Python lists.  When every entry is a Python int (an integer array
+    gives them) the solve is exact: integral data has an integral optimal
+    basis (Dantzig 1951), so the plan and the value are ints, balance and
+    signs are checked exactly, and a reduced cost is negative below 0.
+    Any other input is solved in floats, with reduced costs compared to
+    ``-_REDUCED_COST_TOL`` times the largest cost (at least 1).
+
+    The initial basis fills the cheapest active cell first, in a stable
+    order of the costs.  Entering variables follow the most-negative
+    reduced cost with first-index ties; once ``_pivot_budget``'s pivots
+    are spent the rule switches to Bland's (first negative in row-major
+    order), which cannot cycle.  Raises SolverFailure for unbalanced or
+    negative input, and if even Bland's rule exceeds the budget.
     """
-    supply = np.asarray(supply, dtype=float)
-    demand = np.asarray(demand, dtype=float)
-    cost = np.asarray(cost, dtype=float)
-    n, m = cost.shape
-    total = supply.sum()
-    if abs(total - demand.sum()) > 1e-7 * max(1.0, total):
+    supply = supply.tolist() if isinstance(supply, np.ndarray) else list(supply)
+    demand = demand.tolist() if isinstance(demand, np.ndarray) else list(demand)
+    cost = cost.tolist() if isinstance(cost, np.ndarray) else cost
+    n, m = len(cost), len(cost[0])
+    flat = [c for row in cost for c in row]
+    types = set(map(type, flat))
+    types.update(map(type, supply), map(type, demand))
+    exact = types == {int}
+    if not exact:
+        supply, demand = [float(a) for a in supply], [float(a) for a in demand]
+        flat = [float(c) for c in flat]
+        cost = [flat[i * m:(i + 1) * m] for i in range(n)]
+    zero = 0 if exact else 0.0
+    total = sum(supply)
+    if abs(total - sum(demand)) > (0 if exact else 1e-7 * max(1.0, total)):
         raise SolverFailure("unbalanced transportation problem")
-    if np.any(supply < -1e-12) or np.any(demand < -1e-12):
+    if min(supply + demand) < (0 if exact else -1e-12):
         raise SolverFailure("negative supply or demand")
 
-    x = np.zeros((n, m))
-    row_basis: list[set[int]] = [set() for _ in range(n)]
-    col_basis: list[set[int]] = [set() for _ in range(m)]
+    # The basis is a spanning tree over n row nodes 0..n-1 and m column
+    # nodes n..n+m-1, one edge per basic cell.
+    x = [[zero] * m for _ in range(n)]
+    tree: list[list[int]] = [[] for _ in range(n + m)]
 
     # Minimum-cost initial basic feasible solution: repeatedly fill the
     # cheapest cell among active rows/columns, deactivating exactly one
     # node per step.  That yields n+m-1 basic cells (degenerate zeros
     # included) that provably form a spanning tree, and usually starts
     # at or very close to the optimum.
-    s = supply.copy()
-    d = demand.copy()
-    by_cost = np.argsort(cost, axis=None, kind="stable")
+    s, d = supply[:], demand[:]
     row_active = [True] * n
     col_active = [True] * m
     rows_left = n
     cols_left = m
-    ptr = 0
-    while True:
-        flat = int(by_cost[ptr])
-        i, j = divmod(flat, m)
+    for cell in sorted(range(n * m), key=flat.__getitem__):
+        i, j = divmod(cell, m)
         if not (row_active[i] and col_active[j]):
-            ptr += 1
             continue
-        q = min(s[i], d[j])
-        x[i, j] = q
-        row_basis[i].add(j)
-        col_basis[j].add(i)
+        q = s[i] if s[i] < d[j] else d[j]
+        x[i][j] = q
+        tree[i].append(n + j)
+        tree[n + j].append(i)
         s[i] -= q
         d[j] -= q
         if rows_left == 1 and cols_left == 1:
@@ -287,97 +318,82 @@ def solve_transport(
             row_active[i] = False
             rows_left -= 1
 
-    u = np.empty(n)
-    v = np.empty(m)
-    tol = _REDUCED_COST_TOL * max(1.0, float(np.abs(cost).max()))
-    bland_after = 60 * (n + m) + 500
-    hard_cap = bland_after * 40 + 20000
+    tol = 0 if exact else _REDUCED_COST_TOL * max(1.0, max(map(abs, flat)))
+    bland_after, hard_cap = _pivot_budget(n, m)
 
     for pivot in range(hard_cap + 1):
-        # Duals from the spanning-tree basis (u[0] anchored at zero).
-        u_known = np.zeros(n, dtype=bool)
-        v_known = np.zeros(m, dtype=bool)
-        u[0] = 0.0
-        u_known[0] = True
-        stack = [(0, True)]
+        # Duals from the tree rooted at row 0 (u[0] anchored at zero),
+        # with each node's parent and depth for the cycle below.
+        dual = [zero] * (n + m)
+        parent = [-1] * (n + m)
+        depth = [0] * (n + m)
+        parent[0] = 0
+        stack = [0]
         while stack:
-            node, is_row = stack.pop()
-            if is_row:
-                for jj in row_basis[node]:
-                    if not v_known[jj]:
-                        v[jj] = cost[node, jj] - u[node]
-                        v_known[jj] = True
-                        stack.append((jj, False))
-            else:
-                for ii in col_basis[node]:
-                    if not u_known[ii]:
-                        u[ii] = cost[ii, node] - v[node]
-                        u_known[ii] = True
-                        stack.append((ii, True))
-
-        reduced = cost - u[:, None] - v[None, :]
-        if pivot < bland_after:
-            flat = int(np.argmin(reduced))
-            if reduced.flat[flat] >= -tol:
-                break
-        else:
-            negatives = np.flatnonzero(reduced.ravel() < -tol)
-            if negatives.size == 0:
-                break
-            flat = int(negatives[0])
-        ei, ej = divmod(flat, m)
-
-        # Unique tree path from row ei to column ej; the entering cell
-        # closes the cycle.  Walking from the column end, flows alternate
-        # -, +, -, ... along the path.
-        parent: dict[tuple[int, bool], tuple[int, bool] | None] = {(ei, True): None}
-        stack = [(ei, True)]
-        found = False
-        while stack and not found:
-            node, is_row = stack.pop()
-            if is_row:
-                for jj in row_basis[node]:
-                    key = (jj, False)
-                    if key not in parent:
-                        parent[key] = (node, True)
-                        if jj == ej:
-                            found = True
-                            break
-                        stack.append(key)
-            else:
-                for ii in col_basis[node]:
-                    key = (ii, True)
-                    if key not in parent:
-                        parent[key] = (node, False)
-                        stack.append(key)
-        if not found:
+            a = stack.pop()
+            for b in tree[a]:
+                if parent[b] < 0:
+                    parent[b] = a
+                    depth[b] = depth[a] + 1
+                    dual[b] = (cost[a][b - n] if a < n else cost[b][a - n]) - dual[a]
+                    stack.append(b)
+        if -1 in parent:
             raise SolverFailure("basis lost tree structure")
+        v = dual[n:]
 
-        path_cells: list[tuple[int, int]] = []
-        node = (ej, False)
-        while parent[node] is not None:
-            pnode = parent[node]
-            if node[1]:  # row node; edge to parent column
-                path_cells.append((node[0], pnode[0]))
+        # The entering cell: the first of the most negative reduced costs,
+        # or once the budget is spent the first negative one.
+        entering = None
+        low = -tol
+        for i in range(n):
+            ui = dual[i]
+            reduced = [c - ui - vj for c, vj in zip(cost[i], v)]
+            if pivot < bland_after:
+                r = min(reduced)
+                if r < low:
+                    low, entering = r, (i, reduced.index(r))
             else:
-                path_cells.append((pnode[0], node[0]))
-            node = pnode
+                entering = next(((i, j) for j, r in enumerate(reduced) if r < low), None)
+                if entering is not None:
+                    break
+        if entering is None:
+            break
+        ei, ej = entering
 
-        minus_cells = path_cells[0::2]
-        theta = min(x[c] for c in minus_cells)
-        leaving = next(c for c in minus_cells if x[c] <= theta)
-        for k, c in enumerate(path_cells):
-            x[c] += theta if k % 2 else -theta
-        x[ei, ej] = theta
-        row_basis[ei].add(ej)
-        col_basis[ej].add(ei)
-        row_basis[leaving[0]].discard(leaving[1])
-        col_basis[leaving[1]].discard(leaving[0])
-        x[leaving] = 0.0
+        # The tree path from column ej to row ei; the entering cell closes
+        # the cycle, and flows alternate -, +, -, ... from the column end.
+        a, b = n + ej, ei
+        head, tail = [a], [b]
+        while a != b:
+            if depth[a] >= depth[b]:
+                a = parent[a]
+                head.append(a)
+            else:
+                b = parent[b]
+                tail.append(b)
+        path = head + tail[-2::-1]
+        cells = [(p, q - n) if p < n else (q, p - n) for p, q in zip(path, path[1:])]
+        theta = min(x[i][j] for i, j in cells[0::2])
+        li, lj = next((i, j) for i, j in cells[0::2] if x[i][j] <= theta)
+        for k, (i, j) in enumerate(cells):
+            x[i][j] += theta if k % 2 else -theta
+        x[ei][ej] = theta
+        tree[ei].append(n + ej)
+        tree[n + ej].append(ei)
+        tree[li].remove(n + lj)
+        tree[n + lj].remove(li)
+        x[li][lj] = zero
     else:
         raise SolverFailure("transportation simplex exceeded its pivot budget")
 
-    return float(np.sum(x * cost)), x
+    return sum(a * c for xs, cs in zip(x, cost) for a, c in zip(xs, cs)), x
+
+
+def _pivot_budget(n: int, m: int) -> tuple[int, int]:
+    """Pivots of an ``n x m`` transportation simplex by the most-negative
+    rule before it switches to Bland's, and pivots in all."""
+    bland_after = 60 * (n + m) + 500
+    return bland_after, bland_after * 40 + 20000
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +431,7 @@ def solve_ot(
     c_full = np.ones((k1 + 1, k2 + 1))
     for a, (s, p) in enumerate(keys1):
         for b, (t, q) in enumerate(keys2):
-            c_full[a, b] = (0.0 if s == t else MISMATCH_PENALTY) + _profile_cost(p, q)
+            c_full[a, b] = (0.0 if s == t else MISMATCH_PENALTY) + _profile_cost(p, q) / _SCALE
     c_full[k1, k2] = 0.0
     cost, class_plan = solve_transport(np.append(y1, t2), np.append(y2, t1), c_full)
 
@@ -423,17 +439,17 @@ def solve_ot(
     u = np.zeros((n1 + 1, n2 + 1))
     for a, rows in enumerate(members1):
         for b, cols in enumerate(members2):
-            f = class_plan[a, b]
+            f = class_plan[a][b]
             if f > 0.0:
                 u[np.ix_(rows, cols)] = f / (len(rows) * len(cols))
-        f = class_plan[a, k2]
+        f = class_plan[a][k2]
         if f > 0.0:
             u[rows, n2] = f / len(rows)
     for b, cols in enumerate(members2):
-        f = class_plan[k1, b]
+        f = class_plan[k1][b]
         if f > 0.0:
             u[n1, cols] = f / len(cols)
-    u[n1, n2] = class_plan[k1, k2]
+    u[n1, n2] = class_plan[k1][k2]
     distance = cost / (t1 + t2) if cfg.normalize else cost
     return float(distance), TransportPlan(u=u, cost=float(cost))
 
@@ -474,8 +490,9 @@ def _element_costs(
     one side is empty (a one-sided element included) and when every
     residual profile has at most one entry, since distinct such profiles
     cost exactly 1.  Those cells close in numpy; the rest have a profile
-    of two or more bonds on a side and go to ``_residual_cost``, their
-    residual classes pulled out in one pass per slab.
+    of two or more bonds on a side, and ``_residual_costs`` closes them
+    exactly on the ``_SCALE`` integer scale, all of a slab's cells in one
+    call.  Every cost is the exact optimum of its block, rounded once.
     """
     keys = sorted(set().union(*(t.tally for t in tables)))
     column = {key: c for c, key in enumerate(keys)}
@@ -497,49 +514,81 @@ def _element_costs(
         slab[:] = np.maximum(t1, t2)
         poly = np.logical_or.reduceat((r1 + r2 > 0) & polyvalent, starts, axis=1)
         ks, es = np.nonzero((t1 > 0) & (t2 > 0) & poly)
-        if not len(ks):
-            continue
-        same = element_of == es[:, None]
-        residuals = []
-        for r in (r1, r2):
-            sub = np.where(same, r[ks], 0)
-            cells, cols = np.nonzero(sub)
-            bounds = np.searchsorted(cells, np.arange(len(ks) + 1)).tolist()
-            pulled = list(zip(cols.tolist(), sub[cells, cols].tolist()))
-            residuals.append([pulled[bounds[c]:bounds[c + 1]] for c in range(len(ks))])
-        for k, e, res1, res2 in zip(ks.tolist(), es.tolist(), *residuals):
-            slab[k, e] = _residual_cost(
-                [(profiles[c], n) for c, n in res1], [(profiles[c], n) for c, n in res2]
-            )
+        if len(ks):
+            same = element_of == es[:, None]
+            slab[ks, es] = _residual_costs(
+                np.where(same, r1[ks], 0), np.where(same, r2[ks], 0), profiles) / _SCALE
     return [syms[c] for c in starts], costs
 
 
-def _residual_cost(r1: list[tuple[_Profile, int]], r2: list[tuple[_Profile, int]]) -> float:
-    """Unit-weight cost of a residual block, its classes on each side in
-    sorted profile order: a cheapest-first fill when one side has a single
-    class, and the transportation simplex otherwise.  The side with fewer
-    classes (then the smaller list) goes first, so both orders of a pair
-    pose the same problem."""
-    if (len(r2), r2) < (len(r1), r1):
-        r1, r2 = r2, r1
-    t1 = sum(n for _, n in r1)
-    t2 = sum(m for _, m in r2)
-    if len(r1) == 1:
-        p = r1[0][0]
-        left = min(t1, t2)
-        cost = float(abs(t1 - t2))
-        for c, n in sorted((_profile_cost(p, q), n) for q, n in r2):
-            take = min(n, left)
-            cost += take * c
-            left -= take
-            if left == 0:
-                break
-        return cost
-    rows = [[_profile_cost(p, q) for q, _ in r2] + [1.0] for p, _ in r1]
-    rows.append([1.0] * len(r2) + [0.0])
-    supply = np.array([n for _, n in r1] + [t2], dtype=float)
-    demand = np.array([m for _, m in r2] + [t1], dtype=float)
-    cost, _ = solve_transport(supply, demand, np.array(rows))
+def _residual_costs(r1: np.ndarray, r2: np.ndarray, profiles: list[_Profile]) -> np.ndarray:
+    """Exact unit-weight costs, times ``_SCALE``, of residual blocks given
+    as rows ``r1``, ``r2`` of class counts over the keys with ``profiles``,
+    zero outside each block's element.
+
+    The blocks' class-to-class costs are gathered for every block at once,
+    one ``_profile_cost`` per distinct pair of keys.  A block with one
+    class ``p`` on a side is a fill: ``p``'s side sends ``min(t1, t2)``
+    units to the other side's classes cheapest first and the difference
+    goes to a sink, which is optimal because every class is matched
+    against the same ``p``.  With the other side's classes ordered by cost
+    within each block, a class of ``n`` units takes ``clip(min(t1, t2) -
+    units before it, 0, n)``, and the block costs ``|t1 - t2| * _SCALE``
+    plus its classes' ``take * cost``.  Blocks with two or more classes on
+    both sides are solved one at a time by ``_residual_cost``."""
+    t1, t2 = r1.sum(axis=1), r2.sum(axis=1)
+    cell1, col1 = np.nonzero(r1)
+    cell2, col2 = np.nonzero(r2)
+    units1, units2 = r1[cell1, col1], r2[cell2, col2]
+    w1 = np.bincount(cell1, minlength=len(r1))
+    w2 = np.bincount(cell2, minlength=len(r2))
+    # Each block's pairs of classes, side-1 class major: i1 and i2 index
+    # the two classes of each pair in cell1 and cell2.
+    repeats = w2[cell1]
+    i1 = np.repeat(np.arange(len(cell1)), repeats)
+    i2 = np.repeat((np.cumsum(w2) - w2)[cell1] - (np.cumsum(repeats) - repeats), repeats)
+    i2 += np.arange(len(i1))
+    cells = cell1[i1]
+    width = len(profiles)
+    pairs, inverse = np.unique(col1[i1] * width + col2[i2], return_inverse=True)
+    cost = np.array([_profile_cost(profiles[i], profiles[j])
+                     for i, j in (divmod(pair, width) for pair in pairs.tolist())],
+                    dtype=np.int64)[inverse]
+    totals = np.abs(t1 - t2) * _SCALE
+    fill = (w1 == 1) | (w2 == 1)
+    if fill.any():
+        chosen = fill[cells]
+        units = np.where(w1[cells] == 1, units2[i2], units1[i1])[chosen]
+        order = np.lexsort((cost[chosen], cells[chosen]))
+        filled, units, fill_cost = cells[chosen][order], units[order], cost[chosen][order]
+        heads = np.flatnonzero(np.diff(filled, prepend=-1))
+        before = np.cumsum(units) - units
+        before -= np.repeat(before[heads], np.diff(heads, append=len(filled)))
+        take = np.clip(np.minimum(t1, t2)[filled] - before, 0, units)
+        totals[fill] += np.add.reduceat(take * fill_cost, heads)
+    if not fill.all():
+        flat, units1, units2 = cost.tolist(), units1.tolist(), units2.tolist()
+        start1, start2 = (np.cumsum(w1) - w1).tolist(), (np.cumsum(w2) - w2).tolist()
+        start = (np.cumsum(w1 * w2) - w1 * w2).tolist()
+        w1, w2 = w1.tolist(), w2.tolist()
+        for c in np.flatnonzero(~fill).tolist():
+            a, b, o = w1[c], w2[c], start[c]
+            totals[c] = _residual_cost(units1[start1[c]:start1[c] + a],
+                                       units2[start2[c]:start2[c] + b],
+                                       [flat[o + b * i:o + b * (i + 1)] for i in range(a)])
+    return totals
+
+
+def _residual_cost(n1: list[int], n2: list[int], costs: list[list[int]]) -> int:
+    """Exact unit-weight cost, times ``_SCALE``, of one residual block
+    from its class counts on each side and the scaled class-to-class
+    costs: the transportation simplex on integer data, with a sink on each
+    side holding the other side's total at ``_SCALE`` per unit.  The
+    optimum of integer data is exact, so both orders of a pair give the
+    same value."""
+    rows = [row + [_SCALE] for row in costs]
+    rows.append([_SCALE] * len(n2) + [0])
+    cost, _ = solve_transport(n1 + [sum(n2)], n2 + [sum(n1)], rows)
     return cost
 
 

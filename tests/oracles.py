@@ -6,12 +6,14 @@ inequality program with the explicit non-matching term and the balanced
 equality reformulation), the GP marginal likelihood against a direct
 inverse/determinant formula, and expected improvement against plain
 Monte Carlo.  The bond-environment cost ``c_str`` is checked against a
-plain multiset Jaccard over entry counts.  Fingerprint path descriptors are checked against the
-plain enumeration that joins each path's tokens in both directions, and
-per-element OT block costs against the transportation simplex on the
-whole block, without matching equal bond profiles first.  The GP fit's
-batched candidate draw is checked against one scalar draw per value, and
-the walk's draws against a walk whose every draw is numpy's own
+plain multiset Jaccard over entry counts, as an exact fraction.
+Fingerprint path descriptors are checked against the plain enumeration
+that joins each path's tokens in both directions, and per-element OT
+block costs against the exact optimum of the whole block, without
+matching equal bond profiles first, found by cancelling the negative
+cycles of a plan on integer-scaled costs until none is left.  The GP
+fit's batched candidate draw is checked against one scalar draw per
+value, and the walk's draws against a walk whose every draw is numpy's own
 ``Generator.random``, ``integers`` or ``choice`` call.  The PSD
 projection is checked against the ``eigh``-and-clamp projection that
 runs on every stack, with no Cholesky certificate in front of it.
@@ -20,7 +22,10 @@ reagents' kept atoms to new indices and runs the ``Molecule``
 constructor on the result.
 """
 
+import itertools
+import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
@@ -29,7 +34,7 @@ from molbo.errors import EigenFailure
 from molbo.gp import _PARAM_RANGES
 from molbo.molgraph import BondOrder, Molecule, WeightMode, atom_weight
 from molbo.optimizer import REAGENT_PAIR_PROBABILITY
-from molbo.otdist import _profile_cost, build_costs, solve_transport
+from molbo.otdist import build_costs
 from molbo.synthesis import record_synthesis, synthesize_detailed
 
 
@@ -37,14 +42,14 @@ def _weights(mol: Molecule, mode: WeightMode) -> np.ndarray:
     return np.array([atom_weight(a, mode) for a in mol.atoms])
 
 
-def multiset_jaccard_distance(p, q) -> float:
+def multiset_jaccard_distance(p, q) -> Fraction:
     """``1 - sum(min) / sum(max)`` over the entry counts of two bond
-    profiles; 0 when both are empty."""
+    profiles, exactly; 0 when both are empty."""
     cp, cq = Counter(p), Counter(q)
     entries = cp.keys() | cq.keys()
     high = sum(max(cp[e], cq[e]) for e in entries)
     low = sum(min(cp[e], cq[e]) for e in entries)
-    return 1.0 - low / high if high else 0.0
+    return Fraction(high - low, high) if high else Fraction(0)
 
 
 def ot_cost_inequality(m1: Molecule, m2: Molecule, mode: WeightMode) -> float:
@@ -142,35 +147,82 @@ def path_descriptors_two_way(mol: Molecule, max_path_len: int) -> set[str]:
     return descriptors
 
 
-def block_cost_whole(c1, c2) -> float:
-    """Unit-weight cost of one element's block with its own sinks, from
-    its classes ``((profile, count), ...)`` on each side: closed forms for
-    monovalent blocks and for one class on one side, otherwise the simplex
-    on every class of both sides."""
-    t1, t2 = sum(n for _, n in c1), sum(n for _, n in c2)
-    if all(len(p) <= 1 for p, _ in c1 + c2):
-        other = dict(c2)
-        equal = sum(min(n, other.get(p, 0)) for p, n in c1)
-        return float(max(t1, t2) - equal)
-    if len(c1) == 1 or len(c2) == 1:
-        if len(c1) != 1:
-            c1, c2, t1, t2 = c2, c1, t2, t1
-        p = c1[0][0]
-        left = min(t1, t2)
-        cost = float(abs(t1 - t2))
-        for c, n in sorted((_profile_cost(p, q), n) for q, n in c2):
-            take = min(n, left)
-            cost += take * c
-            left -= take
-            if left == 0:
-                break
-        return cost
-    rows = [[_profile_cost(p, q) for q, _ in c2] + [1.0] for p, _ in c1]
-    rows.append([1.0] * len(c2) + [0.0])
-    supply = np.array([n for _, n in c1] + [t2], dtype=float)
-    demand = np.array([n for _, n in c2] + [t1], dtype=float)
-    cost, _ = solve_transport(supply, demand, np.array(rows))
-    return cost
+def block_cost_exact(c1, c2) -> Fraction:
+    """Exact optimal unit-weight cost of one element's block with its own
+    sinks, from its classes ``((profile, count), ...)`` on each side,
+    without matching equal bond profiles first.  Costs are the multiset
+    Jaccard distances as fractions, scaled to integers by the least
+    common multiple of their denominators; a unit to or from a sink costs
+    one.  The plan starts from a cheapest-cell-first fill and cancels
+    negative cycles of its residual graph (Klein's algorithm) until none
+    is left, which is the optimality condition; each cancel lowers the
+    integer cost, so the loop ends."""
+    rows = [[multiset_jaccard_distance(p, q) for q, _ in c2] + [Fraction(1)] for p, _ in c1]
+    rows.append([Fraction(1)] * len(c2) + [Fraction(0)])
+    scale = math.lcm(*(f.denominator for row in rows for f in row))
+    cost = [[int(f * scale) for f in row] for row in rows]
+    supply = [n for _, n in c1] + [sum(n for _, n in c2)]
+    demand = [n for _, n in c2] + [sum(n for _, n in c1)]
+    x = [[0] * len(demand) for _ in supply]
+    for i, j in sorted(itertools.product(range(len(supply)), range(len(demand))),
+                       key=lambda c: cost[c[0]][c[1]]):
+        q = min(supply[i], demand[j])
+        x[i][j] += q
+        supply[i] -= q
+        demand[j] -= q
+    while cycle := _negative_cycle(x, cost):
+        theta = min(x[i][j] for i, j, sign in cycle if sign < 0)
+        for i, j, sign in cycle:
+            x[i][j] += sign * theta
+    total = sum(a * c for xs, cs in zip(x, cost) for a, c in zip(xs, cs))
+    return Fraction(total, scale)
+
+
+def element_costs_exact(tables, left, right):
+    """``otdist._element_costs`` from the exact oracle: the elements of
+    ``tables`` in sorted order and, for each pair ``(tables[left[k]],
+    tables[right[k]])``, the exact optimum of each element's block
+    rounded once (the larger side's unit count when a side is empty)."""
+    elements = sorted({sym for t in tables for sym, _ in t.tally})
+    costs = np.zeros((len(left), len(elements)))
+    for k, (i, j) in enumerate(zip(left, right)):
+        for e, sym in enumerate(elements):
+            c1, c2 = (tuple(sorted((p, n) for (s, p), n in tables[side].tally.items() if s == sym))
+                      for side in (i, j))
+            if c1 and c2:
+                costs[k, e] = float(block_cost_exact(c1, c2))
+            else:
+                costs[k, e] = sum(n for _, n in c1 + c2)
+    return elements, costs
+
+
+def _negative_cycle(x, cost) -> list[tuple[int, int, int]]:
+    """A negative-cost cycle of the residual graph of plan ``x`` as its
+    cells ``(i, j, +1 or -1)``, or ``[]``: rows are nodes ``0..n-1`` and
+    columns ``n..n+m-1``; a cell can always gain flow (row to column, at
+    its cost) and can lose flow while it has some (column to row, at
+    minus its cost).  Bellman-Ford from every node at once."""
+    n, m = len(cost), len(cost[0])
+    edges = [(i, n + j, cost[i][j]) for i in range(n) for j in range(m)]
+    edges += [(n + j, i, -cost[i][j]) for i in range(n) for j in range(m) if x[i][j] > 0]
+    dist = [0] * (n + m)
+    pred = [-1] * (n + m)
+    for _ in range(n + m):
+        relaxed = -1
+        for a, b, w in edges:
+            if dist[a] + w < dist[b]:
+                dist[b], pred[b], relaxed = dist[a] + w, a, b
+        if relaxed < 0:
+            return []
+    for _ in range(n + m):  # walk back onto the cycle
+        relaxed = pred[relaxed]
+    cycle, node = [], relaxed
+    while True:
+        a = pred[node]
+        cycle.append((a, node - n, 1) if a < n else (node, a - n, -1))
+        node = a
+        if node == relaxed:
+            return cycle
 
 
 def sample_one_at_a_time(names: list[str], rng: np.random.Generator,

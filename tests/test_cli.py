@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+import oracles
+from molbo import otdist
 from molbo.cli import _pair_of_index, main
 from molbo.molgraph import parse_smiles
 from molbo.synthesis import load_dag
@@ -359,7 +361,26 @@ class TestAnalyze:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "8f9b0ee366547efcb76855322b427534ecb50da4bbc59a8642412686f8ed8c78")
+            "653201a905aef52611e26a82f3d3e32e905cf215efc52099cae4c8995dac0bfb")
+
+    def test_pinned_csv_is_built_from_exact_blocks(self, capsys, small_pool_path,
+                                                   monkeypatch):
+        """Every distance cell of the pinned call is the exact optimum of
+        each element block, rounded once, summed and weighted as
+        ``distance_vectors`` documents: with the block pass replaced by the
+        exact oracle the call prints the same bytes."""
+        argv = ("analyze", "--pool", str(small_pool_path), "--sample-pairs", "30", "--seed", "3")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        calls = []
+
+        def exact(tables, left, right):
+            calls.append(len(left))
+            return oracles.element_costs_exact(tables, left, right)
+
+        monkeypatch.setattr(otdist, "_element_costs", exact)
+        assert run_cli(capsys, *argv)[1] == out
+        assert sum(calls) == 30
 
     def test_config_entries_match_flags(self, capsys, small_pool_path, tmp_path):
         cfg_path = tmp_path / "cfg.json"

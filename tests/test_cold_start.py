@@ -21,18 +21,32 @@ def _python(*args: str) -> subprocess.CompletedProcess:
                           check=True, timeout=120, env={**os.environ, "PYTHONPATH": SRC})
 
 
-@pytest.mark.parametrize("args", [
+COLD_STARTS = pytest.mark.parametrize("args", [
     ("-c", "import molbo"),
     ("-m", "molbo", "dist", "CCO", "CC"),
 ], ids=["import", "dist"])
-def test_loads_no_scipy_or_networkx(args):
+
+
+def _loaded(args) -> set[str]:
     """``-X importtime`` lists every module the process imports, one per
     line of standard error, whichever way it was imported."""
     err = _python("-X", "importtime", *args).stderr
     loaded = {line.rsplit("|", 1)[1].strip() for line in err.splitlines()
               if line.startswith("import time:") and "|" in line}
     assert "molbo" in loaded
-    assert not sorted(m for m in loaded if m.split(".")[0] in DEFERRED)
+    return loaded
+
+
+@COLD_STARTS
+def test_loads_no_scipy_or_networkx(args):
+    assert not sorted(m for m in _loaded(args) if m.split(".")[0] in DEFERRED)
+
+
+@COLD_STARTS
+def test_loads_no_exact_arithmetic_modules(args):
+    """Distances are exact on an integer scale, with no ``fractions`` or
+    ``decimal`` behind them."""
+    assert not _loaded(args) & {"fractions", "decimal"}
 
 
 #: Each first use, run right after ``import molbo``, and the bits it

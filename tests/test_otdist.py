@@ -5,11 +5,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import oracles
 from conftest import EXTRA, bridges, join_chain, random_molecule, relabel, split_and_rejoin
 from molbo import otdist
+from molbo.errors import SolverFailure
 from molbo.kernel import OTExpSum
 from molbo.molgraph import (
     Molecule,
@@ -125,8 +128,64 @@ class TestSolveTransport:
                 method="highs",
             )
             assert value == pytest.approx(res.fun, abs=1e-7)
-            assert np.allclose(plan.sum(axis=1), supply, atol=1e-9)
-            assert np.allclose(plan.sum(axis=0), demand, atol=1e-9)
+            assert np.allclose(np.sum(plan, axis=1), supply, atol=1e-9)
+            assert np.allclose(np.sum(plan, axis=0), demand, atol=1e-9)
+
+    def test_integer_data_gives_the_exact_integer_optimum(self):
+        """Python ints, or an integer array, give int values and plans: the
+        optimum of the generic LP, and the given marginals exactly."""
+        rng = np.random.default_rng(1)
+        for trial in range(150):
+            n, m = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+            supply = rng.integers(0, 6, n)
+            supply[0] += 1
+            demand = rng.multinomial(supply.sum(), np.full(m, 1.0 / m))
+            cost = rng.integers(0, 3 * otdist._SCALE, (n, m))
+            args = (supply, demand, cost) if trial % 2 else (
+                supply.tolist(), demand.tolist(), cost.tolist())
+            value, plan = solve_transport(*args)
+            assert type(value) is int
+            assert all(type(f) is int and f >= 0 for row in plan for f in row)
+            assert [sum(row) for row in plan] == supply.tolist()
+            assert [sum(col) for col in zip(*plan)] == demand.tolist()
+            assert value == int((np.array(plan) * cost).sum())
+            res = linprog(cost.ravel(), A_eq=np.vstack([np.kron(np.eye(n), np.ones(m)),
+                                                        np.kron(np.ones(n), np.eye(m))]),
+                          b_eq=np.concatenate([supply, demand]), method="highs")
+            assert abs(value - res.fun) <= 1e-9 * max(1.0, abs(res.fun))
+
+    def test_spent_pivot_budget_ends_on_blands_rule(self, monkeypatch):
+        """Instances that need pivots: with no pivot allowed the simplex
+        raises; with Bland's rule from the first pivot it reaches the same
+        optimum as the most-negative rule."""
+        rng = np.random.default_rng(2)
+        pivoting = 0
+        while pivoting < 25:
+            n, m = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+            supply = (rng.integers(0, 6, n) + 1).tolist()
+            demand = rng.multinomial(sum(supply), np.full(m, 1.0 / m)).tolist()
+            cost = rng.integers(0, 100, (n, m)).tolist()
+            value, _ = solve_transport(supply, demand, cost)
+            monkeypatch.setattr(otdist, "_pivot_budget", lambda n, m: (0, 0))
+            try:
+                solve_transport(supply, demand, cost)
+            except SolverFailure:
+                pivoting += 1
+                monkeypatch.setattr(otdist, "_pivot_budget", lambda n, m: (0, 10_000))
+                bland, plan = solve_transport(supply, demand, cost)
+                assert bland == value
+                assert [sum(row) for row in plan] == supply
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("supply, demand", [
+        ([3, 1], [2, 1]),
+        ([3.0, 1.0], [2.0, 1.0]),
+        ([-1, 3], [1, 1]),
+        ([-1.0, 3.0], [1.0, 1.0]),
+    ], ids=["unbalanced-int", "unbalanced-float", "negative-int", "negative-float"])
+    def test_bad_marginals_raise(self, supply, demand):
+        with pytest.raises(SolverFailure):
+            solve_transport(supply, demand, [[1, 2], [3, 4]])
 
 
 class TestSolveOt:
@@ -334,13 +393,52 @@ def test_heavy_distances_equal_the_expansion_bytes(heavy_molecules):
 
 def test_block_costs_match_whole_block_simplex(met_blocks):
     """Matching equal profiles first, then closing or solving the residual,
-    gives the cost of the simplex on the whole block."""
+    gives the exact optimum of the whole block, rounded once."""
     solved = 0
     for c1, c2, cost in met_blocks:
-        ref = oracles.block_cost_whole(c1, c2)
-        assert cost == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert cost == float(oracles.block_cost_exact(c1, c2)), (c1, c2)
         solved += len(c1) > 1 and len(c2) > 1
     assert solved > 1000
+
+
+#: Bond entries of the random profiles below; a profile holds 1 to 6 of them.
+ENTRIES = (("-", "C", "C"), ("=", "C", "C"), (":", "C", "C"), ("-", "C", "H"),
+           ("-", "C", "O"), ("=", "C", "O"), ("-", "C", "N"), ("#", "C", "N"))
+CLASSES = st.dictionaries(
+    st.lists(st.sampled_from(ENTRIES), min_size=1, max_size=6).map(lambda e: tuple(sorted(e))),
+    st.integers(min_value=1, max_value=12), min_size=1, max_size=5)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(c1=CLASSES, c2=CLASSES)
+def test_element_costs_are_the_rounded_exact_optimum(c1, c2):
+    """Random class lists of one element, in both orders: every block cost
+    is its exact optimum, rounded once."""
+    tables = [otdist._ClassTable(Counter({("C", p): n for p, n in c.items()}), 0, 0.0)
+              for c in (c1, c2)]
+    _, costs = otdist._element_costs(tables, np.array([0, 1]), np.array([1, 0]))
+    exact = float(oracles.block_cost_exact(tuple(sorted(c1.items())), tuple(sorted(c2.items()))))
+    assert costs[0, 0] == costs[1, 0] == exact
+
+
+def test_blocks_past_one_slab_equal_single_pairs(heavy_molecules, monkeypatch):
+    """One call over more pairs than a slab holds gives the bytes of one
+    call per pair; both slabs close fills and solve simplex cells."""
+    rng = random.Random(8)
+    pairs = [rng.sample(heavy_molecules, 2) for _ in range(otdist._CHUNK + 400)]
+    kinds = []
+    real = otdist._residual_costs
+
+    def recording(r1, r2, profiles):
+        w1, w2 = (r1 > 0).sum(axis=1), (r2 > 0).sum(axis=1)
+        kinds.append((((w1 == 1) | (w2 == 1)).sum(), ((w1 > 1) & (w2 > 1)).sum()))
+        return real(r1, r2, profiles)
+
+    monkeypatch.setattr(otdist, "_residual_costs", recording)
+    block = distance_vectors(*zip(*pairs))
+    monkeypatch.undo()
+    assert len(kinds) == 2 and all(fills and solves for fills, solves in kinds)
+    assert block.tobytes() == np.array([distance_vector(a, b) for a, b in pairs]).tobytes()
 
 
 def test_profile_cost_is_a_metric_on_met_profiles(met_blocks):
@@ -349,9 +447,10 @@ def test_profile_cost_is_a_metric_on_met_profiles(met_blocks):
     profiles = sorted({p for c1, c2, _ in met_blocks for p, _ in c1 + c2})
     assert len(profiles) > 50
     d = np.array([[otdist._profile_cost(p, q) for q in profiles] for p in profiles])
+    assert d.dtype == np.int64
     assert np.array_equal(d, d.T) and not d.diagonal().any()
     for j in range(len(profiles)):
-        assert (d <= d[:, [j]] + d[[j], :] + 1e-12).all()
+        assert (d <= d[:, [j]] + d[[j], :]).all()
 
 
 def full_class_table(mol):
@@ -395,9 +494,10 @@ class TestInheritedClassTables:
 
 
 def test_structure_cost_is_the_multiset_jaccard(cached_molecules):
-    """``_profile_cost`` is the only ``c_str``.  It, and every ``c_str``
-    cell of ``build_costs``, equal the plain multiset Jaccard on every
-    pair of bond profiles of the hydrogen-expanded cached molecules."""
+    """``_profile_cost`` is the only ``c_str``.  On every pair of bond
+    profiles of the hydrogen-expanded cached molecules it is the exact
+    multiset Jaccard distance times ``_SCALE``, and every ``c_str`` cell of
+    ``build_costs`` is that distance correctly rounded."""
     covering, profiles = [], set()
     for mol in sorted(map(add_explicit_hydrogens, cached_molecules), key=lambda m: m.n_atoms):
         atoms = {bond_profile(mol, i) for i in range(mol.n_atoms)}
@@ -409,12 +509,23 @@ def test_structure_cost_is_the_multiset_jaccard(cached_molecules):
     for p in profiles:
         for q in profiles:
             jaccard[p, q] = oracles.multiset_jaccard_distance(p, q)
-            assert otdist._profile_cost(p, q) == jaccard[p, q]
+            assert otdist._profile_cost(p, q) == jaccard[p, q] * otdist._SCALE
     # Every profile occurs in a covering molecule, so the pairs of
     # covering molecules meet every pair of profiles.
     for m1 in covering:
         p1 = [bond_profile(m1, i) for i in range(m1.n_atoms)]
         for m2 in covering:
             p2 = [bond_profile(m2, j) for j in range(m2.n_atoms)]
-            want = np.array([[jaccard[p, q] for q in p2] for p in p1])
+            want = np.array([[float(jaccard[p, q]) for q in p2] for p in p1])
             assert np.array_equal(build_costs(m1, m2).c_str, want)
+
+
+def test_profile_cost_raises_past_the_scale():
+    """A union of 13 bond entries, more than two profiles of at most six
+    bonds can hold, does not divide ``_SCALE``: the cost raises instead of
+    rounding."""
+    entries = [("-", "C", sym) for sym in ("B", "Br", "C", "Cl", "F", "H", "I", "N", "O", "P",
+                                           "S", "Si", "Se")]
+    with pytest.raises(ValueError, match="scale"):
+        otdist._profile_cost(tuple(entries[:7]), tuple(entries[7:]))
+    assert otdist._profile_cost(tuple(entries[:6]), tuple(entries[6:12])) == otdist._SCALE
