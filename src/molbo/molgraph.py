@@ -349,20 +349,22 @@ def join_molecules(mol_a: Molecule, mol_b: Molecule, u: int, v: int,
     return product
 
 
-def expanded_atoms(mol: Molecule):
-    """The elements of the hydrogen-expanded molecule, in its atom order:
-    every atom, then one hydrogen per implicit hydrogen in parent order."""
-    yield from mol.atoms
-    hydrogen = PERIODIC_TABLE["H"]
-    for i in range(mol.n_atoms):
-        for _ in range(mol.free_valence(i)):
-            yield hydrogen
+def implicit_hydrogens(mol: Molecule) -> list[int]:
+    """``free_valence(i)`` of every atom ``i``: the hydrogens its
+    expansion adds to each atom, in parent order."""
+    return [atom.fill_valence(s) - s for atom, s in zip(mol.atoms, mol._bond_sums)]
 
 
-def molecular_weight(mol: Molecule, mode: WeightMode) -> float:
+def molecular_weight(mol: Molecule, mode: WeightMode, hydrogens: int | None = None) -> float:
     """Total matching weight m(M) with implicit hydrogens, strictly
-    positive and atom-additive; summed in the expanded molecule's order."""
-    return float(sum(atom_weight(a, mode) for a in expanded_atoms(mol)))
+    positive and atom-additive; summed by ``sum`` in the expanded
+    molecule's order: every atom, then one hydrogen per implicit hydrogen.
+    ``hydrogens`` is their total, when the caller has it."""
+    if hydrogens is None:
+        hydrogens = sum(implicit_hydrogens(mol))
+    weights = [atom_weight(a, mode) for a in mol.atoms]
+    weights += [atom_weight(PERIODIC_TABLE["H"], mode)] * hydrogens
+    return float(sum(weights))
 
 
 def bond_profile(mol: Molecule, atom_index: int) -> tuple[tuple[str, str, str], ...]:

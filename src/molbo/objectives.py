@@ -17,6 +17,13 @@ Shipped kinds:
 * qed: geometric mean of four trapezoidal desirability scores in (0, 1]
   (molecular mass, logp, H-bond donors, H-bond acceptors).
 
+An evaluation computes each atom's implicit-hydrogen count once
+(``molgraph.implicit_hydrogens``) and shares it among logp, mass and the
+H-bond counts.  Each sum keeps the expanded molecule's order, every atom
+and then one hydrogen per implicit hydrogen in parent order, so a
+molecule and its hydrogen expansion score the same bits: logp adds its
+terms one at a time with ``+=``, the mass with ``sum``.
+
 Only the penalized kind needs networkx, for the minimum cycle basis;
 ``ring_data`` imports it, so a process that never scores penalized logP
 never loads it.
@@ -29,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import MissingContribution
-from .molgraph import Molecule, WeightMode, expanded_atoms, molecular_weight
+from .molgraph import Molecule, WeightMode, implicit_hydrogens, molecular_weight
 
 #: Additive logP-style contributions per element.  Surrogate values:
 #: hydrophobic atoms positive, polar atoms negative.
@@ -98,15 +105,27 @@ class Objective:
     )
 
 
-def _contribution_sum(obj: Objective, mol: Molecule) -> float:
+def _missing(symbol: str) -> MissingContribution:
+    return MissingContribution(f"no contribution configured for element {symbol}")
+
+
+def _contribution_sum(obj: Objective, mol: Molecule, hydrogens: int) -> float:
+    """Contributions added one at a time in the expanded molecule's order:
+    every atom, then the ``hydrogens`` implicit hydrogens."""
+    contributions = obj.contributions
     total = 0.0
-    for atom in expanded_atoms(mol):
+    for atom in mol.atoms:
         try:
-            total += obj.contributions[atom.symbol]
+            total += contributions[atom.symbol]
         except KeyError:
-            raise MissingContribution(
-                f"no contribution configured for element {atom.symbol}"
-            ) from None
+            raise _missing(atom.symbol) from None
+    if hydrogens:
+        try:
+            h = contributions["H"]
+        except KeyError:
+            raise _missing("H") from None
+        for _ in range(hydrogens):
+            total += h
     return total
 
 
@@ -141,14 +160,17 @@ def _complexity_proxy(mol: Molecule, fused_rings: float) -> float:
     return 0.25 * branched + 0.5 * fused_rings
 
 
-def _hbond_counts(mol: Molecule) -> tuple[int, int]:
+def _hbond_counts(mol: Molecule, hydrogens: list[int]) -> tuple[int, int]:
+    """Donors (O or N with an implicit or explicit hydrogen) and
+    acceptors (every O or N); ``hydrogens`` is ``implicit_hydrogens(mol)``."""
+    atoms = mol.atoms
     donors = 0
     acceptors = 0
-    for i, atom in enumerate(mol.atoms):
+    for i, atom in enumerate(atoms):
         if atom.symbol not in ("O", "N"):
             continue
         acceptors += 1
-        if mol.free_valence(i) or any(mol.atoms[j].symbol == "H" for j, _ in mol.neighbors(i)):
+        if hydrogens[i] or any(atoms[j].symbol == "H" for j, _ in mol.neighbors(i)):
             donors += 1
     return donors, acceptors
 
@@ -163,16 +185,19 @@ def evaluate(obj: Objective, mol: Molecule) -> float:
     if obj.kind is ObjectiveKind.HEAVY_ATOM_TARGET:
         return -abs(mol.heavy_atom_count() - obj.target)
     if obj.kind is ObjectiveKind.LOGP:
-        return _contribution_sum(obj, mol)
+        return _contribution_sum(obj, mol, sum(implicit_hydrogens(mol)))
     if obj.kind is ObjectiveKind.PENLOGP:
         _, ring_penalty, fused = ring_data(mol)
-        return _contribution_sum(obj, mol) - _complexity_proxy(mol, fused) - ring_penalty
+        logp = _contribution_sum(obj, mol, sum(implicit_hydrogens(mol)))
+        return logp - _complexity_proxy(mol, fused) - ring_penalty
     if obj.kind is ObjectiveKind.QED:
-        logp = _contribution_sum(obj, mol)
-        donors, acceptors = _hbond_counts(mol)
+        per_atom = implicit_hydrogens(mol)
+        hydrogens = sum(per_atom)
+        logp = _contribution_sum(obj, mol, hydrogens)
+        donors, acceptors = _hbond_counts(mol, per_atom)
         bands = obj.qed_bands
         scores = (
-            bands["mass"].score(molecular_weight(mol, WeightMode.MASS)),
+            bands["mass"].score(molecular_weight(mol, WeightMode.MASS, hydrogens)),
             bands["logp"].score(logp),
             bands["donors"].score(float(donors)),
             bands["acceptors"].score(float(acceptors)),

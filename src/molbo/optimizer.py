@@ -63,6 +63,7 @@ from .synthesis import (
     Condition,
     OracleKind,
     SynthesisDag,
+    _condition_id,
     _condition_ids,
     record_synthesis,
     synthesize_detailed,
@@ -246,9 +247,11 @@ def _walk(pool, conditions, past, oracle, rng, dag, max_failures, step):
     count from ``random()`` (two with ``REAGENT_PAIR_PROBABILITY``) and
     the condition count from ``integers(1, 3)``, each capped by what there
     is, and picks the indices with ``_pick``; the conditions go to the
-    oracle in the order ``conditions`` lists them.  It succeeds when a
-    product lies outside ``past`` and the pool: the draw is recorded in
-    ``dag`` (if given) as ``step``, the new molecules are appended to
+    oracle as their id strings, in the order ``conditions`` lists them,
+    one tuple per distinct pick built once per walk (so the oracle hashes
+    no ``Condition``).  It succeeds when a product lies outside ``past``
+    and the pool: the draw is recorded in ``dag`` (if given) as ``step``
+    with its ``Condition`` objects, the new molecules are appended to
     ``pool`` and yielded.  The walk returns after ``max_failures``
     consecutive failed draws.
 
@@ -262,6 +265,8 @@ def _walk(pool, conditions, past, oracle, rng, dag, max_failures, step):
     drawn until the consumer asks for the next success.
     """
     conditions = tuple(conditions)
+    ids = tuple(_condition_id(c) for c in conditions)
+    picked = {}  # sorted condition indices -> (their Conditions, their ids)
     keys = {m.canonical_form for m in pool}
     stream = _Pcg64Stream(rng)
     failures = 0
@@ -271,8 +276,12 @@ def _walk(pool, conditions, past, oracle, rng, dag, max_failures, step):
             size = min(size, len(pool))
             reagents = [pool[k] for k in _pick(stream, len(pool), size)]
             q_size = min(stream.integers(1, 3), len(conditions))
-            conds = [conditions[k] for k in sorted(_pick(stream, len(conditions), q_size))]
-            outcome = synthesize_detailed(reagents, conds, oracle)
+            q = tuple(sorted(_pick(stream, len(conditions), q_size)))
+            pair = picked.get(q)
+            if pair is None:
+                pair = picked[q] = tuple(conditions[k] for k in q), tuple(ids[k] for k in q)
+            conds, cond_ids = pair
+            outcome = synthesize_detailed(reagents, cond_ids, oracle)
             new = []
             if outcome is not None:
                 products, template = outcome

@@ -19,6 +19,12 @@ sites, the one with the smallest canonical atom rank fires.  Every
 product of either oracle is assembled from its reagents' state by
 ``molgraph.join_molecules``, never by the ``Molecule`` constructor.
 
+The conditions are validated, and each library's rules whose required
+conditions they meet are resolved, once per distinct conditions tuple;
+a draw then loops over only those rules.  The oracle's library is chosen
+by identity, so a draw whose conditions are id strings hashes nothing
+in Python.
+
 Every product node in the DAG keeps the reagents that produced it, so a
 recipe is the target's ancestor closure in topological order.
 """
@@ -59,20 +65,18 @@ class OracleKind(enum.Enum):
     JOIN = "join"
 
 
+def _condition_id(condition) -> str:
+    return condition.id if isinstance(condition, Condition) else str(condition)
+
+
 def _condition_ids(conditions) -> frozenset[str]:
     ids = set()
     for c in conditions:
-        cid = c.id if isinstance(c, Condition) else str(c)
+        cid = _condition_id(c)
         if cid not in _CONDITION_IDS:
             raise ValueError(f"unknown condition {cid!r}")
         ids.add(cid)
     return frozenset(ids)
-
-
-@functools.lru_cache(maxsize=256)
-def _memo_condition_ids(conditions: tuple) -> frozenset[str]:
-    """``_condition_ids`` once per distinct conditions tuple."""
-    return _condition_ids(conditions)
 
 
 # ---------------------------------------------------------------------------
@@ -106,22 +110,25 @@ def _sorted_sites(mol: Molecule, sites: list[tuple[int, ...]]) -> list[tuple[int
 
 
 def find_carboxylic_acids(mol: Molecule) -> list[tuple[int, int, int]]:
-    """Sites (carbon, carbonyl O, hydroxyl O) of -COOH groups."""
+    """Sites (carbon, carbonyl O, hydroxyl O) of -COOH groups: a carbon's
+    first double-bonded and first single-bonded terminal oxygen in
+    neighbour order, the latter with a free slot."""
+    atoms, adjacency = mol.atoms, mol._adjacency
     sites = []
-    for c in range(mol.n_atoms):
-        if mol.atoms[c].symbol != "C":
+    for c, nbrs in enumerate(adjacency):
+        if atoms[c].symbol != "C":
             continue
-        carbonyl = [
-            j for j, o in mol.neighbors(c)
-            if o is _DOUBLE and mol.atoms[j].symbol == "O" and mol.degree(j) == 1
-        ]
-        hydroxyl = [
-            j for j, o in mol.neighbors(c)
-            if o is _SINGLE and mol.atoms[j].symbol == "O"
-            and mol.degree(j) == 1 and mol.free_valence(j) >= 1
-        ]
-        if carbonyl and hydroxyl:
-            sites.append((c, carbonyl[0], hydroxyl[0]))
+        carbonyl = hydroxyl = None
+        for j, o in nbrs:
+            if len(adjacency[j]) != 1 or atoms[j].symbol != "O":
+                continue
+            if o is _DOUBLE:
+                if carbonyl is None:
+                    carbonyl = j
+            elif o is _SINGLE and hydroxyl is None and mol.free_valence(j) >= 1:
+                hydroxyl = j
+        if carbonyl is not None and hydroxyl is not None:
+            sites.append((c, carbonyl, hydroxyl))
     return _sorted_sites(mol, sites)
 
 
@@ -180,18 +187,23 @@ def find_halide_carbons(mol: Molecule) -> list[tuple[int, int]]:
 
 
 def find_aldehydes(mol: Molecule) -> list[tuple[int, int]]:
-    """Sites (carbon, carbonyl O) of aldehyde groups (C(=O)H)."""
+    """Sites (carbon, carbonyl O) of aldehyde groups (C(=O)H): a carbon
+    with a free slot, a double-bonded terminal oxygen (the first in
+    neighbour order is reported) and at most one other neighbour."""
+    atoms, adjacency = mol.atoms, mol._adjacency
     sites = []
-    for c in range(mol.n_atoms):
-        if mol.atoms[c].symbol != "C" or mol.free_valence(c) < 1:
+    for c, nbrs in enumerate(adjacency):
+        if atoms[c].symbol != "C":
             continue
-        carbonyl = [
-            j for j, o in mol.neighbors(c)
-            if o is _DOUBLE and mol.atoms[j].symbol == "O" and mol.degree(j) == 1
-        ]
-        others = [j for j, _ in mol.neighbors(c) if j not in carbonyl]
-        if carbonyl and len(others) <= 1:
-            sites.append((c, carbonyl[0]))
+        carbonyl = None
+        oxygens = 0
+        for j, o in nbrs:
+            if o is _DOUBLE and len(adjacency[j]) == 1 and atoms[j].symbol == "O":
+                oxygens += 1
+                if carbonyl is None:
+                    carbonyl = j
+        if carbonyl is not None and len(nbrs) - oxygens <= 1 and mol.free_valence(c) >= 1:
+            sites.append((c, carbonyl))
     return _sorted_sites(mol, sites)
 
 
@@ -260,12 +272,30 @@ def _join_site(mol: Molecule) -> list[tuple[int]]:
     return []
 
 
-_LIBRARIES = {
-    OracleKind.TEMPLATE: TEMPLATE_LIBRARY,
-    OracleKind.JOIN: (
-        ReactionTemplate("join", (_join_site, _join_site), frozenset({"join"})),
-    ),
-}
+_JOIN_LIBRARY: tuple[ReactionTemplate, ...] = (
+    ReactionTemplate("join", (_join_site, _join_site), frozenset({"join"})),
+)
+
+# Compared by identity: a dict keyed by the enum would run the Python-level
+# ``Enum.__hash__`` on every draw.
+_TEMPLATE, _JOIN = OracleKind.TEMPLATE, OracleKind.JOIN
+
+
+def _rules(conditions) -> tuple[tuple[ReactionTemplate, ...], tuple[ReactionTemplate, ...]]:
+    """The template and join libraries' rules whose required conditions
+    ``conditions`` meet, each in library order; a ``ValueError`` names an
+    unknown condition."""
+    ids = _condition_ids(conditions)
+    return tuple(
+        tuple(t for t in library if t.required_conditions <= ids)
+        for library in (TEMPLATE_LIBRARY, _JOIN_LIBRARY)
+    )
+
+
+@functools.lru_cache(maxsize=256)
+def _memo_rules(conditions: tuple):
+    """``_rules`` once per distinct conditions tuple."""
+    return _rules(conditions)
 
 
 # ---------------------------------------------------------------------------
@@ -275,33 +305,42 @@ _LIBRARIES = {
 
 def synthesize_detailed(reagents, conditions, oracle: OracleKind):
     """The oracle: ``(products, name of the rule that fired)`` for the
-    reagents under the conditions, or None when no reaction applies.
-    Reagents may be hydrogen-expanded; products are heavy-atom molecules
-    whose hydrogens are implicit.  Functional-group sites are looked up
-    once per reagent skeleton and reused by later draws.
+    reagents under the conditions (``Condition`` objects or their id
+    strings), or None when no reaction applies.  Reagents may be
+    hydrogen-expanded; products are heavy-atom molecules whose hydrogens
+    are implicit.
+
+    The rules the conditions allow are resolved once per distinct
+    conditions tuple, and a draw loops over only those; a draw none of
+    whose rules the conditions allow returns None before it strips a
+    reagent.  Functional-group sites are looked up once per reagent
+    skeleton and reused by later draws.  Errors come in this order: the
+    reagent count, an unknown condition, an unknown oracle.
     """
     reagents = list(reagents)
     if not 1 <= len(reagents) <= 3:
         raise ValueError("synthesize_detailed takes one to three reagents")
     conditions = tuple(conditions)
     try:
-        cond_ids = _memo_condition_ids(conditions)
+        template_rules, join_rules = _memo_rules(conditions)
     except TypeError:  # an unhashable entry, which _condition_ids rejects
-        cond_ids = _condition_ids(conditions)
-    library = _LIBRARIES.get(oracle)
-    if library is None:
+        template_rules, join_rules = _rules(conditions)
+    if oracle is _TEMPLATE:
+        rules = template_rules
+    elif oracle is _JOIN:
+        rules = join_rules
+    else:
         raise ValueError(f"unknown oracle {oracle!r}")
-    if len(reagents) != 2:
+    if len(reagents) != 2 or not rules:
         return None
     heavy = [strip_hydrogens(m) for m in reagents]
-    for template in library:
-        if not template.required_conditions <= cond_ids:
-            continue
+    for template in rules:
+        group_a, group_b = template.required_groups
         for i, j in ((0, 1), (1, 0)):
-            sites_a = _sites(heavy[i], template.required_groups[0])
+            sites_a = _sites(heavy[i], group_a)
             if not sites_a:
                 continue
-            sites_b = _sites(heavy[j], template.required_groups[1])
+            sites_b = _sites(heavy[j], group_b)
             if not sites_b:
                 continue
             sites = (sites_a[0], sites_b[0])

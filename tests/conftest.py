@@ -1,9 +1,11 @@
+import itertools
 import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from molbo import optimizer
 from molbo.errors import InvalidMolecule, MultiFragmentInput, ValenceExceeded
 from molbo.molgraph import (
     BondOrder,
@@ -15,7 +17,7 @@ from molbo.molgraph import (
     parse_smiles,
 )
 from molbo.optimizer import explore_acquisition
-from molbo.synthesis import CONDITION_LIBRARY, Condition, OracleKind
+from molbo.synthesis import CONDITION_LIBRARY, Condition, OracleKind, synthesize_detailed
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -71,6 +73,28 @@ def heavy_molecules(cached_molecules) -> list[Molecule]:
     for path in sorted(DATA_DIR.glob("*.smi")):
         heavy += load_pool(path)
     return heavy
+
+
+@pytest.fixture(scope="session")
+def template_walk_molecules(template_pool_path) -> list[Molecule]:
+    """Every distinct reagent and product object, in draw order, of the
+    first 150 successes of a seed-101 walk on ``pool_template.smi`` under
+    every condition."""
+    seen = {}
+
+    def recording(reagents, conditions, oracle):
+        outcome = synthesize_detailed(reagents, conditions, oracle)
+        for mol in [*reagents, *(outcome[0] if outcome else ())]:
+            seen.setdefault(id(mol), mol)
+        return outcome
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer, "synthesize_detailed", recording)
+        walk = optimizer._walk(load_pool(template_pool_path), CONDITION_LIBRARY, set(),
+                               OracleKind.TEMPLATE, np.random.default_rng(101), None, 1000, 1)
+        assert sum(1 for _ in itertools.islice(walk, 150)) == 150
+        walk.close()
+    return list(seen.values())
 
 
 def relabel(mol: Molecule, rng: random.Random) -> Molecule:

@@ -19,7 +19,10 @@ projection is checked against the ``eigh``-and-clamp projection that
 runs on every stack, with no Cholesky certificate in front of it.
 Template products are checked against the general merge that maps both
 reagents' kept atoms to new indices and runs the ``Molecule``
-constructor on the result.
+constructor on the result.  The carboxylic-acid and aldehyde site finders
+are checked against finders that build every carbon's neighbour lists
+before testing them, and the logP, mass and QED objectives against sums
+over a per-hydrogen generator of the expanded molecule's elements.
 """
 
 import itertools
@@ -30,12 +33,13 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linprog
 
-from molbo.errors import EigenFailure
+from molbo.errors import EigenFailure, MissingContribution
 from molbo.gp import _PARAM_RANGES
-from molbo.molgraph import BondOrder, Molecule, WeightMode, atom_weight
+from molbo.molgraph import PERIODIC_TABLE, BondOrder, Molecule, WeightMode, atom_weight
+from molbo.objectives import Objective
 from molbo.optimizer import REAGENT_PAIR_PROBABILITY
 from molbo.otdist import build_costs
-from molbo.synthesis import record_synthesis, synthesize_detailed
+from molbo.synthesis import _sorted_sites, record_synthesis, synthesize_detailed
 
 
 def _weights(mol: Molecule, mode: WeightMode) -> np.ndarray:
@@ -334,3 +338,91 @@ def combine_by_constructor(mol_a: Molecule, mol_b: Molecule, drop_a: set[int],
     for a, b, order in cross_bonds:
         bonds[(map_a[a], map_b[b])] = order
     return Molecule(atoms, bonds)
+
+
+def carboxylic_acids_by_lists(mol: Molecule) -> list[tuple[int, int, int]]:
+    """``synthesis.find_carboxylic_acids``, listing every carbon's
+    carbonyl and hydroxyl neighbours before testing either."""
+    sites = []
+    for c in range(mol.n_atoms):
+        if mol.atoms[c].symbol != "C":
+            continue
+        carbonyl = [
+            j for j, o in mol.neighbors(c)
+            if o is BondOrder.DOUBLE and mol.atoms[j].symbol == "O" and mol.degree(j) == 1
+        ]
+        hydroxyl = [
+            j for j, o in mol.neighbors(c)
+            if o is BondOrder.SINGLE and mol.atoms[j].symbol == "O"
+            and mol.degree(j) == 1 and mol.free_valence(j) >= 1
+        ]
+        if carbonyl and hydroxyl:
+            sites.append((c, carbonyl[0], hydroxyl[0]))
+    return _sorted_sites(mol, sites)
+
+
+def aldehydes_by_lists(mol: Molecule) -> list[tuple[int, int]]:
+    """``synthesis.find_aldehydes``, listing every carbon's carbonyl
+    neighbours and other neighbours before testing them."""
+    sites = []
+    for c in range(mol.n_atoms):
+        if mol.atoms[c].symbol != "C" or mol.free_valence(c) < 1:
+            continue
+        carbonyl = [
+            j for j, o in mol.neighbors(c)
+            if o is BondOrder.DOUBLE and mol.atoms[j].symbol == "O" and mol.degree(j) == 1
+        ]
+        others = [j for j, _ in mol.neighbors(c) if j not in carbonyl]
+        if carbonyl and len(others) <= 1:
+            sites.append((c, carbonyl[0]))
+    return _sorted_sites(mol, sites)
+
+
+def expanded_elements(mol: Molecule):
+    """The elements of the hydrogen-expanded molecule, in its atom order:
+    every atom, then one hydrogen per implicit hydrogen in parent order."""
+    yield from mol.atoms
+    hydrogen = PERIODIC_TABLE["H"]
+    for i in range(mol.n_atoms):
+        for _ in range(mol.free_valence(i)):
+            yield hydrogen
+
+
+def weight_by_expansion(mol: Molecule, mode: WeightMode) -> float:
+    """``molgraph.molecular_weight``: ``sum`` over the expanded elements."""
+    return float(sum(atom_weight(a, mode) for a in expanded_elements(mol)))
+
+
+def logp_by_expansion(obj: Objective, mol: Molecule) -> float:
+    """The logP surrogate: ``+=`` over the expanded elements."""
+    total = 0.0
+    for atom in expanded_elements(mol):
+        try:
+            total += obj.contributions[atom.symbol]
+        except KeyError:
+            raise MissingContribution(
+                f"no contribution configured for element {atom.symbol}"
+            ) from None
+    return total
+
+
+def qed_by_expansion(obj: Objective, mol: Molecule) -> float:
+    """The QED objective, each of its terms read from ``mol`` on its own."""
+    donors = acceptors = 0
+    for i, atom in enumerate(mol.atoms):
+        if atom.symbol not in ("O", "N"):
+            continue
+        acceptors += 1
+        if mol.free_valence(i) or any(mol.atoms[j].symbol == "H" for j, _ in mol.neighbors(i)):
+            donors += 1
+    bands = obj.qed_bands
+    scores = (
+        bands["mass"].score(weight_by_expansion(mol, WeightMode.MASS)),
+        bands["logp"].score(logp_by_expansion(obj, mol)),
+        bands["donors"].score(float(donors)),
+        bands["acceptors"].score(float(acceptors)),
+    )
+    product = 1.0
+    for s in scores:
+        product *= s
+    return product ** (1.0 / len(scores))

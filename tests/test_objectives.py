@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+import oracles
 from conftest import relabel
 from molbo.errors import MissingContribution
-from molbo.molgraph import add_explicit_hydrogens, parse_smiles
+from molbo.molgraph import WeightMode, add_explicit_hydrogens, molecular_weight, parse_smiles
 from molbo.objectives import (
     Band,
     DEFAULT_CONTRIBUTIONS,
@@ -153,3 +154,34 @@ class TestConfig:
         from molbo.molgraph import PERIODIC_TABLE
 
         assert set(DEFAULT_CONTRIBUTIONS) == set(PERIODIC_TABLE)
+
+
+class TestOnePass:
+    """Objectives that read each atom's implicit hydrogens once give the
+    bits of sums over the expanded molecule's elements."""
+
+    def test_walk_molecules_and_their_expansions(self, template_walk_molecules):
+        qed, logp = Objective(kind=ObjectiveKind.QED), Objective(kind=ObjectiveKind.LOGP)
+        for mol in template_walk_molecules:
+            for form in (mol, add_explicit_hydrogens(mol)):
+                assert evaluate(qed, form) == oracles.qed_by_expansion(qed, form)
+                assert evaluate(logp, form) == oracles.logp_by_expansion(logp, form)
+                for mode in WeightMode:
+                    assert molecular_weight(form, mode) == oracles.weight_by_expansion(form, mode)
+
+    @pytest.mark.parametrize("missing, text", [("N", "CCN"), ("H", "CCO")])
+    def test_missing_contribution_names_the_element(self, missing, text):
+        table = {k: v for k, v in DEFAULT_CONTRIBUTIONS.items() if k != missing}
+        for kind in (ObjectiveKind.LOGP, ObjectiveKind.QED):
+            obj = Objective(kind=kind, contributions=table)
+            for form in (parse_smiles(text), expand(text)):
+                with pytest.raises(MissingContribution, match=f"element {missing}$"):
+                    evaluate(obj, form)
+                with pytest.raises(MissingContribution, match=f"element {missing}$"):
+                    oracles.logp_by_expansion(obj, form)
+
+    def test_no_hydrogen_needs_no_hydrogen_contribution(self):
+        table = {k: v for k, v in DEFAULT_CONTRIBUTIONS.items() if k != "H"}
+        obj = Objective(kind=ObjectiveKind.LOGP, contributions=table)
+        assert evaluate(obj, parse_smiles("FC(F)(F)F")) == oracles.logp_by_expansion(
+            obj, parse_smiles("FC(F)(F)F"))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from molbo import optimizer
+from molbo import optimizer, synthesis
 from molbo.kernel import FingerprintTanimoto, OTExpSum, SumKernel
 from molbo.molgraph import add_explicit_hydrogens, load_pool, parse_smiles
 from molbo.objectives import Objective, ObjectiveKind
@@ -289,6 +289,80 @@ class TestPick:
             states.append((successes, rng.bit_generator.state))
         assert states[0] == states[1]
         assert states[0][0] > 0
+
+
+class TestDrawPath:
+    def test_one_oracle_call_per_draw_and_no_python_hashes(self, monkeypatch,
+                                                          template_pool_path):
+        """Over a template walk of at least 2,000 draws the oracle is called
+        once per draw, and no ``Condition`` or ``OracleKind`` is hashed
+        from the start of a draw whose conditions were drawn before until
+        the next draw starts."""
+        hashes = [0]
+
+        def counting(original):
+            def __hash__(self):
+                hashes[0] += 1
+                return original(self)
+            return __hash__
+
+        monkeypatch.setattr(Condition, "__hash__", counting(Condition.__hash__))
+        monkeypatch.setattr(OracleKind, "__hash__", counting(OracleKind.__hash__))
+        draws = [0]
+        random = optimizer._Pcg64Stream.random
+
+        def counting_random(stream):
+            draws[0] += 1  # every draw reads its reagent count first
+            return random(stream)
+
+        monkeypatch.setattr(optimizer._Pcg64Stream, "random", counting_random)
+        calls = []  # (conditions, hashes counted when the call starts)
+
+        def oracle(reagents, conditions, kind):
+            calls.append((conditions, hashes[0]))
+            return synthesize_detailed(reagents, conditions, kind)
+
+        monkeypatch.setattr(optimizer, "synthesize_detailed", oracle)
+        synthesis._memo_rules.cache_clear()
+        pool = load_pool(template_pool_path)
+        dag = SynthesisDag()
+        for mol in pool:
+            dag.add_initial(mol)
+        walk = optimizer._walk(pool, CONDITION_LIBRARY, set(), OracleKind.TEMPLATE,
+                               np.random.default_rng(101), dag, 5000, 1)
+        for _ in walk:
+            if draws[0] >= 2000:
+                break
+        walk.close()
+        assert draws[0] >= 2000 and len(calls) == draws[0]
+        ends = [h for _, h in calls[1:]] + [hashes[0]]
+        seen = set()
+        for (conditions, start), end in zip(calls, ends):
+            assert all(isinstance(c, str) for c in conditions)
+            if conditions in seen:
+                assert end == start, conditions
+            seen.add(conditions)
+        assert len(seen) == 21  # every pick of one or two of six conditions
+
+    def test_condition_objects_and_their_ids_give_the_same_outcome(self,
+                                                                   template_walk_molecules):
+        reagents = template_walk_molecules[:40]
+        picks = [c for k in (1, 2) for c in itertools.combinations(CONDITION_LIBRARY, k)]
+        fired = 0
+        for a, b in itertools.product(reagents, repeat=2):
+            for conditions in picks:
+                ids = tuple(c.id for c in conditions)
+                by_object = synthesize_detailed([a, b], conditions, OracleKind.TEMPLATE)
+                by_id = synthesize_detailed([a, b], ids, OracleKind.TEMPLATE)
+                if by_object is None:
+                    assert by_id is None
+                    continue
+                fired += 1
+                (made,), rule = by_object
+                (made_by_id,), rule_by_id = by_id
+                assert rule_by_id == rule
+                assert (made_by_id.atoms, made_by_id.bonds) == (made.atoms, made.bonds)
+        assert fired > 100
 
 
 class TestChemboRun:

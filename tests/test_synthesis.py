@@ -408,7 +408,7 @@ class TestTemplateOracle:
             return condition_ids(conditions)
 
         monkeypatch.setattr(synthesis, "_condition_ids", counting)
-        synthesis._memo_condition_ids.cache_clear()
+        synthesis._memo_rules.cache_clear()
         a, b = parse_smiles("CC(=O)O"), parse_smiles("CCO")
         conds = [Condition("heat"), Condition("acid_cat")]
         try:
@@ -417,7 +417,7 @@ class TestTemplateOracle:
                 assert rule == "esterification"
                 assert synthesize_detailed([a], conds, OracleKind.TEMPLATE) is None
         finally:
-            synthesis._memo_condition_ids.cache_clear()
+            synthesis._memo_rules.cache_clear()
         assert calls == [tuple(conds)]
 
     def test_one_reagent_is_not_stripped(self, monkeypatch):
@@ -430,6 +430,17 @@ class TestTemplateOracle:
         assert synthesize_detailed([acid, expand("CCO")], {"acid_cat"},
                                    OracleKind.TEMPLATE) is not None
         assert len(stripped) == 2
+
+    def test_a_pair_that_no_allowed_rule_can_use_is_not_stripped(self, monkeypatch):
+        stripped = []
+        monkeypatch.setattr(synthesis, "strip_hydrogens",
+                            lambda m: stripped.append(m) or strip_hydrogens(m))
+        pair = [expand("CC(=O)O"), expand("CCO")]
+        for conditions, oracle in (({"pd_cat"}, OracleKind.TEMPLATE),
+                                   ({"acid_cat"}, OracleKind.JOIN),
+                                   ({"join"}, OracleKind.TEMPLATE)):
+            assert synthesize_detailed(pair, conditions, oracle) is None
+        assert stripped == []
 
 
 class TestDag:
@@ -615,3 +626,48 @@ def test_reaction_table_is_pinned(template_pool_path):
     for pair in ([SATURATED, "C"], ["C", SATURATED]):
         assert synthesize_detailed([expand(t) for t in pair], {"join"},
                                    OracleKind.JOIN) is None
+
+
+class TestEarlyRejectingFinders:
+    """The finders that skip a carbon before building anything report the
+    sites of the finders that list every carbon's neighbours first."""
+
+    FINDERS = (
+        (synthesis.find_carboxylic_acids, oracles.carboxylic_acids_by_lists),
+        (synthesis.find_aldehydes, oracles.aldehydes_by_lists),
+    )
+
+    def test_every_molecule_of_a_template_walk(self, template_walk_molecules):
+        found = [0, 0]
+        for mol in template_walk_molecules:
+            for form in (mol, add_explicit_hydrogens(mol)):
+                for k, (finder, reference) in enumerate(self.FINDERS):
+                    sites = finder(form)
+                    assert sites == reference(form), form.canonical_form
+                    found[k] += len(sites)
+        # acetaldehyde is the pool's one aldehyde; imine formation consumes it
+        assert len(template_walk_molecules) > 150 and found[0] > 10 and found[1] >= 1
+
+    @pytest.mark.parametrize("text, acids, aldehydes", [
+        ("C(=O)(O)O", [(0, 1, 2)], []),  # the first hydroxyl in neighbour order
+        ("C=O", [], [(0, 1)]),  # formaldehyde
+        ("CC(C)=O", [], []),  # a carbonyl carbon with two other neighbours
+        ("CC=O", [], [(1, 2)]),
+        ("CC(=O)O", [(1, 2, 3)], []),
+        ("O=CC(=O)O", [(2, 3, 4)], [(1, 0)]),
+    ])
+    def test_edge_cases_in_every_atom_order(self, text, acids, aldehydes):
+        mol = parse_smiles(text)
+        assert [f(mol) for f, _ in self.FINDERS] == [acids, aldehydes]
+        rng = random.Random(3)
+        forms = [mol, add_explicit_hydrogens(mol)]
+        forms += [relabel(m, rng) for m in forms for _ in range(6)]
+        for form in forms:
+            for finder, reference in self.FINDERS:
+                assert finder(form) == reference(form)
+
+    def test_hydrogen_expanded_acid(self):
+        """The hydroxyl's explicit hydrogen makes it no terminal oxygen."""
+        acid = expand("CC(=O)O")
+        assert synthesis.find_carboxylic_acids(acid) == []
+        assert oracles.carboxylic_acids_by_lists(acid) == []
