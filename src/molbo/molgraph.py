@@ -355,15 +355,12 @@ def implicit_hydrogens(mol: Molecule) -> list[int]:
     return [atom.fill_valence(s) - s for atom, s in zip(mol.atoms, mol._bond_sums)]
 
 
-def molecular_weight(mol: Molecule, mode: WeightMode, hydrogens: int | None = None) -> float:
+def molecular_weight(mol: Molecule, mode: WeightMode) -> float:
     """Total matching weight m(M) with implicit hydrogens, strictly
     positive and atom-additive; summed by ``sum`` in the expanded
-    molecule's order: every atom, then one hydrogen per implicit hydrogen.
-    ``hydrogens`` is their total, when the caller has it."""
-    if hydrogens is None:
-        hydrogens = sum(implicit_hydrogens(mol))
+    molecule's order: every atom, then one hydrogen per implicit hydrogen."""
     weights = [atom_weight(a, mode) for a in mol.atoms]
-    weights += [atom_weight(PERIODIC_TABLE["H"], mode)] * hydrogens
+    weights += [atom_weight(PERIODIC_TABLE["H"], mode)] * sum(implicit_hydrogens(mol))
     return float(sum(weights))
 
 

@@ -17,12 +17,13 @@ Shipped kinds:
 * qed: geometric mean of four trapezoidal desirability scores in (0, 1]
   (molecular mass, logp, H-bond donors, H-bond acceptors).
 
-An evaluation computes each atom's implicit-hydrogen count once
-(``molgraph.implicit_hydrogens``) and shares it among logp, mass and the
-H-bond counts.  Each sum keeps the expanded molecule's order, every atom
-and then one hydrogen per implicit hydrogen in parent order, so a
-molecule and its hydrogen expansion score the same bits: logp adds its
-terms one at a time with ``+=``, the mass with ``sum``.
+A QED evaluation computes each atom's implicit-hydrogen count once
+(``molgraph.implicit_hydrogens``) and shares it between logp and the
+H-bond counts; ``molecular_weight`` counts its own.  Each sum keeps the
+expanded molecule's order, every atom and then one hydrogen per implicit
+hydrogen in parent order, so a molecule and its hydrogen expansion score
+the same bits: logp adds its terms one at a time with ``+=``, the mass
+with ``sum``.
 
 Only the penalized kind needs networkx, for the minimum cycle basis;
 ``ring_data`` imports it, so a process that never scores penalized logP
@@ -192,12 +193,11 @@ def evaluate(obj: Objective, mol: Molecule) -> float:
         return logp - _complexity_proxy(mol, fused) - ring_penalty
     if obj.kind is ObjectiveKind.QED:
         per_atom = implicit_hydrogens(mol)
-        hydrogens = sum(per_atom)
-        logp = _contribution_sum(obj, mol, hydrogens)
+        logp = _contribution_sum(obj, mol, sum(per_atom))
         donors, acceptors = _hbond_counts(mol, per_atom)
         bands = obj.qed_bands
         scores = (
-            bands["mass"].score(molecular_weight(mol, WeightMode.MASS, hydrogens)),
+            bands["mass"].score(molecular_weight(mol, WeightMode.MASS)),
             bands["logp"].score(logp),
             bands["donors"].score(float(donors)),
             bands["acceptors"].score(float(acceptors)),

@@ -251,9 +251,9 @@ def _walk(pool, conditions, past, oracle, rng, dag, max_failures, step):
     one tuple per distinct pick built once per walk (so the oracle hashes
     no ``Condition``).  It succeeds when a product lies outside ``past``
     and the pool: the draw is recorded in ``dag`` (if given) as ``step``
-    with its ``Condition`` objects, the new molecules are appended to
-    ``pool`` and yielded.  The walk returns after ``max_failures``
-    consecutive failed draws.
+    with the same ids, the new molecules are appended to ``pool`` and
+    yielded.  The walk returns after ``max_failures`` consecutive failed
+    draws.
 
     Every draw comes from a ``_Pcg64Stream`` over ``rng``, so ``rng`` must
     be a ``Generator`` over ``PCG64`` (a ``ValueError`` otherwise), and
@@ -266,7 +266,7 @@ def _walk(pool, conditions, past, oracle, rng, dag, max_failures, step):
     """
     conditions = tuple(conditions)
     ids = tuple(_condition_id(c) for c in conditions)
-    picked = {}  # sorted condition indices -> (their Conditions, their ids)
+    picked = {}  # sorted condition indices -> their ids
     keys = {m.canonical_form for m in pool}
     stream = _Pcg64Stream(rng)
     failures = 0
@@ -277,10 +277,9 @@ def _walk(pool, conditions, past, oracle, rng, dag, max_failures, step):
             reagents = [pool[k] for k in _pick(stream, len(pool), size)]
             q_size = min(stream.integers(1, 3), len(conditions))
             q = tuple(sorted(_pick(stream, len(conditions), q_size)))
-            pair = picked.get(q)
-            if pair is None:
-                pair = picked[q] = tuple(conditions[k] for k in q), tuple(ids[k] for k in q)
-            conds, cond_ids = pair
+            cond_ids = picked.get(q)
+            if cond_ids is None:
+                cond_ids = picked[q] = tuple(ids[k] for k in q)
             outcome = synthesize_detailed(reagents, cond_ids, oracle)
             new = []
             if outcome is not None:
@@ -296,7 +295,7 @@ def _walk(pool, conditions, past, oracle, rng, dag, max_failures, step):
             failures = 0
             if dag is not None:
                 record_synthesis(
-                    dag, new, [r.canonical_form for r in reagents], template, conds, step
+                    dag, new, [r.canonical_form for r in reagents], template, cond_ids, step
                 )
             step += 1
             pool.extend(new)
