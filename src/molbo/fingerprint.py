@@ -17,7 +17,9 @@ is a path rooted at ``u`` on the ``A`` side joined to one rooted at ``v``
 on the ``B`` side.  A bond that closed a ring would leave paths that run
 from ``A`` to ``B`` and back without crossing it.  Every join bond
 bridges two separate molecules, so ``path_fingerprint`` given the
-reagents' fingerprints enumerates only the crossing paths.
+reagents' fingerprints enumerates only the crossing paths.  Every walk
+reads the molecule's adjacency as it goes and skips hydrogen neighbours,
+so a crossing walk touches only the atoms within reach of the join bond.
 """
 
 from __future__ import annotations
@@ -61,46 +63,33 @@ class Fingerprint:
     max_path_len: int
 
 
-def _steps(mol: Molecule) -> tuple[list[str], list[list[tuple[int, str, str]]]]:
-    """Each atom's symbol, and for each heavy atom its heavy neighbours
-    ``(j, bond + symbol_j, symbol_j + bond)``: one step of a path read
-    outward and read back.  Built once per molecule, so no walk reads a
-    ``BondOrder``."""
-    symbols = [atom.symbol for atom in mol.atoms]
-    steps: list[list[tuple[int, str, str]]] = [[] for _ in symbols]
-    for (i, j), order in mol.bonds.items():
-        si, sj = symbols[i], symbols[j]
-        if si != "H" and sj != "H":
-            bond = order.symbol
-            steps[i].append((j, bond + sj, sj + bond))
-            steps[j].append((i, bond + si, si + bond))
-    return symbols, steps
-
-
-def _walk(
-    symbols: list[str],
-    steps: list[list[tuple[int, str, str]]],
-    root: int,
-    levels: list[dict[str, str]],
-    blocked: tuple[int, ...] = (),
-) -> None:
+def _walk(mol: Molecule, root: int, levels: list[dict[str, str]],
+          blocked: tuple[int, ...] = ()) -> None:
     """Record each simple heavy-atom path from ``root`` with at most
     ``len(levels) - 1`` bonds that passes no ``blocked`` atom: a path of
     ``k`` bonds sets ``levels[k][outward] = inward``, its readings from the
-    root outward and back to the root."""
+    root outward and back to the root.  The walk reads the molecule's
+    adjacency as it goes and skips hydrogen neighbours; nothing is built
+    for the whole molecule first."""
+    atoms = mol.atoms
+    adjacency = mol._adjacency
     max_bonds = len(levels) - 1
-    symbol = symbols[root]
+    symbol = atoms[root].symbol
     levels[0][symbol] = symbol
     on_path = set(blocked)
 
     def extend(tail: int, fwd: str, rev: str, bonds: int):
         on_path.add(tail)
         level = levels[bonds]
-        for j, fwd_step, rev_step in steps[tail]:
+        for j, order in adjacency[tail]:
             if j in on_path:
                 continue
-            f = fwd + fwd_step
-            r = level[f] = rev_step + rev
+            sj = atoms[j].symbol
+            if sj == "H":
+                continue
+            bond = order.symbol
+            f = fwd + bond + sj
+            r = level[f] = sj + bond + rev
             if bonds < max_bonds:
                 extend(j, f, r, bonds + 1)
         on_path.remove(tail)
@@ -112,14 +101,13 @@ def _walk(
 def path_descriptors(mol: Molecule, max_path_len: int) -> set[str]:
     """Distinct descriptor strings of all simple heavy-atom paths with
     0..max_path_len bonds, each read in its smaller direction."""
-    symbols, steps = _steps(mol)
     # One dict for every length: a path needs only its two readings, and
     # the few distinct ones are compared once at the end.
     readings: dict[str, str] = {}
     levels = [readings] * (max_path_len + 1)
-    for root, symbol in enumerate(symbols):
-        if symbol != "H":
-            _walk(symbols, steps, root, levels)
+    for root, atom in enumerate(mol.atoms):
+        if atom.symbol != "H":
+            _walk(mol, root, levels)
     return set(map(min, readings.items()))
 
 
@@ -132,14 +120,13 @@ def crossing_descriptors(mol: Molecule, u: int, v: int, max_path_len: int) -> se
     the bond, and a ``j``-bond path rooted at ``v`` that avoids ``u``,
     with ``i + j + 1 <= max_path_len``.
     """
-    symbols, steps = _steps(mol)
-    if symbols[u] == "H" or symbols[v] == "H":
+    if mol.atoms[u].symbol == "H" or mol.atoms[v].symbol == "H":
         return set()
     bond = mol.bonds[(u, v) if u < v else (v, u)].symbol
     side_u: list[dict[str, str]] = [{} for _ in range(max_path_len)]
     side_v: list[dict[str, str]] = [{} for _ in range(max_path_len)]
-    _walk(symbols, steps, u, side_u, (v,))
-    _walk(symbols, steps, v, side_v, (u,))
+    _walk(mol, u, side_u, (v,))
+    _walk(mol, v, side_v, (u,))
     descriptors = set()
     for i, level_u in enumerate(side_u):
         for level_v in side_v[: max_path_len - i]:

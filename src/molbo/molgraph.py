@@ -19,11 +19,12 @@ skeleton (every molecule the benchmark workloads make) gets rooted-subtree
 codes: an atom's code is its token followed by its children's codes,
 each prefixed by its bond's rank, in sorted order.  The string starts at
 the tree centre with the smaller code and writes children in code order,
-so it is exact for trees.  One bottom-up pass computes the codes and an
-explicit stack writes the string, so no chain is too long for it.  A
-cyclic skeleton gets Morgan-style extended-connectivity refinement, with
-remaining ties resolved by exploring the tied atoms and keeping the
-lexicographically smallest emitted string.  That is not a universal
+so it is exact for trees.  The leaf stripping that finds the centre
+computes the codes as it goes, and an explicit stack writes the string,
+so no chain is too long for it.  A cyclic skeleton gets Morgan-style
+extended-connectivity refinement, with remaining ties resolved by
+exploring the tied atoms and keeping the lexicographically smallest
+emitted string.  That is not a universal
 isomorphism certificate, but it is deterministic and order-invariant for
 the graphs this toolkit builds.
 """
@@ -617,22 +618,23 @@ def _refine(ranks: list[int], adj: list[list[tuple[int, int]]]) -> list[int]:
 
 
 def _canonicalize(mol: Molecule) -> tuple[str, tuple[int, ...]]:
-    skeleton = strip_hydrogens(mol)
-    if skeleton is not mol:
-        heavy = mol.heavy_indices()
-        form, order = _canonicalize(skeleton)
-        return form, tuple(heavy[i] for i in order)
-    n = mol.n_atoms
     symbols = [a.symbol for a in mol.atoms]
+    if "H" in symbols:
+        heavy = [i for i, sym in enumerate(symbols) if sym != "H"]
+        form, order = _canonicalize(strip_hydrogens(mol))
+        return form, tuple(heavy[i] for i in order)
+    n = len(symbols)
     adjacency = mol._adjacency
     # Atoms written lowercase: aromatic-bonded atoms of a writable element.
     lower = [False] * n
+    tokens = symbols
     aromatic = BondOrder.AROMATIC
-    for (i, j), order in mol.bonds.items():
-        if order is aromatic:
-            lower[i] = symbols[i] in _AROMATIC_WRITABLE
-            lower[j] = symbols[j] in _AROMATIC_WRITABLE
-    tokens = [sym.lower() if low else sym for sym, low in zip(symbols, lower)]
+    if aromatic in mol.bonds.values():
+        for (i, j), order in mol.bonds.items():
+            if order is aromatic:
+                lower[i] = symbols[i] in _AROMATIC_WRITABLE
+                lower[j] = symbols[j] in _AROMATIC_WRITABLE
+        tokens = [sym.lower() if low else sym for sym, low in zip(symbols, lower)]
 
     if len(mol.bonds) == n - 1:
         # Acyclic skeleton: rooted-subtree canonization, exact
@@ -670,11 +672,19 @@ def _canonicalize(mol: Molecule) -> tuple[str, tuple[int, ...]]:
     return best[0], tuple(best[1])
 
 
+#: Bond tokens by rank, written between atoms not both lowercase and
+#: between two lowercase atoms: the default order (single, and aromatic
+#: between lowercase atoms) is written as nothing.
+_BOND_TOKENS = (("", "=", "#", ":"), ("-", "=", "#", ""))
+
+#: The prefix a rooted-subtree code takes from the rank of its parent bond.
+_RANK_PREFIX = ("0", "1", "2", "3")
+
+
 def _bond_token(order: BondOrder, both_lower: bool) -> str:
     """SMILES symbol of a bond; empty for the default order, which is
     aromatic between two lowercase atoms and single otherwise."""
-    symbol = order.symbol
-    return "" if symbol == (":" if both_lower else "-") else symbol
+    return _BOND_TOKENS[both_lower][order.rank]
 
 
 def _emit_tree(tokens, lower, adjacency):
@@ -685,76 +695,73 @@ def _emit_tree(tokens, lower, adjacency):
     rank of its bond and the children sorted.  The root is the tree
     centre with the smaller code (the first centre on a tie).  Every
     atom writes its children in code order, ties broken by atom index,
-    and all but the last as a branch.  Codes are built leaves-first over
-    BFS parents from the first centre, and each atom's sorted child list
-    is reused by the emission, which runs on an explicit stack; nothing
-    recurses, so chain length is not bounded by the interpreter stack.
+    and all but the last as a branch.
+
+    Leaf stripping finds the centres and builds the codes in one pass.
+    An atom is removed when one neighbour is left, its parent; every
+    other neighbour is a child removed in an earlier layer (atoms of one
+    layer are never bonded), so the atom's sorted child list, code and
+    bond token are built at removal.  The one or two centres come last.
+    The emission reuses the child lists and runs on an explicit stack;
+    nothing recurses, so chain length is not bounded by the interpreter
+    stack.
     """
     n = len(tokens)
     if n == 1:
         return tokens[0], (0,)
 
-    # Tree centre(s) by repeated leaf stripping.
+    # key[v] is v's code prefixed by the rank of its parent bond, and ""
+    # until v is removed; kids[v] is v's children as sorted (key, index)
+    # and bond[v] the token of the bond to v's parent.
     degree = [len(nbrs) for nbrs in adjacency]
-    removed = [False] * n
-    layer = [i for i in range(n) if degree[i] <= 1]
+    key = [""] * n
+    kids: list = [()] * n
+    bond = [""] * n
+    layer = [i for i in range(n) if degree[i] == 1]
     remaining = n
     while remaining > 2:
-        for u in layer:
-            removed[u] = True
         remaining -= len(layer)
         nxt = []
         for u in layer:
-            for v, _ in adjacency[u]:
-                if not removed[v]:
-                    degree[v] -= 1
-                    if degree[v] == 1:
-                        nxt.append(v)
+            ks = []
+            for v, order in adjacency[u]:
+                k = key[v]
+                if k:
+                    ks.append((k, v))
+                else:
+                    p, up = v, order
+            degree[p] -= 1
+            if degree[p] == 1:
+                nxt.append(p)
+            if ks:
+                ks.sort()
+                kids[u] = ks
+                key[u] = (_RANK_PREFIX[up.rank] + tokens[u] + "("
+                          + ",".join([k for k, _ in ks]) + ")")
+            else:
+                key[u] = _RANK_PREFIX[up.rank] + tokens[u] + "()"
+            bond[u] = _BOND_TOKENS[lower[u] and lower[p]][up.rank]
         layer = nxt
-    centers = [i for i in range(n) if not removed[i]]
 
-    # BFS from the first centre: each atom's parent and the bond to it.
-    root = centers[0]
-    parent = [-1] * n
-    up: list = [None] * n
-    bfs = [root]
-    for v in bfs:
-        p = parent[v]
-        for j, order in adjacency[v]:
-            if j != p:
-                parent[j] = v
-                up[j] = order
-                bfs.append(j)
-
-    # Leaves first: kids[v] is v's children as sorted (rank + code, index)
-    # and bond[v] the token of the bond to v's parent.
-    code = [""] * n
-    key = [""] * n
-    bond = [""] * n
-    kids: list = [()] * n
-    for v in reversed(bfs):
-        p = parent[v]
-        if p >= 0 and len(adjacency[v]) == 1:
-            code[v] = tokens[v] + "()"
+    if len(layer) == 1:
+        root = layer[0]
+        kids[root] = sorted([(key[v], v) for v, _ in adjacency[root]])
+    else:
+        # Two bonded centres: each one's code with the other as its parent,
+        # then each one's code as the root.
+        a, b = sorted(layer)
+        order = next(o for v, o in adjacency[a] if v == b)
+        rest_a = sorted([(key[v], v) for v, _ in adjacency[a] if v != b])
+        rest_b = sorted([(key[v], v) for v, _ in adjacency[b] if v != a])
+        key[a] = _RANK_PREFIX[order.rank] + _code(tokens[a], rest_a)
+        key[b] = _RANK_PREFIX[order.rank] + _code(tokens[b], rest_b)
+        kids_a = sorted([*rest_a, (key[b], b)])
+        kids_b = sorted([*rest_b, (key[a], a)])
+        token = _BOND_TOKENS[lower[a] and lower[b]][order.rank]
+        if _code(tokens[b], kids_b) < _code(tokens[a], kids_a):
+            root, kids[a], kids[b], bond[a] = b, rest_a, kids_b, token
         else:
-            ks = sorted([(key[j], j) for j, _ in adjacency[v] if j != p])
-            kids[v] = ks
-            code[v] = tokens[v] + "(" + ",".join([k for k, _ in ks]) + ")"
-        if p >= 0:
-            key[v] = str(up[v].rank) + code[v]
-            bond[v] = _bond_token(up[v], lower[v] and lower[p])
-
-    if len(centers) == 2:
-        # The second centre is a child of the first; root there instead
-        # when its code, with the first centre as its child, is smaller.
-        other = centers[1]
-        rest = [kid for kid in kids[root] if kid[1] != other]
-        code_rest = tokens[root] + "(" + ",".join([k for k, _ in rest]) + ")"
-        other_kids = sorted([*kids[other], (str(up[other].rank) + code_rest, root)])
-        if tokens[other] + "(" + ",".join([k for k, _ in other_kids]) + ")" < code[root]:
-            kids[root], kids[other] = rest, other_kids
-            bond[root] = bond[other]
-            root = other
+            root, kids[a], kids[b], bond[b] = a, kids_a, rest_b, token
 
     # Depth-first in child order.  A child's prefix opens its branch and
     # closes its previous sibling's; the last child is not a branch.
@@ -777,6 +784,11 @@ def _emit_tree(tokens, lower, adjacency):
             c = ks[0][1]
             stack.append((c, "(" + bond[c]))
     return "".join(out), tuple(order)
+
+
+def _code(token: str, kids) -> str:
+    """Rooted-subtree code of an atom from its token and sorted kids."""
+    return token + "(" + ",".join([k for k, _ in kids]) + ")"
 
 
 def _emit(n, tokens, lower, adj, orders, ranks):

@@ -45,12 +45,14 @@ exactly on the integer scale, where a unit left to a sink costs
 ``_SCALE``: a cheapest-first fill in int64 numpy, for all of a slab's
 cells at once, when one side has a single class, and the transportation
 simplex on Python ints, one cell at a time, when both sides have two or
-more.  Each element block is thus its exact optimum, rounded once, a
-value no solver or summation order can change.  All atoms of one element
-share one mass, so the mass-weighted block is the unit block
-scaled by that mass and one solve serves both weight modes.  The per-pair
-sums run element by element in sorted order, so a pair gets the same
-bits in a block of any size.
+more.  Each element block is thus its exact optimum, kept as an
+integer on that scale, a value no solver or summation order can change.
+A pair's unit distances sum its blocks in int64 and divide once, so each
+is the exact optimum correctly rounded.  All atoms of one element share
+one mass, so the mass-weighted block is the unit block scaled by that
+mass and one solve serves both weight modes.  The mass sums run element
+by element in sorted order, so a pair gets the same bits in a block of
+any size.
 
 Each molecule caches one class table for this path: the count of each
 ``(element, bond profile)`` class, implicit hydrogens counted into their
@@ -465,9 +467,10 @@ def _element_costs(
     ``(tables[left[k]], tables[right[k]])``, each block with its own sinks.
 
     Returns the elements of ``tables`` in sorted order and the
-    ``len(left) x len(elements)`` costs, 0 where neither side has the
-    element.  The tables become count rows over their sorted key set, in
-    which each element's classes are contiguous.
+    ``len(left) x len(elements)`` costs times ``_SCALE``, exact int64, 0
+    where neither side has the element.  The tables become count rows
+    over their sorted key set, in which each element's classes are
+    contiguous.
 
     Equal profiles are matched first, at cost 0: ``min(n_p, m_p)`` units
     of every profile ``p`` the two sides share, which leaves the
@@ -492,7 +495,7 @@ def _element_costs(
     cost exactly 1.  Those cells close in numpy; the rest have a profile
     of two or more bonds on a side, and ``_residual_costs`` closes them
     exactly on the ``_SCALE`` integer scale, all of a slab's cells in one
-    call.  Every cost is the exact optimum of its block, rounded once.
+    call.  Every cost is the exact optimum of its block.
     """
     keys = sorted(set().union(*(t.tally for t in tables)))
     column = {key: c for c, key in enumerate(keys)}
@@ -504,20 +507,20 @@ def _element_costs(
     element_of = np.cumsum(np.isin(np.arange(len(keys)), starts)) - 1
     polyvalent = np.array([len(p) > 1 for _, p in keys])
     profiles = [p for _, p in keys]
-    costs = np.empty((len(left), len(starts)))
+    costs = np.empty((len(left), len(starts)), dtype=np.int64)
     for lo in range(0, len(left), _CHUNK):
         a, b = counts[left[lo:lo + _CHUNK]], counts[right[lo:lo + _CHUNK]]
         r1, r2 = np.maximum(a - b, 0), np.maximum(b - a, 0)
         t1 = np.add.reduceat(r1, starts, axis=1)
         t2 = np.add.reduceat(r2, starts, axis=1)
         slab = costs[lo:lo + _CHUNK]
-        slab[:] = np.maximum(t1, t2)
+        slab[:] = np.maximum(t1, t2) * _SCALE
         poly = np.logical_or.reduceat((r1 + r2 > 0) & polyvalent, starts, axis=1)
         ks, es = np.nonzero((t1 > 0) & (t2 > 0) & poly)
         if len(ks):
             same = element_of == es[:, None]
             slab[ks, es] = _residual_costs(
-                np.where(same, r1[ks], 0), np.where(same, r2[ks], 0), profiles) / _SCALE
+                np.where(same, r1[ks], 0), np.where(same, r2[ks], 0), profiles)
     return [syms[c] for c in starts], costs
 
 
@@ -594,7 +597,13 @@ def _residual_cost(n1: list[int], n2: list[int], costs: list[list[int]]) -> int:
 
 def distance_vectors(firsts: Sequence[Molecule], seconds: Sequence[Molecule]) -> np.ndarray:
     """``distance_vector(firsts[k], seconds[k])`` for every ``k``, as a
-    ``len(firsts) x 4`` array, in one block pass over their class tables."""
+    ``len(firsts) x 4`` array, in one block pass over their class tables.
+
+    A pair's unit columns divide its summed integer block costs once, by
+    ``_SCALE`` and by ``_SCALE`` times its total units; both operands are
+    exact integers below 2**53, so each entry is the exact optimum,
+    correctly rounded.  The mass columns add each element's block cost
+    times its atomic mass, element by element in sorted order."""
     row: dict[Molecule, int] = {}
     left = np.array([row.setdefault(m, len(row)) for m in firsts], dtype=np.intp)
     right = np.array([row.setdefault(m, len(row)) for m in seconds], dtype=np.intp)
@@ -602,17 +611,15 @@ def distance_vectors(firsts: Sequence[Molecule], seconds: Sequence[Molecule]) ->
         return np.zeros((0, 4))
     tables = [_class_table(m) for m in row]
     elements, costs = _element_costs(tables, left, right)
-    # Element by element, in sorted order, as a per-pair sum would add them.
-    cost_u = np.zeros(len(left))
+    total = costs.sum(axis=1)
     cost_m = np.zeros(len(left))
     for e, sym in enumerate(elements):
-        cost_u += costs[:, e]
-        cost_m += PERIODIC_TABLE[sym].atomic_mass * costs[:, e]
-    units = np.array([t.total_units for t in tables])
+        cost_m += PERIODIC_TABLE[sym].atomic_mass * (costs[:, e] / _SCALE)
+    units = np.array([t.total_units for t in tables], dtype=np.int64)
     mass = np.array([t.total_mass for t in tables])
     return np.stack([
-        cost_u,
-        cost_u / (units[left] + units[right]),
+        total / _SCALE,
+        total / (_SCALE * (units[left] + units[right])),
         cost_m,
         cost_m / (mass[left] + mass[right]),
     ], axis=1)

@@ -23,6 +23,11 @@ constructor on the result.  The carboxylic-acid and aldehyde site finders
 are checked against finders that build every carbon's neighbour lists
 before testing them, and the logP, mass and QED objectives against sums
 over a per-hydrogen generator of the expanded molecule's elements.
+Canonical forms of acyclic molecules are checked against the four-pass
+tree path (leaf stripping, BFS parents, codes over the BFS order, then
+the emission), crossing-path descriptors against walks over a step list
+built from every bond of the molecule, and unit OT distances against the
+exact ``Fraction`` sum of the element block optima.
 """
 
 import itertools
@@ -38,7 +43,7 @@ from molbo.gp import _PARAM_RANGES
 from molbo.molgraph import PERIODIC_TABLE, BondOrder, Molecule, WeightMode, atom_weight
 from molbo.objectives import Objective
 from molbo.optimizer import REAGENT_PAIR_PROBABILITY
-from molbo.otdist import build_costs
+from molbo.otdist import _SCALE, _class_table, build_costs
 from molbo.synthesis import _sorted_sites, record_synthesis, synthesize_detailed
 
 
@@ -151,6 +156,141 @@ def path_descriptors_two_way(mol: Molecule, max_path_len: int) -> set[str]:
     return descriptors
 
 
+def crossing_descriptors_by_steps(mol: Molecule, u: int, v: int, max_path_len: int) -> set[str]:
+    """``fingerprint.crossing_descriptors`` from a step list of the whole
+    molecule: each heavy atom's heavy neighbours ``(j, bond + symbol_j,
+    symbol_j + bond)``, built from every bond before the two walks start."""
+    symbols = [atom.symbol for atom in mol.atoms]
+    steps: list[list[tuple[int, str, str]]] = [[] for _ in symbols]
+    for (i, j), order in mol.bonds.items():
+        si, sj = symbols[i], symbols[j]
+        if si != "H" and sj != "H":
+            steps[i].append((j, order.symbol + sj, sj + order.symbol))
+            steps[j].append((i, order.symbol + si, si + order.symbol))
+    if symbols[u] == "H" or symbols[v] == "H":
+        return set()
+
+    def walk(root: int, blocked: int) -> list[dict[str, str]]:
+        levels: list[dict[str, str]] = [{} for _ in range(max_path_len)]
+        levels[0][symbols[root]] = symbols[root]
+
+        def extend(path: list[int], fwd: str, rev: str):
+            for j, fwd_step, rev_step in steps[path[-1]]:
+                if j in path or j == blocked:
+                    continue
+                f, r = fwd + fwd_step, rev_step + rev
+                levels[len(path)][f] = r
+                if len(path) < max_path_len - 1:
+                    extend(path + [j], f, r)
+
+        if max_path_len > 1:
+            extend([root], symbols[root], symbols[root])
+        return levels
+
+    bond = mol.bonds[(u, v) if u < v else (v, u)].symbol
+    side_u, side_v = walk(u, v), walk(v, u)
+    descriptors = set()
+    for i, level_u in enumerate(side_u):
+        for level_v in side_v[: max_path_len - i]:
+            for fu, ru in level_u.items():
+                for fv, rv in level_v.items():
+                    descriptors.add(min(ru + bond + fv, rv + bond + fu))
+    return descriptors
+
+
+def canonical_tree_four_passes(mol: Molecule) -> tuple[str, tuple[int, ...]]:
+    """Canonical form and heavy order of a molecule with an acyclic heavy
+    skeleton, in four passes over the skeleton: leaf stripping for the
+    centres, BFS parents from the first centre, rooted-subtree codes
+    leaves first over the BFS order, and the emission.  Each atom's code
+    is its token, then its children's codes, each prefixed by its bond's
+    rank, sorted and in parentheses; the root is the centre with the
+    smaller code (the first centre on a tie)."""
+    heavy = [i for i, atom in enumerate(mol.atoms) if atom.symbol != "H"]
+    local = {old: new for new, old in enumerate(heavy)}
+    n = len(heavy)
+    adjacency = [[(local[j], o) for j, o in mol.neighbors(i) if j in local] for i in heavy]
+    assert sum(map(len, adjacency)) == 2 * (n - 1), "the heavy skeleton has a ring"
+    symbols = [mol.atoms[i].symbol for i in heavy]
+    # Lowercase: an aromatic-bonded atom of an element written aromatic.
+    lower = [symbols[i] in ("B", "C", "N", "O", "P", "S")
+             and any(o is BondOrder.AROMATIC for _, o in adjacency[i]) for i in range(n)]
+    tokens = [sym.lower() if low else sym for sym, low in zip(symbols, lower)]
+
+    def bond_token(order, both_lower):
+        return "" if order.symbol == (":" if both_lower else "-") else order.symbol
+
+    if n == 1:
+        return tokens[0], (heavy[0],)
+    degree = [len(nbrs) for nbrs in adjacency]
+    removed = [False] * n
+    layer = [i for i in range(n) if degree[i] <= 1]
+    remaining = n
+    while remaining > 2:
+        for u in layer:
+            removed[u] = True
+        remaining -= len(layer)
+        nxt = []
+        for u in layer:
+            for v, _ in adjacency[u]:
+                if not removed[v]:
+                    degree[v] -= 1
+                    if degree[v] == 1:
+                        nxt.append(v)
+        layer = nxt
+    centers = [i for i in range(n) if not removed[i]]
+
+    root = centers[0]
+    parent = [-1] * n
+    up: list = [None] * n
+    bfs = [root]
+    for v in bfs:
+        for j, order in adjacency[v]:
+            if j != parent[v]:
+                parent[j], up[j] = v, order
+                bfs.append(j)
+
+    code = [""] * n
+    key = [""] * n
+    bond = [""] * n
+    kids: list = [[] for _ in range(n)]
+    for v in reversed(bfs):
+        p = parent[v]
+        kids[v] = sorted([(key[j], j) for j, _ in adjacency[v] if j != p])
+        code[v] = tokens[v] + "(" + ",".join([k for k, _ in kids[v]]) + ")"
+        if p >= 0:
+            key[v] = str(up[v].rank) + code[v]
+            bond[v] = bond_token(up[v], lower[v] and lower[p])
+
+    if len(centers) == 2:
+        other = centers[1]
+        rest = [kid for kid in kids[root] if kid[1] != other]
+        code_rest = tokens[root] + "(" + ",".join([k for k, _ in rest]) + ")"
+        other_kids = sorted([*kids[other], (str(up[other].rank) + code_rest, root)])
+        if tokens[other] + "(" + ",".join([k for k, _ in other_kids]) + ")" < code[root]:
+            kids[root], kids[other] = rest, other_kids
+            bond[root] = bond[other]
+            root = other
+
+    out: list[str] = []
+    order: list[int] = []
+    stack = [(root, "")]
+    while stack:
+        v, prefix = stack.pop()
+        order.append(heavy[v])
+        out.append(prefix + tokens[v])
+        ks = kids[v]
+        for position, (_, c) in reversed(list(enumerate(ks))):
+            last = position == len(ks) - 1
+            if len(ks) == 1:
+                opener = ""
+            elif position == 0:
+                opener = "("
+            else:
+                opener = ")" if last else ")("
+            stack.append((c, opener + bond[c]))
+    return "".join(out), tuple(order)
+
 def block_cost_exact(c1, c2) -> Fraction:
     """Exact optimal unit-weight cost of one element's block with its own
     sinks, from its classes ``((profile, count), ...)`` on each side,
@@ -182,22 +322,41 @@ def block_cost_exact(c1, c2) -> Fraction:
     return Fraction(total, scale)
 
 
+def element_blocks_exact(t1, t2) -> dict[str, Fraction]:
+    """The exact optimum of each element block of two class tables, by
+    element: ``block_cost_exact`` when both sides have the element, the
+    other side's unit count when one side has none."""
+    blocks = {}
+    for sym in sorted({s for t in (t1, t2) for s, _ in t.tally}):
+        c1, c2 = (tuple(sorted((p, n) for (s, p), n in t.tally.items() if s == sym))
+                  for t in (t1, t2))
+        blocks[sym] = block_cost_exact(c1, c2) if c1 and c2 else Fraction(
+            sum(n for _, n in c1 + c2))
+    return blocks
+
+
 def element_costs_exact(tables, left, right):
     """``otdist._element_costs`` from the exact oracle: the elements of
     ``tables`` in sorted order and, for each pair ``(tables[left[k]],
-    tables[right[k]])``, the exact optimum of each element's block
-    rounded once (the larger side's unit count when a side is empty)."""
+    tables[right[k]])``, the exact optimum of each element's block times
+    ``otdist._SCALE``, an integer."""
     elements = sorted({sym for t in tables for sym, _ in t.tally})
-    costs = np.zeros((len(left), len(elements)))
+    costs = np.zeros((len(left), len(elements)), dtype=np.int64)
     for k, (i, j) in enumerate(zip(left, right)):
+        blocks = element_blocks_exact(tables[i], tables[j])
         for e, sym in enumerate(elements):
-            c1, c2 = (tuple(sorted((p, n) for (s, p), n in tables[side].tally.items() if s == sym))
-                      for side in (i, j))
-            if c1 and c2:
-                costs[k, e] = float(block_cost_exact(c1, c2))
-            else:
-                costs[k, e] = sum(n for _, n in c1 + c2)
+            scaled = blocks.get(sym, Fraction(0)) * _SCALE
+            assert scaled.denominator == 1
+            costs[k, e] = scaled.numerator
     return elements, costs
+
+
+def unit_distance_exact(m1: Molecule, m2: Molecule) -> tuple[Fraction, Fraction]:
+    """The exact unit-weight OT distance of two molecules, raw and divided
+    by their total units: the sum of their exact element block optima."""
+    t1, t2 = _class_table(m1), _class_table(m2)
+    raw = sum(element_blocks_exact(t1, t2).values(), Fraction(0))
+    return raw, raw / (t1.total_units + t2.total_units)
 
 
 def _negative_cycle(x, cost) -> list[tuple[int, int, int]]:

@@ -4,12 +4,14 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import oracles
 from molbo import otdist
 from molbo.cli import _pair_of_index, main
+from molbo.kernel import KernelCache
 from molbo.molgraph import parse_smiles
 from molbo.synthesis import load_dag
 
@@ -56,13 +58,23 @@ class TestDist:
         ("CC(=O)O", "OCCN",
          "6.0, 0.3157894736842105, 45.041000000000004, 0.3718217540615507"),
         ("c1ccccc1O", "CS(=O)(=O)C",
-         "9.666666666666668, 0.40277777777777785, 133.12833333333333, 0.7072228331412038"),
+         "9.666666666666666, 0.4027777777777778, 133.12833333333333, 0.7072228331412038"),
     ], ids=["acid-aminoethanol", "phenol-sulfone"])
     def test_pinned_stdout(self, capsys, a, b, distances):
         code, out, _ = run_cli(capsys, "dist", a, b)
         assert code == 0
         assert out == ('{"config_order": ["unit_raw", "unit_norm", "mass_raw", "mass_norm"], '
                        f'"distances": [{distances}]}}\n')
+
+    @pytest.mark.parametrize("a,b", [("CC(=O)O", "OCCN"), ("c1ccccc1O", "CS(=O)(=O)C")],
+                             ids=["acid-aminoethanol", "phenol-sulfone"])
+    def test_pinned_unit_columns_are_the_exact_optimum(self, capsys, a, b):
+        """The pinned unit columns are the floats of the exact optimum and
+        of it over the total units: phenol to dimethyl sulfone is 29/3."""
+        distances = json.loads(run_cli(capsys, "dist", a, b)[1])["distances"]
+        raw, norm = oracles.unit_distance_exact(parse_smiles(a), parse_smiles(b))
+        assert distances[:2] == [float(raw), float(norm)]
+        assert a != "c1ccccc1O" or raw == Fraction(29, 3)
 
     def test_invalid_smiles_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "dist", "C(", "C")
@@ -361,14 +373,34 @@ class TestAnalyze:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "653201a905aef52611e26a82f3d3e32e905cf215efc52099cae4c8995dac0bfb")
+            "6241cf6a2e3c41ee6587f292ab4b4b872817b8721d7023f535b89cc2c604f159")
+
+    def test_pinned_csv_unit_columns_are_the_exact_optimum(self, capsys, small_pool_path,
+                                                          monkeypatch):
+        """Each unit cell of the pinned call is the float of its pair's
+        exact optimum, raw and over the pair's total units."""
+        pairs = []
+        real = KernelCache.distance_vector
+
+        def recording(cache, x, y):
+            pairs.append((x, y))
+            return real(cache, x, y)
+
+        monkeypatch.setattr(KernelCache, "distance_vector", recording)
+        out = run_cli(capsys, "analyze", "--pool", str(small_pool_path),
+                      "--sample-pairs", "30", "--seed", "3")[1]
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert len(rows) == len(pairs) == 30
+        for row, (x, y) in zip(rows, pairs):
+            raw, norm = oracles.unit_distance_exact(x, y)
+            assert row[:2] == [repr(float(raw)), repr(float(norm))]
 
     def test_pinned_csv_is_built_from_exact_blocks(self, capsys, small_pool_path,
                                                    monkeypatch):
-        """Every distance cell of the pinned call is the exact optimum of
-        each element block, rounded once, summed and weighted as
-        ``distance_vectors`` documents: with the block pass replaced by the
-        exact oracle the call prints the same bytes."""
+        """Every distance cell of the pinned call is built from the exact
+        optimum of each element block, times the scale, summed and weighted
+        as ``distance_vectors`` documents: with the block pass replaced by
+        the exact oracle the call prints the same bytes."""
         argv = ("analyze", "--pool", str(small_pool_path), "--sample-pairs", "30", "--seed", "3")
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import molbo.fingerprint
 import molbo.kernel
+import molbo.optimizer
 import oracles
 from conftest import bridges, join_chain, random_molecule, relabel, split_and_rejoin
 from molbo import (
@@ -255,6 +256,55 @@ class TestJoinInheritance:
         assert len(built) > 2 * len(pool)
         for mol, fp in built:
             assert fp == path_fingerprint(mol)
+
+    def test_walk_equals_step_lists_on_a_guided_join_run(self, monkeypatch):
+        """The adjacency walk finds the crossing descriptors of the former
+        whole-molecule step lists on every product of a seed-101 guided
+        join run."""
+        cfg = RunConfig(
+            initial_pool=("C", "N", "O", "CC", "CO", "CN", "CCO", "CCC", "CCN", "COC"),
+            objective=Objective(kind=ObjectiveKind.HEAVY_ATOM_TARGET, target=25),
+            kernel_family=FingerprintTanimoto(),
+            budget_t=5,
+            seed=101,
+            method=Method.CHEMBO,
+            oracle=OracleKind.JOIN,
+            conditions=(Condition("join"),),
+        )
+        products = []
+        draw = molbo.optimizer.synthesize_detailed
+
+        def recording(reagents, conditions, oracle):
+            outcome = draw(reagents, conditions, oracle)
+            products.extend(outcome[0] if outcome else ())
+            return outcome
+
+        monkeypatch.setattr(molbo.optimizer, "synthesize_detailed", recording)
+        run(cfg)
+        monkeypatch.undo()
+        assert len(products) > 100
+        for mol in products:
+            _, _, u, v = mol._origin
+            for n in (1, 2, 7):
+                assert crossing_descriptors(mol, u, v, n) == \
+                    oracles.crossing_descriptors_by_steps(mol, u, v, n)
+
+    def test_walk_equals_step_lists_with_explicit_hydrogens(self, cached_molecules):
+        """The walk skips hydrogen neighbours as the step lists left them
+        out: products rejoined at every bridge of every molecule with
+        explicit hydrogens, the hydrogens' own bonds included."""
+        heavy_bonds = 0
+        for mol in cached_molecules:
+            if mol.heavy_atom_count() == mol.n_atoms:
+                continue
+            for i, j in bridges(mol):
+                product = split_and_rejoin(mol, i, j)
+                _, _, u, v = product._origin
+                for n in (1, 3, 7):
+                    assert crossing_descriptors(product, u, v, n) == \
+                        oracles.crossing_descriptors_by_steps(product, u, v, n)
+                heavy_bonds += "H" not in (mol.atoms[i].symbol, mol.atoms[j].symbol)
+        assert heavy_bonds > 200
 
     def test_reagent_fingerprints_must_match_the_product(self):
         product = join_chain(1)[-1]

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import DATA_DIR, random_molecule, relabel
 from molbo.errors import (
     InvalidMolecule,
@@ -258,6 +261,114 @@ def test_golden_canonical_rings():
         assert len(mol.bonds) >= mol.n_atoms, label
         assert (mol.canonical_form, mol.canonical_heavy_order()) == (form, order), label
     assert {"explicit-hydrogens", "long-tail", "dense-cage"} <= labels
+
+
+#: Elements of the random trees below; all but F and Cl are written
+#: lowercase when aromatic-bonded.
+TREE_ELEMENTS = ("C", "N", "O", "S", "B", "P", "F", "Cl")
+TREE_ORDERS = (BondOrder.SINGLE, BondOrder.DOUBLE, BondOrder.TRIPLE, BondOrder.AROMATIC)
+
+
+def _rooted_tree(draw, height):
+    """Parents of a tree rooted at atom 0: a chain of ``height`` bonds
+    from the root, then up to 8 atoms, each hung on an atom of degree
+    below 4 and, unless ``height`` is None, of depth below ``height``, so
+    that no atom lies deeper than the chain's end."""
+    parents, depth, degree = [-1], [0], [0]
+    for k in range(1, (height or 0) + 1):
+        parents.append(k - 1)
+        depth.append(k)
+        degree[k - 1] += 1
+        degree.append(0)
+    for _ in range(draw(st.integers(0, 8))):
+        free = [j for j in range(len(parents))
+                if degree[j] < 4 and (height is None or depth[j] < height)]
+        if not free:
+            break
+        j = draw(st.sampled_from(free))
+        parents.append(j)
+        depth.append(depth[j] + 1)
+        degree[j] += 1
+        degree.append(0)
+    return parents
+
+
+@st.composite
+def trees(draw):
+    """A random acyclic molecule: any tree, or two rooted halves of equal
+    height bonded root to root, whose roots are then the two centres;
+    the halves are equal (equal centre codes) or drawn apart, and the
+    atoms are relabelled, so either centre may have the smaller code.
+    Bonds of every order, aromatic ones included; explicit hydrogens on
+    some."""
+    mode = draw(st.sampled_from(["any", "equal halves", "halves"]))
+    if mode == "any":
+        parents = _rooted_tree(draw, None)
+    else:
+        height = draw(st.integers(0, 3))
+        half = _rooted_tree(draw, height)
+        other = half if mode == "equal halves" else _rooted_tree(draw, height)
+        parents = half + [-1 if p < 0 else p + len(half) for p in other]
+    n = len(parents)
+    edges = [(p, i) for i, p in enumerate(parents) if p >= 0]
+    if mode != "any":
+        edges.append((0, len(half)))
+    degree = [0] * n
+    for i, j in edges:
+        degree[i] += 1
+        degree[j] += 1
+    elements = []
+    for i in range(n):
+        fits = [e for e in TREE_ELEMENTS if PERIODIC_TABLE[e].default_valence >= degree[i]]
+        elements.append(PERIODIC_TABLE[draw(st.sampled_from(fits))])
+    if mode == "equal halves":
+        elements[len(half):] = elements[:len(half)]
+    # Raise single bonds while both ends keep their valence.
+    sums = [float(d) for d in degree]
+    bonds = {}
+    for i, j in edges:
+        order = draw(st.sampled_from(TREE_ORDERS))
+        extra = order.valence_contribution - 1.0
+        if any(int(sums[k] + extra) > elements[k].default_valence for k in (i, j)):
+            order = BondOrder.SINGLE
+        sums[i] += order.valence_contribution - 1.0
+        sums[j] += order.valence_contribution - 1.0
+        bonds[(i, j)] = order
+    if mode == "equal halves":
+        m = len(half)
+        for (i, j), order in list(bonds.items()):
+            if j < m:
+                bonds[(i + m, j + m)] = order
+    mol = Molecule(elements, bonds)
+    if draw(st.booleans()):
+        mol = add_explicit_hydrogens(mol)
+    return relabel(mol, random.Random(draw(st.integers(0, 2**16))))
+
+
+class TestTreePath:
+    """The leaves-first tree path gives the canonical form and heavy order
+    of the former four-pass one (``oracles.canonical_tree_four_passes``)."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(mol=trees())
+    # c:c with two lowercase centres of equal code.
+    @example(mol=Molecule([PERIODIC_TABLE["C"]] * 2, {(0, 1): BondOrder.AROMATIC}))
+    def test_random_trees(self, mol):
+        assert _canonicalize(mol) == oracles.canonical_tree_four_passes(mol)
+
+    def test_second_centre_with_the_smaller_code_is_the_root(self):
+        # C1-N0-C2-C3: the centres are N0 and C2, and C2's code is smaller.
+        mol = Molecule([PERIODIC_TABLE[e] for e in "NCCC"],
+                       {(0, 1): BondOrder.SINGLE, (0, 2): BondOrder.SINGLE,
+                        (2, 3): BondOrder.SINGLE})
+        assert _canonicalize(mol) == ("C(C)NC", (2, 3, 0, 1))
+
+    def test_every_molecule_of_a_template_walk(self, template_walk_molecules):
+        acyclic = [m for m in template_walk_molecules
+                   if len(strip_hydrogens(m).bonds) == m.heavy_atom_count() - 1]
+        assert len(acyclic) > 100
+        for mol in acyclic:
+            assert _canonicalize(mol) == oracles.canonical_tree_four_passes(mol)
 
 
 class TestWeights:

@@ -393,10 +393,10 @@ def test_heavy_distances_equal_the_expansion_bytes(heavy_molecules):
 
 def test_block_costs_match_whole_block_simplex(met_blocks):
     """Matching equal profiles first, then closing or solving the residual,
-    gives the exact optimum of the whole block, rounded once."""
+    gives the exact optimum of the whole block, times the scale."""
     solved = 0
     for c1, c2, cost in met_blocks:
-        assert cost == float(oracles.block_cost_exact(c1, c2)), (c1, c2)
+        assert int(cost) == oracles.block_cost_exact(c1, c2) * otdist._SCALE, (c1, c2)
         solved += len(c1) > 1 and len(c2) > 1
     assert solved > 1000
 
@@ -413,12 +413,13 @@ CLASSES = st.dictionaries(
 @given(c1=CLASSES, c2=CLASSES)
 def test_element_costs_are_the_rounded_exact_optimum(c1, c2):
     """Random class lists of one element, in both orders: every block cost
-    is its exact optimum, rounded once."""
+    is its exact optimum times the scale, an integer."""
     tables = [otdist._ClassTable(Counter({("C", p): n for p, n in c.items()}), 0, 0.0)
               for c in (c1, c2)]
     _, costs = otdist._element_costs(tables, np.array([0, 1]), np.array([1, 0]))
-    exact = float(oracles.block_cost_exact(tuple(sorted(c1.items())), tuple(sorted(c2.items()))))
-    assert costs[0, 0] == costs[1, 0] == exact
+    exact = oracles.block_cost_exact(tuple(sorted(c1.items())), tuple(sorted(c2.items())))
+    assert costs.dtype == np.int64
+    assert int(costs[0, 0]) == int(costs[1, 0]) == exact * otdist._SCALE
 
 
 def test_blocks_past_one_slab_equal_single_pairs(heavy_molecules, monkeypatch):
