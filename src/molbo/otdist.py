@@ -19,13 +19,13 @@ Atoms with equal (element, bond profile) are interchangeable for this
 cost structure, so both solvers work on classes of them, and
 ``_profile_cost`` is the one place ``c_str`` is computed.  It returns
 ``c_str`` times ``_SCALE = lcm(1, ..., 12)``, an exact integer, since a
-bond profile has at most six entries; the float paths divide by the
-scale, which rounds each ``c_str`` once.  ``solve_ot``
-is the reference: it expands hydrogens, groups the atoms into classes in
-sorted order, solves the whole class-level problem and returns the plan
-expanded back to atom level by uniform splitting, which preserves
-feasibility and cost.  ``build_costs`` gives the atom-level matrices of
-the same program.
+bond profile has at most six entries, and every transportation program
+is solved on that integer scale.  ``solve_ot`` is the reference: it
+expands hydrogens, groups the atoms into classes in sorted order, solves
+the unit-weight class program once for all four configurations and
+returns the plan in the configuration's weights, expanded back to atom
+level by uniform splitting, which preserves feasibility and cost.
+``build_costs`` gives the atom-level matrices of the same program.
 
 ``distance_vectors`` computes the four costs of many pairs in one block
 pass, and ``distance_vector`` is its one-pair call.  They need only the
@@ -86,7 +86,7 @@ from .molgraph import (
     hydrogen_bond,
 )
 
-MISMATCH_PENALTY = 10.0
+MISMATCH_PENALTY = 10
 
 
 @dataclass(frozen=True)
@@ -243,52 +243,42 @@ def build_costs(m1: Molecule, m2: Molecule) -> CostMatrices:
 # Exact transportation simplex
 # ---------------------------------------------------------------------------
 
-_REDUCED_COST_TOL = 1e-10
 
-
-def solve_transport(supply, demand, cost) -> tuple[float, list[list[float]]]:
+def solve_transport(
+    supply: Sequence[int], demand: Sequence[int], cost: Sequence[Sequence[int]]
+) -> tuple[int, list[list[int]]]:
     """Exact primal simplex for the balanced transportation problem.
 
     Minimizes ``<X, cost>`` subject to row sums equal to ``supply``,
     column sums equal to ``demand`` and ``X >= 0``, and returns the
-    optimal value and the plan as a list of rows.  The arguments are
-    sequences or arrays, ``cost`` two-dimensional, and the solve runs on
-    Python lists.  When every entry is a Python int (an integer array
-    gives them) the solve is exact: integral data has an integral optimal
-    basis (Dantzig 1951), so the plan and the value are ints, balance and
-    signs are checked exactly, and a reduced cost is negative below 0.
-    Any other input is solved in floats, with reduced costs compared to
-    ``-_REDUCED_COST_TOL`` times the largest cost (at least 1).
+    optimal value and the plan as a list of rows, all Python ints:
+    integral data has an integral optimal basis (Dantzig 1951), so every
+    comparison is exact and the optimum has one value.
 
     The initial basis fills the cheapest active cell first, in a stable
     order of the costs.  Entering variables follow the most-negative
     reduced cost with first-index ties; once ``_pivot_budget``'s pivots
     are spent the rule switches to Bland's (first negative in row-major
-    order), which cannot cycle.  Raises SolverFailure for unbalanced or
-    negative input, and if even Bland's rule exceeds the budget.
+    order), which cannot cycle.  Raises SolverFailure for an empty or
+    mis-shaped program, an entry that is not a Python int (bools and
+    numpy scalars included), unbalanced or negative marginals, and if
+    even Bland's rule exceeds the budget.
     """
-    supply = supply.tolist() if isinstance(supply, np.ndarray) else list(supply)
-    demand = demand.tolist() if isinstance(demand, np.ndarray) else list(demand)
-    cost = cost.tolist() if isinstance(cost, np.ndarray) else cost
-    n, m = len(cost), len(cost[0])
+    supply, demand = list(supply), list(demand)
+    n, m = len(supply), len(demand)
+    if not (n and m and len(cost) == n and all(len(row) == m for row in cost)):
+        raise SolverFailure("transportation problem is empty or mis-shaped")
     flat = [c for row in cost for c in row]
-    types = set(map(type, flat))
-    types.update(map(type, supply), map(type, demand))
-    exact = types == {int}
-    if not exact:
-        supply, demand = [float(a) for a in supply], [float(a) for a in demand]
-        flat = [float(c) for c in flat]
-        cost = [flat[i * m:(i + 1) * m] for i in range(n)]
-    zero = 0 if exact else 0.0
-    total = sum(supply)
-    if abs(total - sum(demand)) > (0 if exact else 1e-7 * max(1.0, total)):
+    if set(map(type, supply + demand + flat)) != {int}:
+        raise SolverFailure("transportation data must be Python ints")
+    if sum(supply) != sum(demand):
         raise SolverFailure("unbalanced transportation problem")
-    if min(supply + demand) < (0 if exact else -1e-12):
+    if min(supply + demand) < 0:
         raise SolverFailure("negative supply or demand")
 
     # The basis is a spanning tree over n row nodes 0..n-1 and m column
     # nodes n..n+m-1, one edge per basic cell.
-    x = [[zero] * m for _ in range(n)]
+    x = [[0] * m for _ in range(n)]
     tree: list[list[int]] = [[] for _ in range(n + m)]
 
     # Minimum-cost initial basic feasible solution: repeatedly fill the
@@ -320,13 +310,12 @@ def solve_transport(supply, demand, cost) -> tuple[float, list[list[float]]]:
             row_active[i] = False
             rows_left -= 1
 
-    tol = 0 if exact else _REDUCED_COST_TOL * max(1.0, max(map(abs, flat)))
     bland_after, hard_cap = _pivot_budget(n, m)
 
     for pivot in range(hard_cap + 1):
         # Duals from the tree rooted at row 0 (u[0] anchored at zero),
         # with each node's parent and depth for the cycle below.
-        dual = [zero] * (n + m)
+        dual = [0] * (n + m)
         parent = [-1] * (n + m)
         depth = [0] * (n + m)
         parent[0] = 0
@@ -346,7 +335,7 @@ def solve_transport(supply, demand, cost) -> tuple[float, list[list[float]]]:
         # The entering cell: the first of the most negative reduced costs,
         # or once the budget is spent the first negative one.
         entering = None
-        low = -tol
+        low = 0
         for i in range(n):
             ui = dual[i]
             reduced = [c - ui - vj for c, vj in zip(cost[i], v)]
@@ -384,7 +373,7 @@ def solve_transport(supply, demand, cost) -> tuple[float, list[list[float]]]:
         tree[n + ej].append(ei)
         tree[li].remove(n + lj)
         tree[n + lj].remove(li)
-        x[li][lj] = zero
+        x[li][lj] = 0
     else:
         raise SolverFailure("transportation simplex exceeded its pivot budget")
 
@@ -396,6 +385,14 @@ def _pivot_budget(n: int, m: int) -> tuple[int, int]:
     rule before it switches to Bland's, and pivots in all."""
     bland_after = 60 * (n + m) + 500
     return bland_after, bland_after * 40 + 20000
+
+
+def _with_sinks(n1: list[int], n2: list[int], costs: list[list[int]]) -> tuple[list, list, list]:
+    """The balanced program of class counts ``n1``, ``n2`` and scaled
+    class-to-class ``costs``: a sink on each side holds the other side's
+    total at ``_SCALE`` per unit, and the sink-to-sink cell costs 0."""
+    rows = [row + [_SCALE] for row in costs]
+    return n1 + [sum(n2)], n2 + [sum(n1)], rows + [[_SCALE] * len(n2) + [0]]
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +411,15 @@ def solve_ot(
     ``[w(a) for a in A2, m(M1)]``.  Its rows and columns index the atoms
     of the hydrogen-expanded molecules, then the sinks.
 
-    The program is solved over the classes of interchangeable atoms, in
-    sorted ``(element, bond profile)`` order, and each class's flow is
-    split evenly over its atoms.
+    Every configuration solves one program: unit weights over the atom
+    classes in sorted ``(element, bond profile)`` order, on the integer
+    scale with ``_with_sinks``' sinks, two classes costing their
+    ``_profile_cost`` plus ``MISMATCH_PENALTY * _SCALE`` across elements.
+    No optimal plan moves weight between elements, so the weighted plan
+    is the unit plan with each class's flows times its atoms' weight, and
+    the sink-to-sink corner holds the matched weight.  Each class's flow
+    is split evenly over its atoms.  The unit distances are the exact
+    integer optimum divided once, ``distance_vector``'s bits.
     """
     m1, m2 = add_explicit_hydrogens(m1), add_explicit_hydrogens(m2)
     sides = []
@@ -425,35 +428,38 @@ def solve_ot(
         for i, key in enumerate(_atom_keys(mol)):
             groups.setdefault(key, []).append(i)
         keys = sorted(groups)
-        weights = np.array([atom_weight(PERIODIC_TABLE[sym], cfg.weight_mode) for sym, _ in keys])
-        supply = np.array([len(groups[key]) for key in keys], dtype=float) * weights
-        sides.append((keys, [groups[key] for key in keys], supply, float(supply.sum())))
-    (keys1, members1, y1, t1), (keys2, members2, y2, t2) = sides
+        weights = [atom_weight(PERIODIC_TABLE[sym], cfg.weight_mode) for sym, _ in keys]
+        sides.append((keys, [groups[key] for key in keys], weights))
+    (keys1, members1, w1), (keys2, members2, w2) = sides
     k1, k2 = len(keys1), len(keys2)
-    c_full = np.ones((k1 + 1, k2 + 1))
-    for a, (s, p) in enumerate(keys1):
-        for b, (t, q) in enumerate(keys2):
-            c_full[a, b] = (0.0 if s == t else MISMATCH_PENALTY) + _profile_cost(p, q) / _SCALE
-    c_full[k1, k2] = 0.0
-    cost, class_plan = solve_transport(np.append(y1, t2), np.append(y2, t1), c_full)
+    supply, demand, cost = _with_sinks(
+        [len(rows) for rows in members1], [len(cols) for cols in members2],
+        [[(0 if s == t else MISMATCH_PENALTY * _SCALE) + _profile_cost(p, q) for t, q in keys2]
+         for s, p in keys1])
+    _, class_plan = solve_transport(supply, demand, cost)
+    # The weighted class plan, its corner the matched weight, and its cost times ``_SCALE``.
+    flows = [[f * w for f in row] for row, w in zip(class_plan, w1)]
+    flows.append([f * w for f, w in zip(class_plan[k1], w2)] + [sum(sum(r[:k2]) for r in flows)])
+    scaled = sum(f * c for fs, cs in zip(flows, cost) for f, c in zip(fs, cs))
 
     n1, n2 = m1.n_atoms, m2.n_atoms
     u = np.zeros((n1 + 1, n2 + 1))
     for a, rows in enumerate(members1):
         for b, cols in enumerate(members2):
-            f = class_plan[a][b]
+            f = flows[a][b]
             if f > 0.0:
                 u[np.ix_(rows, cols)] = f / (len(rows) * len(cols))
-        f = class_plan[a][k2]
+        f = flows[a][k2]
         if f > 0.0:
             u[rows, n2] = f / len(rows)
     for b, cols in enumerate(members2):
-        f = class_plan[k1][b]
+        f = flows[k1][b]
         if f > 0.0:
             u[n1, cols] = f / len(cols)
-    u[n1, n2] = class_plan[k1][k2]
-    distance = cost / (t1 + t2) if cfg.normalize else cost
-    return float(distance), TransportPlan(u=u, cost=float(cost))
+    u[n1, n2] = flows[k1][k2]
+    total = sum(map(sum, flows))  # both molecules' total weights
+    distance = scaled / (_SCALE * total) if cfg.normalize else scaled / _SCALE
+    return distance, TransportPlan(u=u, cost=scaled / _SCALE)
 
 
 #: Pairs per slab of the block pass, which bounds its count arrays.
@@ -538,7 +544,9 @@ def _residual_costs(r1: np.ndarray, r2: np.ndarray, profiles: list[_Profile]) ->
     within each block, a class of ``n`` units takes ``clip(min(t1, t2) -
     units before it, 0, n)``, and the block costs ``|t1 - t2| * _SCALE``
     plus its classes' ``take * cost``.  Blocks with two or more classes on
-    both sides are solved one at a time by ``_residual_cost``."""
+    both sides are solved one at a time by the simplex, with ``_with_sinks``'
+    sinks; the optimum of integer data is exact, so both orders of a pair
+    give the same value."""
     t1, t2 = r1.sum(axis=1), r2.sum(axis=1)
     cell1, col1 = np.nonzero(r1)
     cell2, col2 = np.nonzero(r2)
@@ -576,23 +584,10 @@ def _residual_costs(r1: np.ndarray, r2: np.ndarray, profiles: list[_Profile]) ->
         w1, w2 = w1.tolist(), w2.tolist()
         for c in np.flatnonzero(~fill).tolist():
             a, b, o = w1[c], w2[c], start[c]
-            totals[c] = _residual_cost(units1[start1[c]:start1[c] + a],
-                                       units2[start2[c]:start2[c] + b],
-                                       [flat[o + b * i:o + b * (i + 1)] for i in range(a)])
+            totals[c], _ = solve_transport(*_with_sinks(
+                units1[start1[c]:start1[c] + a], units2[start2[c]:start2[c] + b],
+                [flat[o + b * i:o + b * (i + 1)] for i in range(a)]))
     return totals
-
-
-def _residual_cost(n1: list[int], n2: list[int], costs: list[list[int]]) -> int:
-    """Exact unit-weight cost, times ``_SCALE``, of one residual block
-    from its class counts on each side and the scaled class-to-class
-    costs: the transportation simplex on integer data, with a sink on each
-    side holding the other side's total at ``_SCALE`` per unit.  The
-    optimum of integer data is exact, so both orders of a pair give the
-    same value."""
-    rows = [row + [_SCALE] for row in costs]
-    rows.append([_SCALE] * len(n2) + [0])
-    cost, _ = solve_transport(n1 + [sum(n2)], n2 + [sum(n1)], rows)
-    return cost
 
 
 def distance_vectors(firsts: Sequence[Molecule], seconds: Sequence[Molecule]) -> np.ndarray:
@@ -629,14 +624,12 @@ def distance_vector(m1: Molecule, m2: Molecule) -> np.ndarray:
     """The four dissimilarities in fixed order:
     [unit/raw, unit/normalized, mass/raw, mass/normalized].
 
-    Equal to ``solve_ot`` in each configuration, but computed per element:
-    with ``MISMATCH_PENALTY`` above 2 no weight crosses elements, so the
-    raw cost is the sum of independent per-element block costs
-    (``_element_costs``).  Each block is solved once in unit weights; its
-    mass-weighted cost is that cost times the element's atomic mass, since
-    every atom of the block has that mass.  The normalized entries divide
-    by the summed total weights, as ``solve_ot`` does; in unit weights
-    that is the number of atoms plus implicit hydrogens.  The one-pair
+    Equal to ``solve_ot`` in each configuration, the unit entries bit for
+    bit, but computed per element (``_element_costs``): no weight crosses
+    elements, each block is solved once in unit weights, and its
+    mass-weighted cost is that cost times the element's atomic mass.  The
+    normalized entries divide by the summed total weights, in unit
+    weights the number of atoms plus implicit hydrogens.  The one-pair
     call of ``distance_vectors``.
     """
     return distance_vectors([m1], [m2])[0]

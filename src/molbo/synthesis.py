@@ -549,13 +549,18 @@ def dag_from_json(data) -> SynthesisDag:
             raise ValueError(f"DAG node {raw!r} has no 'molecule' string")
         name = raw["molecule"]
         try:
-            dag.nodes[name] = SynthesisNode(
+            node = SynthesisNode(
                 molecule=name,
                 parents=tuple(_strings(raw, "parents")),
                 template=raw["template"],
                 conditions=frozenset(_strings(raw, "conditions")),
-                step=int(raw["step"]),
+                step=raw["step"],
             )
+            if type(node.step) is not int:
+                raise TypeError("'step' must be an integer")
+            if not (node.template is None or isinstance(node.template, str)):
+                raise TypeError("'template' must be a string or null")
+            dag.nodes[name] = node
         except KeyError as exc:
             raise ValueError(f"DAG node {name!r} has no {exc.args[0]!r}") from None
         except (TypeError, ValueError) as exc:

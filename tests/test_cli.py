@@ -488,6 +488,12 @@ class TestRecipe:
          ' "conditions": ["join"], "step": 1}, {"molecule": "C", "parents": [],'
          ' "template": null, "conditions": [], "step": 0}]}', "'CC'"),
         ("{nodes", "Expecting"),
+        *((json.dumps({"nodes": [{"molecule": "CC", "parents": [], "template": None,
+                                  "conditions": [], "step": step}]}), "'CC': 'step'")
+          for step in (1.5, True, "2", None)),
+        *((json.dumps({"nodes": [{"molecule": "CC", "parents": [], "template": template,
+                                  "conditions": [], "step": 0}]}), "'CC': 'template'")
+          for template in (1, [], False)),
     ])
     def test_malformed_dag_exit_2(self, capsys, tmp_path, content, named):
         dag_path = tmp_path / "bad.dag.json"
