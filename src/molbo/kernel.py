@@ -20,6 +20,8 @@ fingerprints).  Each pair is computed once per run and serves both
 orders, which is exact because ``distance_vector`` and ``tanimoto`` are
 symmetric bit for bit; so is a Gram.  ``diagonal`` is ``combine`` on the
 closed-form features of a molecule against itself.
+A join product's fingerprint is built from its reagents'; a reagent not
+yet cached is built first, by a loop over origins.
 The transport kernel is not known to be positive definite, so training
 Gram matrices are projected onto the PSD cone before GP use;
 cross-covariances keep raw kernel values.  ``psd_project`` certifies a
@@ -44,7 +46,7 @@ from .fingerprint import (
     path_fingerprint,
     tanimoto,
 )
-from .molgraph import Molecule
+from .molgraph import Molecule, build_from_origins
 from .otdist import distance_vector, distance_vectors
 
 #: Hyperparameter search ranges (log-uniform for betas).
@@ -123,10 +125,10 @@ class KernelCache:
 
     A join product's fingerprint is built from its reagents' cached ones
     and the paths that cross the join bond; a reagent not yet cached is
-    built first, by a loop over origins, so a chain of joins of any
-    depth stays off the recursion limit.  Parsed molecules, template
-    products and every other molecule with no origin are enumerated in
-    full.  A cache is plain state owned by one optimization run; kernel
+    built first, by a loop over origins (``molgraph.build_from_origins``),
+    so a chain of joins of any depth stays off the recursion limit.
+    Parsed molecules, template products and every other molecule with no
+    origin are enumerated in full.  A cache is plain state owned by one optimization run; kernel
     functions stay pure with or without it.
     """
 
@@ -173,22 +175,17 @@ class KernelCache:
         fp = fps.get((x.canonical_form, n_bits, max_path_len))
         if fp is not None:
             return fp
-        todo = [x]
-        while todo:
-            mol = todo[-1]
+
+        def key(mol):
+            return mol.canonical_form, n_bits, max_path_len
+
+        def build(mol):
             origin = mol._origin
-            reagents = () if origin is None else origin[:2]
-            keys = [(r.canonical_form, n_bits, max_path_len) for r in reagents]
-            missing = [r for r, key in zip(reagents, keys) if key not in fps]
-            if missing:
-                todo += missing
-                continue
-            todo.pop()
-            key = (mol.canonical_form, n_bits, max_path_len)
-            if key not in fps:  # a shared ancestor may be queued twice
-                inherited = None if origin is None else tuple(fps[k] for k in keys)
-                fps[key] = path_fingerprint(mol, n_bits, max_path_len, inherited)
-        return fps[(x.canonical_form, n_bits, max_path_len)]
+            inherited = None if origin is None else tuple(fps[key(r)] for r in origin[:2])
+            fps[key(mol)] = path_fingerprint(mol, n_bits, max_path_len, inherited)
+
+        build_from_origins(x, lambda mol: key(mol) in fps, build)
+        return fps[key(x)]
 
 
 def _cell(a, b):

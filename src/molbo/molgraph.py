@@ -142,8 +142,9 @@ class Molecule:
     reagents it bonds and the product indices of the new bond's ends
     (the product lists ``reagent_a``'s atoms, then ``reagent_b``'s), from
     which ``molbo.fingerprint`` builds its fingerprint and
-    ``molbo.otdist`` its class table.
-    Operations are pure and safe to call concurrently.
+    ``molbo.otdist`` its class table, in the order ``build_from_origins``
+    gives: reagents first.  ``_set_slots`` is the one place that lists
+    the slots.  Operations are pure and safe to call concurrently.
     """
 
     __slots__ = (
@@ -177,15 +178,8 @@ class Molecule:
             norm[key] = order
             adjacency[i].append((j, order))
             adjacency[j].append((i, order))
-        self.atoms = atoms
-        self.bonds = norm
-        self._adjacency = tuple(tuple(sorted(nbrs, key=lambda t: t[0])) for nbrs in adjacency)
-        self._canonical = None
-        self._canonical_heavy_order = None
-        self._origin = None
-        self._sites = {}
-        self._skeleton = None
-        self._transport_classes = None
+        adjacency = tuple(tuple(sorted(nbrs, key=lambda t: t[0])) for nbrs in adjacency)
+        _set_slots(self, atoms, norm, adjacency, None, None)
         self._check_connected()
         self._check_valence()
 
@@ -255,6 +249,14 @@ class Molecule:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Molecule({self.canonical_form!r}, atoms={self.n_atoms})"
+
+
+def _set_slots(mol: Molecule, atoms, bonds, adjacency, sums, origin) -> Molecule:
+    """Set ``mol``'s graph and ``_origin`` and reset every cache slot."""
+    mol.atoms, mol.bonds, mol._adjacency, mol._bond_sums = atoms, bonds, adjacency, sums
+    mol._origin, mol._sites = origin, {}
+    mol._canonical = mol._canonical_heavy_order = mol._skeleton = mol._transport_classes = None
+    return mol
 
 
 def _bond_sum(neighbors) -> int:
@@ -336,18 +338,25 @@ def join_molecules(mol_a: Molecule, mol_b: Molecule, u: int, v: int,
         sums[i] = s = _bond_sum(adjacency[i])
         if s > atoms[i].default_valence:
             raise _valence_exceeded(i, atoms[i], s)
-    product = object.__new__(Molecule)
-    product.atoms = atoms
-    product.bonds = bonds
-    product._adjacency = tuple(adjacency)
-    product._bond_sums = tuple(sums)
-    product._canonical = None
-    product._canonical_heavy_order = None
-    product._origin = None if leaving else (mol_a, mol_b, u, v)
-    product._sites = {}
-    product._skeleton = None
-    product._transport_classes = None
-    return product
+    return _set_slots(object.__new__(Molecule), atoms, bonds, tuple(adjacency), tuple(sums),
+                      None if leaving else (mol_a, mol_b, u, v))
+
+
+def build_from_origins(mol: Molecule, built, build) -> None:
+    """Call ``build(m)`` for ``mol`` and each ancestor ``m`` reached
+    through ``_origin`` for which ``built(m)`` is false, every reagent
+    before its product and each molecule once, so a product's derived
+    state can be built from its reagents'.  An explicit stack keeps a
+    chain of joins of any depth off the recursion limit."""
+    todo = [mol]
+    while todo:
+        m = todo.pop()
+        if not built(m):
+            missing = [r for r in (m._origin or ())[:2] if not built(r)]
+            if missing:
+                todo += [m, *missing]
+            else:
+                build(m)
 
 
 def implicit_hydrogens(mol: Molecule) -> list[int]:

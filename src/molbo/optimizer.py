@@ -502,15 +502,7 @@ class RunLogWriter:
         })
 
     def write_record(self, rec: EvaluationRecord):
-        self._write(
-            {
-                "iteration": rec.iteration,
-                "molecule": rec.molecule,
-                "value": rec.value,
-                "acquisition_used": rec.acquisition_used,
-                "pool_size_after": rec.pool_size_after,
-            }
-        )
+        self._write(vars(rec))  # flat fields: asdict's deep copy would cost ~30x more
 
     def _write(self, payload):
         self._fh.write(json.dumps(payload, sort_keys=True))

@@ -60,7 +60,8 @@ classes (profile: one single bond to the parent's element) without being
 built, and its total unit and mass weights.  A join product's tally is
 its reagents' tallies with the classes of the new bond's two ends moved
 and their implicit hydrogens changed by the free-valence difference; a
-reagent with no table yet is built first, by a loop over origins.
+reagent with no table yet is built first, by a loop over origins
+(``molgraph.build_from_origins``, which also orders fingerprint builds).
 ``distance_vector`` is symmetric bit for bit, as OTMANN's distance is:
 each element block is an exact optimum, the same for both orders of a
 pair, and every other step treats the two sides alike.
@@ -83,6 +84,7 @@ from .molgraph import (
     add_explicit_hydrogens,
     atom_weight,
     bond_profile,
+    build_from_origins,
     hydrogen_bond,
 )
 
@@ -148,29 +150,22 @@ class _ClassTable:
 def _class_table(mol: Molecule) -> _ClassTable:
     """The cached class table of ``mol``.  A join product's table is
     built from its reagents', and a reagent with no table yet is built
-    first, by a loop over origins, so a chain of joins of any depth stays
-    off the recursion limit."""
-    todo = [mol]
-    while todo:
-        m = todo[-1]
-        if m._transport_classes is not None:
-            todo.pop()
-            continue
-        reagents = () if m._origin is None else m._origin[:2]
-        missing = [r for r in reagents if r._transport_classes is None]
-        if missing:
-            todo += missing
-            continue
-        todo.pop()
-        tally = _full_tally(m) if m._origin is None else _joined_tally(m)
-        # Sorted keys fix the order in which the total mass is summed.
-        keys = sorted(tally)
-        counts = np.array([tally[key] for key in keys], dtype=float)
-        masses = np.array([PERIODIC_TABLE[sym].atomic_mass for sym, _ in keys])
-        m._transport_classes = _ClassTable(
-            tally, sum(tally.values()), float((counts * masses).sum())
-        )
+    first, by a loop over origins (``molgraph.build_from_origins``), so a
+    chain of joins of any depth stays off the recursion limit."""
+    if mol._transport_classes is None:
+        build_from_origins(mol, lambda m: m._transport_classes is not None, _build_class_table)
     return mol._transport_classes
+
+
+def _build_class_table(m: Molecule) -> None:
+    tally = _full_tally(m) if m._origin is None else _joined_tally(m)
+    # Sorted keys fix the order in which the total mass is summed.
+    keys = sorted(tally)
+    counts = np.array([tally[key] for key in keys], dtype=float)
+    masses = np.array([PERIODIC_TABLE[sym].atomic_mass for sym, _ in keys])
+    m._transport_classes = _ClassTable(
+        tally, sum(tally.values()), float((counts * masses).sum())
+    )
 
 
 def _full_tally(mol: Molecule) -> Counter:

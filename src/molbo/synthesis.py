@@ -540,7 +540,8 @@ def _strings(raw: dict, key: str) -> list[str]:
 
 def dag_from_json(data) -> SynthesisDag:
     """``dag_to_json``'s inverse; a ``ValueError`` names the missing key,
-    or the molecule whose node is malformed or whose parent is missing."""
+    or the molecule whose node is malformed or has a negative step, or
+    whose parent is missing or not at a lower step (which rules out cycles)."""
     if not isinstance(data, dict) or not isinstance(data.get("nodes"), list):
         raise ValueError("a DAG file holds an object with a 'nodes' list")
     dag = SynthesisDag()
@@ -556,8 +557,8 @@ def dag_from_json(data) -> SynthesisDag:
                 conditions=frozenset(_strings(raw, "conditions")),
                 step=raw["step"],
             )
-            if type(node.step) is not int:
-                raise TypeError("'step' must be an integer")
+            if type(node.step) is not int or node.step < 0:
+                raise TypeError("'step' must be a nonnegative integer")
             if not (node.template is None or isinstance(node.template, str)):
                 raise TypeError("'template' must be a string or null")
             dag.nodes[name] = node
@@ -569,6 +570,8 @@ def dag_from_json(data) -> SynthesisDag:
         for parent in node.parents:
             if parent not in dag.nodes:
                 raise ValueError(f"DAG node {node.molecule!r}: parent {parent!r} not in file")
+            if dag.nodes[parent].step >= node.step:
+                raise ValueError(f"DAG node {node.molecule!r}: step not above parent {parent!r}'s")
     return dag
 
 

@@ -494,6 +494,16 @@ class TestRecipe:
         *((json.dumps({"nodes": [{"molecule": "CC", "parents": [], "template": template,
                                   "conditions": [], "step": 0}]}), "'CC': 'template'")
           for template in (1, [], False)),
+        *((json.dumps({"nodes": [
+            {"molecule": molecule, "parents": parents, "template": "join",
+             "conditions": [], "step": step} for molecule, parents, step in nodes]}), named)
+          for nodes, named in (
+              ([("CC", ["CCC"], 1), ("CCC", ["CC"], -2)], "'CCC': 'step'"),
+              ([("CC", ["CCC"], 2), ("CCC", ["CC"], 1)], "'CCC': step not above parent 'CC'"),
+              ([("CCC", ["CC"], 1), ("CC", [], 1)], "'CCC': step not above parent 'CC'"),
+          )),
+        (json.dumps({"nodes": [{"molecule": "C", "parents": [], "template": None,
+                                "conditions": [], "step": -3}]}), "'C': 'step'"),
     ])
     def test_malformed_dag_exit_2(self, capsys, tmp_path, content, named):
         dag_path = tmp_path / "bad.dag.json"

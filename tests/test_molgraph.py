@@ -23,6 +23,8 @@ from molbo.molgraph import (
     add_explicit_hydrogens,
     atom_weight,
     bond_profile,
+    build_from_origins,
+    join_molecules,
     molecular_weight,
     parse_smiles,
     strip_hydrogens,
@@ -490,3 +492,56 @@ class TestCachedSkeleton:
         for mol in cached_molecules:
             for i in range(mol.n_atoms):
                 assert mol.bond_order_sum(i) == _summed_bond_orders(mol, i)
+
+
+class TestBuildFromOrigins:
+    """``build_from_origins`` orders inherited builds: each reagent
+    before its product, each molecule once, nothing already built."""
+
+    @staticmethod
+    def _diamond():
+        # Two products share reagent ``d``, and the final product joins them.
+        d, c, o = parse_smiles("CC"), parse_smiles("C"), parse_smiles("O")
+        a = join_molecules(d, c, 1, 0, BondOrder.SINGLE)
+        b = join_molecules(d, o, 1, 0, BondOrder.SINGLE)
+        return d, c, o, a, b, join_molecules(a, b, 0, 0, BondOrder.SINGLE)
+
+    @staticmethod
+    def _run(mol, done=()):
+        built, asked, order = {id(m) for m in done}, [], []
+
+        def is_built(m):
+            asked.append(m)
+            return id(m) in built
+
+        def build(m):
+            assert id(m) not in built
+            assert all(id(r) in built for r in (m._origin or ())[:2])
+            built.add(id(m))
+            order.append(m)
+
+        build_from_origins(mol, is_built, build)
+        return order, asked
+
+    def test_diamond_builds_each_reagent_once_and_first(self):
+        d, c, o, a, b, product = self._diamond()
+        order, _ = self._run(product)
+        assert sorted(map(id, order)) == sorted(map(id, (d, c, o, a, b, product)))
+        assert order[-1] is product
+
+    def test_molecule_joined_to_itself(self):
+        d = parse_smiles("CC")
+        product = join_molecules(d, d, 0, 0, BondOrder.SINGLE)
+        order, _ = self._run(product)
+        assert [m is d for m in order] == [True, False] and order[1] is product
+
+    def test_built_molecule_is_neither_rebuilt_nor_descended_into(self):
+        d, c, o, a, b, product = self._diamond()
+        order, asked = self._run(product, done=(a,))
+        assert sorted(map(id, order)) == sorted(map(id, (d, o, b, product)))
+        assert all(m is not c for m in asked)
+
+    def test_nothing_is_built_when_the_molecule_is(self):
+        product = self._diamond()[-1]
+        order, asked = self._run(product, done=(product,))
+        assert order == [] and asked == [product]
