@@ -74,8 +74,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--out")
 
-    for name in ("optimize", "explore"):
-        p = sub.add_parser(name)
+    for name, text in (
+        ("optimize", "the optimization loop; writes its run log and DAG"),
+        ("explore", "unscored synthesis walk from a pool, JSON to stdout"),
+    ):
+        p = sub.add_parser(name, help=text)
         p.add_argument("--pool")
         p.add_argument("--objective", choices=[k.value for k in ObjectiveKind])
         p.add_argument("--target", type=int)

@@ -1,18 +1,21 @@
 """Gaussian-process regression over molecules.
 
 The covariance is ``signal_scale**2 * PSD(K) + noise_var * I`` where K is
-the raw kernel Gram over training molecules.  A fit scores its
-hyperparameter candidates as stacks: its random search draws all of them
-with one ``rng.uniform`` call, evaluates the Grams of their distinct
-kernel specs with one stacked ``combine`` call, projects them with one
-``psd_project`` call, factorizes every covariance with one Cholesky call
-and takes every log-determinant in one reduction, so a fit projects K
-once for each distinct kernel spec it meets.  ``build_posterior``
-projects K once more.  A projection costs one stacked Cholesky when
-every Gram in it is certified clear of the floor, and ``eigh`` over the
-stack only when one is not.  Cross-covariances with query molecules use raw
-kernel values scaled by ``signal_scale**2``; the prior variance of every
-query is ``signal_scale**2`` times the kernel's closed-form ``diagonal``.
+the raw kernel Gram over training molecules.  A fit's hyperparameter
+candidate is a row of floats (noise, signal scale, then the kernel's
+hyperparameters), and the fit scores its candidates as stacks: its
+random search draws all of them with one ``rng.uniform`` call, evaluates
+the Grams of their distinct kernel slices with one ``combine`` call over
+a float array of those slices, projects them with one ``psd_project``
+call, factorizes every covariance with one Cholesky call and takes every
+log-determinant in one reduction, so a fit projects K once for each
+distinct kernel slice it meets.  A fit builds a kernel spec only for the
+hyperparameters it returns.  ``build_posterior`` projects K once more.
+A projection costs one stacked Cholesky when every Gram in it is
+certified clear of the floor, and ``eigh`` over the stack only when one
+is not.  Cross-covariances with query molecules use raw kernel values
+scaled by ``signal_scale**2``; the prior variance of every query is
+``signal_scale**2`` times the kernel's closed-form ``diagonal``.
 The mean is a fitted constant.  Hyperparameters are chosen by maximizing
 the log marginal likelihood with a seeded random search followed by
 multiplicative coordinate refinement; the mean constant is profiled out
@@ -98,10 +101,11 @@ class GpPosterior:
     cache: KernelCache
 
 
-def _covariance(k_psd: np.ndarray, noise_var, signal_sq) -> np.ndarray:
-    """``signal_sq * k_psd + noise_var * I``; with ``(k, 1, 1)`` arrays of
-    scales, the covariances of a ``(k, n, n)`` stack of Grams."""
-    return signal_sq * k_psd + noise_var * np.eye(k_psd.shape[-1])
+def _covariance(k_psd: np.ndarray, noise_var, signal_sq, eye: np.ndarray) -> np.ndarray:
+    """``signal_sq * k_psd + noise_var * eye``, ``eye`` the identity of
+    ``k_psd``'s size; with ``(k, 1, 1)`` arrays of scales, the covariances
+    of a ``(k, n, n)`` stack of Grams."""
+    return signal_sq * k_psd + noise_var * eye
 
 
 def _cholesky(mat: np.ndarray) -> np.ndarray:
@@ -170,19 +174,24 @@ def _lml(white: np.ndarray, half_logdet: float) -> float:
 class _FamilyEvaluator:
     """LML evaluation for one training set with precomputed structure.
 
+    A candidate is a row: a list of floats in ``names`` order,
+    ``noise_var`` and ``signal_scale`` first and the kernel
+    hyperparameters after them, in ``kernel.combine``'s column order.
     The kernel ``features`` of the training set do not depend on the
     searched hyperparameters, so they are gathered once.  ``sample``
-    draws a batch of candidates with one ``rng.uniform`` call over their
+    draws a batch of rows with one ``rng.uniform`` call over their
     bounds, with the values and generator state that one scalar draw per
     value in candidate-major order gives.  ``lml_batch`` scores a list of
-    candidates as one stack: one ``combine`` call over the new kernel
-    specs, one ``psd_project`` call over their Grams, one Cholesky call
+    rows as one stack: one ``combine`` call over the rows' new kernel
+    slices, one ``psd_project`` call over their Grams, one Cholesky call
     over all covariances, one finiteness check and one log-determinant
     reduction over the factors, then two triangular solves per candidate.
     An evaluator serves one fit and keeps the projected Gram of every
-    kernel spec it has met, so a candidate whose spec was scored before
-    (one that moves only ``noise_var`` or ``signal_scale``, and every
-    fingerprint candidate) is not projected again.
+    kernel slice it has met, keyed by the slice as a tuple, so a candidate
+    whose kernel slice was scored before (one that moves only
+    ``noise_var`` or ``signal_scale``, and every fingerprint candidate,
+    whose slice is empty) is not projected again.  No kernel spec is built
+    while scoring; ``spec_from`` builds one for the fit's result.
     """
 
     def __init__(self, mols, ys, family: KernelSpec, cache: KernelCache):
@@ -190,56 +199,62 @@ class _FamilyEvaluator:
         _check_finite(self.ys)
         self.family = family
         self._ones = np.ones(len(mols))
+        self._eye = np.eye(len(mols))
         self.names = ["noise_var", "signal_scale"]
         if isinstance(family, SumKernel):
             self.names += ["alpha1", "alpha2"]
         if isinstance(family, (OTExpSum, SumKernel)):
             self.names += [f"beta{i}" for i in range(4)]
         ranges = np.array([_PARAM_RANGES[name] for name in self.names], dtype=float)
+        self._clamps = ranges[:, :2].tolist()
         # Log bounds only where the scale is logarithmic: the alpha range
         # starts at zero.
         self._log_cols = np.flatnonzero(ranges[:, 2])
         ranges[self._log_cols, :2] = np.log(ranges[self._log_cols, :2])
         self._bounds = ranges[:, 0], ranges[:, 1]
         self.features = features(mols, mols, family, cache)
-        self._grams: dict[KernelSpec, np.ndarray] = {}
+        self._grams: dict[tuple[float, ...], np.ndarray] = {}
 
-    def sample(self, rng: np.random.Generator, count: int) -> list[dict[str, float]]:
-        """``count`` candidates drawn from the documented ranges."""
+    def sample(self, rng: np.random.Generator, count: int) -> list[list[float]]:
+        """``count`` candidate rows drawn from the documented ranges."""
         values = rng.uniform(*self._bounds, size=(count, len(self.names)))
         values[:, self._log_cols] = np.exp(values[:, self._log_cols])
-        return [dict(zip(self.names, row)) for row in values.tolist()]
+        return values.tolist()
 
-    @staticmethod
-    def clamp(name: str, value: float) -> float:
-        lo, hi, _ = _PARAM_RANGES[name]
+    def clamp(self, column: int, value: float) -> float:
+        lo, hi = self._clamps[column]
         return min(max(value, lo), hi)
 
-    def spec_from(self, params: dict[str, float]) -> KernelSpec:
+    def spec_from(self, row: list[float]) -> KernelSpec:
+        """The kernel spec of a row's kernel slice."""
         if isinstance(self.family, FingerprintTanimoto):
             return self.family
-        ot = OTExpSum(tuple(params[f"beta{i}"] for i in range(4)))
+        ot = OTExpSum(tuple(row[-4:]))
         if isinstance(self.family, SumKernel):
-            return replace(
-                self.family, alpha1=params["alpha1"], alpha2=params["alpha2"], ot=ot
-            )
+            return replace(self.family, alpha1=row[2], alpha2=row[3], ot=ot)
         return ot
 
-    def _factors(self, candidates: list[dict[str, float]]) -> tuple[list[int], np.ndarray]:
-        """The indices of the candidates whose covariance is positive
-        definite, and the stack of their Cholesky factors."""
-        specs = [self.spec_from(p) for p in candidates]
+    def _factors(self, rows: list[list[float]]) -> tuple[list[int], np.ndarray]:
+        """The indices of the rows whose covariance is positive definite,
+        and the stack of their Cholesky factors."""
+        keys = [tuple(row[2:]) for row in rows]
         grams = self._grams
-        new = [s for s in dict.fromkeys(specs) if s not in grams]
+        new = [key for key in dict.fromkeys(keys) if key not in grams]
         if new:
-            grams.update(zip(new, psd_project(combine(new, *self.features))))
+            params = np.array(new, dtype=float)
+            grams.update(zip(new, psd_project(combine(self.family, params, *self.features))))
         # Squares of Python floats, as in build_posterior: numpy's square
         # can differ in the last bit.
-        cov = _covariance(
-            np.stack([grams[s] for s in specs]),
-            np.array([p["noise_var"] for p in candidates])[:, None, None],
-            np.array([p["signal_scale"] ** 2 for p in candidates])[:, None, None],
-        )
+        if len(rows) == 1:  # a refinement trial: no np.stack, same bits
+            noise_var, signal_scale = rows[0][:2]
+            cov = _covariance(grams[keys[0]], noise_var, signal_scale**2, self._eye)[None]
+        else:
+            cov = _covariance(
+                np.stack([grams[key] for key in keys]),
+                np.array([row[0] for row in rows])[:, None, None],
+                np.array([row[1] ** 2 for row in rows])[:, None, None],
+                self._eye,
+            )
         try:
             return list(range(len(cov))), np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
@@ -253,14 +268,12 @@ class _FamilyEvaluator:
             good.append(i)
         return good, cov[good]
 
-    def lml_batch(
-        self, candidates: list[dict[str, float]]
-    ) -> list[tuple[float, float] | None]:
+    def lml_batch(self, rows: list[list[float]]) -> list[tuple[float, float] | None]:
         """(log marginal likelihood, profiled mean constant) of each
-        candidate, None where its covariance does not factorize."""
-        good, chols = self._factors(candidates)
+        candidate row, None where its covariance does not factorize."""
+        good, chols = self._factors(rows)
         _check_finite(chols)
-        results = [None] * len(candidates)
+        results = [None] * len(rows)
         for i, chol, half_logdet in zip(good, chols, _half_logdet(chols).tolist()):
             # Two one-column solves: a two-column solve changes the bits.
             wy = _solve(chol, self.ys)
@@ -279,11 +292,13 @@ def fit(
 ) -> GpHyperparams:
     """Maximize the marginal likelihood over the family's hyperparameters.
 
-    Seeded random search (64 candidates from the documented ranges,
+    Seeded random search (64 candidate rows from the documented ranges,
     drawn with one ``rng.uniform`` call and scored as one batch) followed
     by three greedy coordinate passes with multiplicative steps of 1.5,
-    one trial at a time.  Deterministic given the generator state.
-    ``ys`` must hold one finite value per molecule.
+    one trial at a time: a trial is the best row with one entry scaled
+    and clamped to its range, skipped where the clamp leaves it unchanged.
+    Deterministic given the generator state.  ``ys`` must hold one finite
+    value per molecule.
     """
     if len(mols) < 3:
         raise ValueError("fit needs at least three observations")
@@ -291,33 +306,34 @@ def fit(
         cache = KernelCache()
     ev = _FamilyEvaluator(mols, ys, spec_family, cache)
 
-    best_params = None
+    best_row = None
     best_value = -np.inf
     best_mean = 0.0
 
-    def consider(candidates):
-        nonlocal best_params, best_value, best_mean
-        for params, result in zip(candidates, ev.lml_batch(candidates)):
+    def consider(rows):
+        nonlocal best_row, best_value, best_mean
+        for row, result in zip(rows, ev.lml_batch(rows)):
             if result is not None and result[0] > best_value:
-                best_params, (best_value, best_mean) = params, result
+                best_row, (best_value, best_mean) = row, result
 
     consider(ev.sample(rng, N_SEARCH_SAMPLES))
-    if best_params is None:
+    if best_row is None:
         raise FitFailure("all hyperparameter candidates failed to factorize")
 
     for _ in range(N_REFINE_PASSES):
-        for name in ev.names:
+        for column in range(len(ev.names)):
             for factor in (REFINE_FACTOR, 1.0 / REFINE_FACTOR):
-                trial = dict(best_params)
-                trial[name] = ev.clamp(name, trial[name] * factor)
-                if trial[name] != best_params[name]:
+                value = ev.clamp(column, best_row[column] * factor)
+                if value != best_row[column]:
+                    trial = best_row.copy()
+                    trial[column] = value
                     consider([trial])
 
     return GpHyperparams(
-        kernel_spec=ev.spec_from(best_params),
-        noise_var=best_params["noise_var"],
+        kernel_spec=ev.spec_from(best_row),
+        noise_var=best_row[0],
         mean_const=best_mean,
-        signal_scale=best_params["signal_scale"],
+        signal_scale=best_row[1],
     )
 
 
@@ -343,9 +359,10 @@ def build_posterior(
     if cache is None:
         cache = KernelCache()
     k_psd = psd_project(gram(mols, hyper.kernel_spec, cache))
+    eye = np.eye(len(mols))
     while True:
         try:
-            chol = _cholesky(_covariance(k_psd, hyper.noise_var, hyper.signal_scale**2))
+            chol = _cholesky(_covariance(k_psd, hyper.noise_var, hyper.signal_scale**2, eye))
             break
         except CholeskyFailure:
             if hyper.noise_var >= NOISE_RANGE[1]:

@@ -5,11 +5,11 @@ sum over the four transport dissimilarities (``exp(-sum_i beta_i d_i)``),
 and their weighted sum ``alpha1 * k_fp + alpha2 * k_ot``.  Every kernel
 value goes through two steps: ``features`` gathers a block's
 hyperparameter-free inputs (transport distances, Tanimoto values) from a
-``KernelCache``, and ``combine`` turns them into kernel values for a
-sequence of specs of one family, as one stack of blocks.  ``gram``,
-``cross_gram`` and ``diagonal`` use its one-spec case and the GP fit a
-stack of its candidates' specs, so a pair has one value wherever it is
-computed.
+``KernelCache``, and ``combine`` turns them into kernel values for each
+row of a float array of one family's kernel hyperparameters, as one
+stack of blocks.  ``gram``, ``cross_gram`` and ``diagonal`` pass their
+spec's one row (``_row``) and the GP fit the kernel slices of its
+candidate rows, so a pair has one value wherever it is computed.
 
 Both features come from the cache's per-run stores, one per feature
 kind: a growing array with a row per unordered pair of canonical-form
@@ -81,8 +81,10 @@ class OTExpSum:
     def __post_init__(self):
         if len(self.betas) != 4:
             raise ValueError("OTExpSum takes exactly four betas")
-        if any(b < 0 for b in self.betas):
-            raise ValueError("betas must be nonnegative")
+        # A NaN fails both comparisons; an inf beta would make exp(-inf * 0)
+        # NaN on the diagonal.
+        if not all(0 <= b < math.inf for b in self.betas):
+            raise ValueError("betas must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -219,29 +221,37 @@ def features(
 
 
 def combine(
-    specs: list[KernelSpec], dist: np.ndarray | None, k_fp: np.ndarray | None
+    family: KernelSpec, params: np.ndarray, dist: np.ndarray | None, k_fp: np.ndarray | None
 ) -> np.ndarray:
-    """Kernel values of a block from its ``features``, for each of
-    ``specs``: a ``(len(specs), r, c)`` stack.
+    """Kernel values of a block from its ``features``, for each row of
+    ``params``: a ``(len(params), r, c)`` stack.
 
-    The specs must share one family.  The exponent is a fixed-order
-    elementwise sum, so a pair gets the same bits in a block of any shape
-    and in a stack of any length.
+    ``params`` is a ``(k, p)`` float array whose rows are kernel
+    hyperparameters of ``family``'s type in ``_row`` order: no columns for
+    ``FingerprintTanimoto``, the four betas for ``OTExpSum``, and
+    ``alpha1, alpha2`` then the betas for ``SumKernel``.  The exponent is
+    a fixed-order elementwise sum, so a pair gets the same bits in a block
+    of any shape and in a stack of any length.
     """
-    family = type(specs[0])
-    if any(type(s) is not family for s in specs):
-        raise TypeError("combine takes specs of one family")
-    if family is FingerprintTanimoto:
-        return np.repeat(k_fp[None], len(specs), axis=0)
-    if family is OTExpSum:
-        betas = np.array([s.betas for s in specs], dtype=float)
-        b0, b1, b2, b3 = betas.T[:, :, None, None]
+    if isinstance(family, FingerprintTanimoto):
+        return np.repeat(k_fp[None], len(params), axis=0)
+    if isinstance(family, OTExpSum):
+        b0, b1, b2, b3 = params.T[:, :, None, None]
         return np.exp(-(b0 * dist[0] + b1 * dist[1] + b2 * dist[2] + b3 * dist[3]))
-    if family is SumKernel:
-        alphas = np.array([(s.alpha1, s.alpha2) for s in specs], dtype=float)
-        alpha1, alpha2 = alphas.T[:, :, None, None]
-        return alpha1 * k_fp + alpha2 * combine([s.ot for s in specs], dist, None)
-    raise TypeError(f"unknown kernel spec: {specs[0]!r}")
+    if isinstance(family, SumKernel):
+        alpha1, alpha2 = params.T[:2, :, None, None]
+        return alpha1 * k_fp + alpha2 * combine(family.ot, params[:, 2:], dist, None)
+    raise TypeError(f"unknown kernel spec: {family!r}")
+
+
+def _row(spec: KernelSpec) -> tuple[float, ...]:
+    """The kernel hyperparameters of ``spec`` as one row of ``combine``'s
+    ``params``."""
+    if isinstance(spec, SumKernel):
+        return (spec.alpha1, spec.alpha2, *spec.ot.betas)
+    if isinstance(spec, OTExpSum):
+        return spec.betas
+    return ()
 
 
 def cross_gram(
@@ -253,7 +263,8 @@ def cross_gram(
     """Raw kernel values between two molecule lists (no projection)."""
     if cache is None:
         cache = KernelCache()
-    return combine([spec], *features(rows, cols, spec, cache))[0]
+    return combine(spec, np.array([_row(spec)], dtype=float),
+                   *features(rows, cols, spec, cache))[0]
 
 
 def gram(
@@ -272,7 +283,8 @@ def diagonal(spec: KernelSpec) -> float:
     constants: ``distance_vector(x, x)`` returns ``np.zeros(4)`` and
     ``tanimoto(a, a)`` is exactly 1.0.
     """
-    return float(combine([spec], np.zeros((4, 1, 1)), np.ones((1, 1)))[0, 0, 0])
+    params = np.array([_row(spec)], dtype=float)
+    return float(combine(spec, params, np.zeros((4, 1, 1)), np.ones((1, 1)))[0, 0, 0])
 
 
 def psd_project(values: np.ndarray, floor: float = DEFAULT_PSD_FLOOR) -> np.ndarray:
@@ -297,8 +309,9 @@ def psd_project(values: np.ndarray, floor: float = DEFAULT_PSD_FLOOR) -> np.ndar
     So the clamp below would find no member under the floor, and the
     certified stack comes back as the same ``values.copy()``.  When the
     factorization fails (a member near or below the floor), when an entry
-    is NaN or inf (the factorization lets a NaN through) and for any
-    dtype but float64, ``eigh`` and the clamp run as before.
+    is inf (its margin is inf) and for any dtype but float64, ``eigh`` and
+    the clamp run as before.  A NaN entry never gets that far: the
+    symmetry check rejects it with ``ValueError``.
     """
     if floor < 0:
         raise ValueError("floor must be nonnegative")
@@ -311,8 +324,8 @@ def psd_project(values: np.ndarray, floor: float = DEFAULT_PSD_FLOOR) -> np.ndar
         raise ValueError("psd_project expects a symmetric matrix")
     if values.dtype == np.float64:
         n = values.shape[-1]
-        # Python floats: an overflow gives inf without a warning, a NaN
-        # entry gives a NaN margin, and neither is below inf.
+        # Python floats: an inf entry or an overflow gives an inf margin
+        # without a warning, and the stack goes to eigh.
         scale = float(np.abs(values).max(initial=0.0))
         margin = floor + _CERTIFICATE_FACTOR * (n + 1) ** 2 * n * _EPS * scale
         if margin < math.inf:

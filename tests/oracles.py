@@ -13,10 +13,12 @@ block costs against the exact optimum of the whole block, without
 matching equal bond profiles first, found by cancelling the negative
 cycles of a plan on integer-scaled costs until none is left.  The GP
 fit's batched candidate draw is checked against one scalar draw per
-value, and the walk's draws against a walk whose every draw is numpy's own
-``Generator.random``, ``integers`` or ``choice`` call.  The PSD
-projection is checked against the ``eigh``-and-clamp projection that
-runs on every stack, with no Cholesky certificate in front of it.
+value, the fit itself against the former fit whose every candidate is a
+dict turned into a kernel spec, and the walk's draws against a walk
+whose every draw is numpy's own ``Generator.random``, ``integers`` or
+``choice`` call.  The PSD projection is checked against the
+``eigh``-and-clamp projection that runs on every stack, with no
+Cholesky certificate in front of it.
 Template products are checked against the general merge that maps both
 reagents' kept atoms to new indices and runs the ``Molecule``
 constructor on the result.  The carboxylic-acid and aldehyde site finders
@@ -33,13 +35,17 @@ exact ``Fraction`` sum of the element block optima.
 import itertools
 import math
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.optimize import linprog
 
-from molbo.errors import EigenFailure, MissingContribution
+from molbo import gp
+from molbo.errors import EigenFailure, FitFailure, MissingContribution
 from molbo.gp import _PARAM_RANGES
+from molbo.kernel import FingerprintTanimoto, KernelCache, KernelSpec, OTExpSum, SumKernel, gram
 from molbo.molgraph import PERIODIC_TABLE, BondOrder, Molecule, WeightMode, atom_weight
 from molbo.objectives import Objective
 from molbo.optimizer import REAGENT_PAIR_PROBABILITY
@@ -404,6 +410,78 @@ def sample_one_at_a_time(names: list[str], rng: np.random.Generator,
                 params[name] = float(rng.uniform(lo, hi))
         candidates.append(params)
     return candidates
+
+
+def fit_by_dicts(mols: list[Molecule], ys, family: KernelSpec, rng: np.random.Generator,
+                 cache: KernelCache) -> tuple[KernelSpec, float, float, float]:
+    """``gp.fit`` with each candidate a dict from hyperparameter name to
+    value and turned into its ``KernelSpec``, which keys the projected
+    Grams and computes them: one ``kernel.gram`` per new spec, stacked
+    into one ``gp.psd_project`` call (looked up on ``gp``, so a test that
+    patches it there patches both fits).  Every covariance gets a fresh
+    identity and is factorized on its own, and the search candidates are
+    drawn one value at a time.  Returns ``(kernel_spec, noise_var,
+    signal_scale, mean_const)``."""
+    ys = np.asarray(ys, dtype=float)
+    n = len(ys)
+    names = ["noise_var", "signal_scale"]
+    if isinstance(family, SumKernel):
+        names += ["alpha1", "alpha2"]
+    if isinstance(family, (OTExpSum, SumKernel)):
+        names += [f"beta{i}" for i in range(4)]
+    grams = {}
+
+    def spec_from(params):
+        if isinstance(family, FingerprintTanimoto):
+            return family
+        ot = OTExpSum(tuple(params[f"beta{i}"] for i in range(4)))
+        if isinstance(family, SumKernel):
+            return replace(family, alpha1=params["alpha1"], alpha2=params["alpha2"], ot=ot)
+        return ot
+
+    def lml_batch(candidates):
+        specs = [spec_from(p) for p in candidates]
+        new = [s for s in dict.fromkeys(specs) if s not in grams]
+        if new:
+            grams.update(zip(new, gp.psd_project(np.stack([gram(mols, s, cache) for s in new]))))
+        results = []
+        for params, spec in zip(candidates, specs):
+            cov = params["signal_scale"] ** 2 * grams[spec] + params["noise_var"] * np.eye(n)
+            try:
+                chol = np.linalg.cholesky(cov)
+            except np.linalg.LinAlgError:
+                results.append(None)
+                continue
+            wy = solve_triangular(chol, ys, lower=True)
+            w1 = solve_triangular(chol, np.ones(n), lower=True)
+            mean = float(w1 @ wy / (w1 @ w1))
+            white = wy - mean * w1
+            half_logdet = float(np.log(chol.diagonal()).sum())
+            lml = float(-0.5 * white @ white - half_logdet - 0.5 * n * math.log(2.0 * math.pi))
+            results.append((lml, mean))
+        return results
+
+    best_params, best_value, best_mean = None, -np.inf, 0.0
+
+    def consider(candidates):
+        nonlocal best_params, best_value, best_mean
+        for params, result in zip(candidates, lml_batch(candidates)):
+            if result is not None and result[0] > best_value:
+                best_params, (best_value, best_mean) = params, result
+
+    consider(sample_one_at_a_time(names, rng, gp.N_SEARCH_SAMPLES))
+    if best_params is None:
+        raise FitFailure("all hyperparameter candidates failed to factorize")
+    for _ in range(gp.N_REFINE_PASSES):
+        for name in names:
+            for factor in (gp.REFINE_FACTOR, 1.0 / gp.REFINE_FACTOR):
+                lo, hi, _ = _PARAM_RANGES[name]
+                trial = dict(best_params)
+                trial[name] = min(max(trial[name] * factor, lo), hi)
+                if trial[name] != best_params[name]:
+                    consider([trial])
+    return (spec_from(best_params), best_params["noise_var"], best_params["signal_scale"],
+            best_mean)
 
 
 def pick_by_choice(rng: np.random.Generator, n: int, size: int) -> list[int]:

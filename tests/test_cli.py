@@ -2,6 +2,8 @@ import csv
 import hashlib
 import io
 import json
+import math
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +12,7 @@ import pytest
 
 import oracles
 from molbo import otdist
-from molbo.cli import _pair_of_index, main
+from molbo.cli import _COMMANDS, _pair_of_index, main
 from molbo.kernel import KernelCache
 from molbo.molgraph import parse_smiles
 from molbo.synthesis import load_dag
@@ -20,6 +22,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_help_describes_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    # a described subcommand's line: four spaces, its name, its help text
+    described = {m[1] for line in capsys.readouterr().out.splitlines()
+                 if (m := re.match(r"    (\w+) +\S", line))}
+    assert described == set(_COMMANDS)
 
 
 @pytest.fixture()
@@ -118,6 +130,17 @@ class TestGram:
         assert code == 0
         assert by_file == run_cli(capsys, "gram", *pool, "--kernel", "fingerprint")[1]
         assert by_file != run_cli(capsys, "gram", *pool)[1]  # the OT default
+
+    # JSON's NaN and Infinity extensions, and a number too large for a float
+    @pytest.mark.parametrize("beta", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_beta_exit_2(self, capsys, small_pool_path, tmp_path, beta):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(f'{{"kernel": "ot", "betas": [1, 2, 3, {beta}]}}')
+        code, out, err = run_cli(capsys, "gram", "--pool", str(small_pool_path),
+                                 "--config", str(cfg_path))
+        assert code == 2
+        assert not out
+        assert "'betas'" in err and "finite" in err
 
     def test_missing_pool_exit_2(self, capsys, tmp_path):
         missing = tmp_path / "nope.smi"
@@ -221,11 +244,13 @@ class TestOptimize:
         ({"n_bits": 100, "kernel": "fingerprint"}, "'n_bits'"),
         ({"max_path_len": 0}, "'max_path_len'"),
         ({"alpha1": 20, "kernel": "sum"}, "'alpha1'"),
+        ({"betas": [1, 2, 3, math.nan]}, "'betas'"),
+        ({"betas": [1, 2, 3, math.inf], "kernel": "sum"}, "'betas'"),
     ], ids=["not-an-object", "betas", "qed-bands", "contribution-table", "condition",
             "budget-list", "budget-bool", "target-float", "seed-string",
             "explorer-steps-null", "alpha1-list", "alpha2-bool", "conditions-int",
             "conditions-not-names", "pool-list", "pool-int", "n-bits-range",
-            "max-path-len-range", "alpha1-range"])
+            "max-path-len-range", "alpha1-range", "betas-nan", "betas-inf"])
     def test_malformed_config_exit_2(self, capsys, small_pool_path, tmp_path, config,
                                      named):
         cfg_path = tmp_path / "bad.json"

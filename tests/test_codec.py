@@ -2,6 +2,7 @@
 every default, and rejects a malformed key by name."""
 
 import json
+import math
 
 import pytest
 
@@ -199,10 +200,14 @@ class TestMalformed:
         (with_entry(["kernel", "max_path_len"], 11), ["'max_path_len'", "1..10"]),
         ({"seed": 1}, ["'initial_pool'"]),
         ({"initial_pool": ["C", "N"]}, ["'seed'"]),
+        (with_entry(["kernel", "betas"], [1, 2, 3, math.nan]), ["'betas'", "finite"]),
+        (with_entry(["kernel", "betas"], [1, 2, math.inf, 3]), ["'betas'", "finite"]),
+        (with_entry(["kernel", "betas"], [-math.inf, 1, 2, 3]), ["'betas'", "finite"]),
     ], ids=["budget-bool", "family", "three-betas", "band-without-c", "pool-string",
             "pool-not-strings", "objective-string", "seed-float", "n-bits-string",
             "method", "contribution-null", "alpha-out-of-range", "alpha2-out-of-range",
-            "n-bits-out-of-range", "max-path-len-out-of-range", "no-pool", "no-seed"])
+            "n-bits-out-of-range", "max-path-len-out-of-range", "no-pool", "no-seed",
+            "beta-nan", "beta-inf", "beta-minus-inf"])
     def test_rejected_naming_the_key(self, header, named):
         with pytest.raises(ValueError) as err:
             config_from_json(header)

@@ -297,29 +297,48 @@ class TestProjectionsPerFit:
     @pytest.mark.parametrize("family", [OTExpSum(), SumKernel()],
                              ids=lambda f: type(f).__name__)
     def test_each_spec_projected_once(self, monkeypatch, family):
-        """A refinement trial that returns to a spec scored earlier in the
-        fit, after other specs, reuses its projected Gram."""
+        """A refinement trial that returns to a kernel slice scored earlier
+        in the fit, after other slices, reuses its projected Gram."""
         combined, projected, scored = [], [], []
         combine, project = gp.combine, gp.psd_project
         lml_batch = gp._FamilyEvaluator.lml_batch
 
-        def recording_combine(specs, *feats):
-            combined.extend(specs)
-            return combine(specs, *feats)
+        def recording_combine(family, params, *feats):
+            combined.extend(map(tuple, params.tolist()))
+            return combine(family, params, *feats)
 
         def counting_project(values, *args, **kwargs):
             projected.append(len(values))
             return project(values, *args, **kwargs)
 
-        def recording_lml_batch(self, candidates):
-            scored.extend(self.spec_from(p) for p in candidates)
-            return lml_batch(self, candidates)
+        def recording_lml_batch(self, rows):
+            scored.extend(tuple(row[2:]) for row in rows)
+            return lml_batch(self, rows)
 
         monkeypatch.setattr(gp, "combine", recording_combine)
         monkeypatch.setattr(gp, "psd_project", counting_project)
         monkeypatch.setattr(gp._FamilyEvaluator, "lml_batch", recording_lml_batch)
         self.fit_six(family)
         assert len(combined) == len(set(combined)) == len(set(scored)) == sum(projected)
+        assert set(combined) == set(scored)
+
+    @pytest.mark.parametrize("family", [FingerprintTanimoto(), OTExpSum(), SumKernel()],
+                             ids=lambda f: type(f).__name__)
+    def test_kernel_specs_built_only_for_the_result(self, monkeypatch, family):
+        built = []
+        for spec_type in (OTExpSum, SumKernel):
+            check = spec_type.__post_init__
+
+            def counting(spec, check=check):
+                built.append(type(spec))
+                check(spec)
+
+            monkeypatch.setattr(spec_type, "__post_init__", counting)
+        h = self.fit_six(family)
+        want = {FingerprintTanimoto: [], OTExpSum: [OTExpSum],
+                SumKernel: [OTExpSum, SumKernel]}[type(family)]
+        assert built == want
+        assert type(h.kernel_spec) is type(family)
 
 
 @pytest.mark.parametrize(
@@ -335,8 +354,9 @@ def test_batched_draw_is_scalar_draws(family):
         batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
         got = ev.sample(batched, gp.N_SEARCH_SAMPLES)
         want = oracles.sample_one_at_a_time(ev.names, scalar, gp.N_SEARCH_SAMPLES)
-        bits = [[(k, v.hex()) for k, v in c.items()] for c in got]
-        assert bits == [[(k, v.hex()) for k, v in c.items()] for c in want]
+        assert all(type(v) is float for row in got for v in row)
+        bits = [[v.hex() for v in row] for row in got]
+        assert bits == [[c[name].hex() for name in ev.names] for c in want]
         assert batched.bit_generator.state == scalar.bit_generator.state
 
 
@@ -418,6 +438,18 @@ class TestStackedEvaluation:
         assert got[3] is None
         assert got[:3] + got[4:] == want[:3] + want[4:]
 
+    def test_one_row_batch_matches_its_stack_member(self, broken):
+        """A batch of one row, which skips ``np.stack``, scores a failing
+        row as None and a good one with the bits it gets in a stack."""
+        make = self.factory(SumKernel())
+        rows = make().sample(np.random.default_rng(4), 6)
+        stacked = make().lml_batch(rows)
+        assert all(r is not None for r in stacked)
+        single = make()
+        assert [single.lml_batch([row])[0] for row in rows] == stacked
+        broken.append(0)
+        assert make().lml_batch([rows[2]]) == [None]
+
     def test_every_candidate_failing_raises(self, broken):
         broken.extend(range(gp.N_SEARCH_SAMPLES))
         mols = distinct_molecules(random.Random(8), 6)
@@ -433,3 +465,59 @@ class TestStackedEvaluation:
             fit(mols, ys, OTExpSum(), np.random.default_rng(42))
         with pytest.raises(ValueError, match="infs or NaNs"):
             build_posterior(mols, ys, hyper())
+
+
+class TestFitMatchesDictReference:
+    """``fit`` returns, bit for bit, what the former fit that turned every
+    candidate dict into a kernel spec returns (``oracles.fit_by_dicts``),
+    and leaves the generator in the same state."""
+
+    FAMILIES = [FingerprintTanimoto(), OTExpSum(), SumKernel()]
+
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        """The results of every ``lml_batch`` call of the latest fit."""
+        batches = []
+        lml_batch = gp._FamilyEvaluator.lml_batch
+
+        def recording(self, rows):
+            results = lml_batch(self, rows)
+            batches.append(results)
+            return results
+
+        monkeypatch.setattr(gp._FamilyEvaluator, "lml_batch", recording)
+        return batches
+
+    @staticmethod
+    def check(family, seed, batches):
+        rng = random.Random(seed)
+        n = rng.randint(3, 12)
+        mols = distinct_molecules(rng, n)
+        ys = np.random.default_rng(seed).normal(size=n)
+        cache = KernelCache()
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        batches.clear()
+        h = fit(mols, ys, family, got_rng, cache)
+        want = oracles.fit_by_dicts(mols, ys, family, want_rng, cache)
+        assert (h.kernel_spec, h.noise_var, h.signal_scale, h.mean_const) == want
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        return list(batches)
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: type(f).__name__)
+    def test_random_training_sets(self, family, batches):
+        names = {FingerprintTanimoto: 2, OTExpSum: 6, SumKernel: 8}[type(family)]
+        trials = [len(self.check(family, seed, batches)) - 1 for seed in range(8)]
+        # a trial is skipped only where the best value sits at a range bound
+        assert min(trials) < 2 * gp.N_REFINE_PASSES * names
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: type(f).__name__)
+    def test_failing_candidates(self, family, batches, monkeypatch):
+        """Gram matrices shifted by ``-0.5 I`` leave the covariance of every
+        candidate with too little noise for its signal indefinite."""
+        project = gp.psd_project
+        monkeypatch.setattr(gp, "psd_project", lambda values, *args, **kwargs: (
+            project(values, *args, **kwargs) - 0.5 * np.eye(values.shape[-1])))
+        fits = [self.check(family, seed, batches) for seed in range(6)]
+        assert any(r is None for search, *_ in fits for r in search)
+        if isinstance(family, FingerprintTanimoto):  # and some trials fail
+            assert any(r == [None] for _, *trials in fits for r in trials)

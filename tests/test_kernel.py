@@ -14,6 +14,7 @@ from molbo.kernel import (
     OTExpSum,
     SumKernel,
     _cell,
+    _row,
     combine,
     cross_gram,
     diagonal,
@@ -69,6 +70,9 @@ class TestKernelValue:
             OTExpSum((-1.0, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             OTExpSum((1.0, 1.0, 1.0))
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                OTExpSum((1.0, 2.0, 3.0, bad))
         with pytest.raises(ValueError):
             SumKernel(alpha1=11.0)
 
@@ -409,10 +413,10 @@ class TestDistanceStore:
         self.check(expanded[:30], expanded[:30], cache, memo)
         want = self.check(expanded, expanded, cache, memo)
         assert np.array_equal(gram(expanded, self.SPEC, cache),
-                              combine([self.SPEC], want, None)[0])
+                              combine(self.SPEC, np.array([self.SPEC.betas]), want, None)[0])
         want = self.check(heavy[::-1], expanded, cache, memo)
         assert np.array_equal(cross_gram(heavy[::-1], expanded, self.SPEC, cache),
-                              combine([self.SPEC], want, None)[0])
+                              combine(self.SPEC, np.array([self.SPEC.betas]), want, None)[0])
         assert cache.distance_vector(a, b).tobytes() == first.tobytes()
 
     def test_store_grows_and_keeps_every_cell(self, corpus):
@@ -589,9 +593,10 @@ class TestOneValuePerPair:
     def test_fit_gram_is_gram(self, spec, corpus_mols, corpus_cache):
         ys = np.zeros(len(corpus_mols))
         ev = _FamilyEvaluator(corpus_mols, ys, spec, corpus_cache)
-        fitted = [ev.spec_from(p) for p in ev.sample(np.random.default_rng(5), 20)]
-        for spec_i, block in zip(fitted, combine(fitted, *ev.features)):
-            assert np.array_equal(block, gram(corpus_mols, spec_i, corpus_cache))
+        rows = ev.sample(np.random.default_rng(5), 20)
+        params = np.array([row[2:] for row in rows])
+        for row, block in zip(rows, combine(spec, params, *ev.features)):
+            assert np.array_equal(block, gram(corpus_mols, ev.spec_from(row), corpus_cache))
 
     def test_matches_per_pair_formula(self, spec, corpus_mols, corpus_cache):
         g = gram(corpus_mols, spec, corpus_cache)
@@ -611,7 +616,7 @@ def scalar_formula(spec, dist, k_fp):
 
 
 class TestStackedCombine:
-    """A stack of specs gets, member by member, the bits of one spec at a
+    """A stack of rows gets, member by member, the bits of one spec at a
     time and of the scalar formula."""
 
     @staticmethod
@@ -633,10 +638,11 @@ class TestStackedCombine:
         specs = self.random_specs(family, 24, np.random.default_rng(3))
         for cols in (mols, mols[::-3]):
             feats = features(mols, cols, specs[0], corpus_cache)
-            stack = combine(specs, *feats)
+            stack = combine(specs[0], np.array([_row(s) for s in specs]), *feats)
             assert stack.shape == (len(specs), len(mols), len(cols))
             for spec, block in zip(specs, stack):
-                one = combine([spec], *feats)[0]
+                one = combine(spec, np.array([_row(spec)]), *feats)[0]
+                assert one.tobytes() == cross_gram(mols, cols, spec, corpus_cache).tobytes()
                 assert block.tobytes() == one.tobytes()
                 assert one.tobytes() == scalar_formula(spec, *feats).tobytes()
 
@@ -645,7 +651,10 @@ class TestStackedCombine:
         assert diagonal(OTExpSum((0.3, 2.0, 0.01, 0.5))) == 1.0
         assert diagonal(SumKernel(alpha1=2.5, alpha2=0.75)) == 3.25
 
-    def test_one_family_per_stack(self, corpus_mols, corpus_cache):
+    def test_rows_have_the_family_width(self, corpus_mols, corpus_cache):
         feats = features(corpus_mols, corpus_mols, SumKernel(), corpus_cache)
-        with pytest.raises(TypeError, match="one family"):
-            combine([SumKernel(), OTExpSum()], *feats)
+        assert [len(_row(f)) for f in (FingerprintTanimoto(), OTExpSum(), SumKernel())] \
+            == [0, 4, 6]
+        for family, width in ((OTExpSum(), 6), (SumKernel(), 4), (SumKernel(), 7)):
+            with pytest.raises(ValueError):
+                combine(family, np.ones((2, width)), *feats)
