@@ -28,10 +28,9 @@ cases = [
     ("N-alkylation", "CN", "CCl", {"base"}),
 ]
 for name, a, b, conds in cases:
-    products, _ = synthesize_detailed([parse_smiles(a), parse_smiles(b)], conds,
-                                      OracleKind.TEMPLATE)
-    made = ", ".join(sorted(m.canonical_form for m in products))
-    print(f"  {name:18s} {a} + {b} under {sorted(conds)} -> {made}")
+    made, _ = synthesize_detailed([parse_smiles(a), parse_smiles(b)], conds,
+                                  OracleKind.TEMPLATE)
+    print(f"  {name:18s} {a} + {b} under {sorted(conds)} -> {made.canonical_form}")
 
 print("\n  wrong conditions give Null:",
       synthesize_detailed([parse_smiles("CC(=O)O"), parse_smiles("CCO")], {"base"},

@@ -69,18 +69,17 @@ def ucb(mu, sigma, beta_t):
     return float(value) if value.ndim == 0 else value
 
 
-def ttei(candidates, best, epsilon, rng: np.random.Generator) -> np.ndarray:
-    """Top-two expected improvement.
+def ttei(mu, sigma, best, epsilon, rng: np.random.Generator) -> np.ndarray:
+    """Top-two expected improvement of candidates with posterior means
+    ``mu`` and standard deviations ``sigma`` (scalars or arrays).
 
     With probability ``1 - epsilon`` this is plain EI against ``best``;
     otherwise the anchor is re-based at the posterior mean of the EI
     argmax candidate (if higher), drawn once per call.
     """
-    pairs = list(candidates)
-    if not pairs:
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    if not mu.size:
         raise ValueError("ttei needs at least one candidate")
-    mu = np.array([p[0] for p in pairs], dtype=float)
-    sigma = np.array([p[1] for p in pairs], dtype=float)
     base = np.atleast_1d(ei(mu, sigma, best))
     if rng.random() >= epsilon:
         return base

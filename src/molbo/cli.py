@@ -227,6 +227,8 @@ def _cmd_analyze(args) -> int:
         raise ValueError("--sample-pairs must be at least 1")
     pool, (objective, seed) = _configured(args, lambda h: (
         objective_from_json(h["objective"]), _entry(h, "seed", _INT, 0)))
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     if len(pool) < 2:
         raise ValueError("analyze needs at least two pool molecules")
     values = [evaluate(objective, m) for m in pool]

@@ -33,6 +33,7 @@ never loads it.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -59,13 +60,20 @@ DEFAULT_CONTRIBUTIONS: dict[str, float] = {
 @dataclass(frozen=True)
 class Band:
     """Trapezoidal desirability: rises a..b, flat 1 on b..c, falls c..d;
-    never below ``floor`` so geometric means stay positive."""
+    never below ``floor`` so geometric means stay positive.  Corners are
+    finite and ordered, and the floor lies in (0, 1], as scores do."""
 
     a: float
     b: float
     c: float
     d: float
     floor: float = 0.05
+
+    def __post_init__(self):
+        if not -math.inf < self.a <= self.b <= self.c <= self.d < math.inf:
+            raise ValueError("band corners must be finite with a <= b <= c <= d")
+        if not 0 < self.floor <= 1:
+            raise ValueError("band floor must lie in (0, 1]")
 
     def score(self, x: float) -> float:
         if self.b <= x <= self.c:
@@ -104,6 +112,11 @@ class Objective:
     qed_bands: Mapping[str, Band] = field(
         default_factory=lambda: dict(DEFAULT_QED_BANDS)
     )
+
+    def __post_init__(self):
+        for symbol, value in self.contributions.items():
+            if not math.isfinite(value):
+                raise ValueError(f"contribution of {symbol!r} must be finite, not {value!r}")
 
 
 def _missing(symbol: str) -> MissingContribution:

@@ -8,11 +8,12 @@ logged as it is made, best-so-far tracked) and returns the
 - the guided body refits the GP each iteration on everything rated so
   far, picks an acquisition from the adaptive ensemble, and optimizes it
   by a random walk on the synthesis graph (repeatedly draw a reagent
-  subset and a condition subset, ask the oracle for products, and keep
-  novel molecules until the required number of successful steps); it
-  then rates the acquisition argmax over the unrated molecules of the
-  whole (persistent) pool, and ends the run, stalled, when none is left;
-- the random body runs the same walk and rates every new unique product
+  subset and a condition subset, ask the oracle for their one product,
+  and pool it if it is new to the pool, until the required number of
+  successful steps); it then rates the acquisition argmax over the
+  unrated molecules of the whole (persistent) pool, and ends the run,
+  stalled, when none is left;
+- the random body runs the same walk and rates every molecule it pools
   directly.
 
 Both bodies draw from the one walk generator ``_walk``.  Each draw reads
@@ -98,6 +99,8 @@ class RunConfig:
             raise ValueError("initial pool needs at least two molecules")
         if self.budget_t < 0:
             raise ValueError("budget_t must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.explorer_steps < 1:
             raise ValueError("explorer_steps must be at least 1")
         if not self.conditions:
@@ -239,21 +242,21 @@ def _pick(stream: _Pcg64Stream, n, size):
     return [b, a] if stream.integers(0, 2) == 0 else [a, b]
 
 
-def _walk(pool, conditions, past, oracle, rng, dag, max_failures, step):
+def _walk(pool, conditions, oracle, rng, dag, max_failures, step):
     """Rand-Select walk on the synthesis graph, one draw at a time.
 
     A draw picks one or two reagents from ``pool`` and one or two
-    conditions and asks the oracle for products: it reads the reagent
+    conditions and asks the oracle for their product: it reads the reagent
     count from ``random()`` (two with ``REAGENT_PAIR_PROBABILITY``) and
     the condition count from ``integers(1, 3)``, each capped by what there
     is, and picks the indices with ``_pick``; the conditions go to the
     oracle as their id strings, in the order ``conditions`` lists them,
     one tuple per distinct pick built once per walk (so the oracle hashes
-    no ``Condition``).  It succeeds when a product lies outside ``past``
-    and the pool: the draw is recorded in ``dag`` (if given) as ``step``
-    with the same ids, the new molecules are appended to ``pool`` and
-    yielded.  The walk returns after ``max_failures`` consecutive failed
-    draws.
+    no ``Condition``).  It succeeds when the product's canonical form is
+    new to the pool: the draw is recorded in ``dag`` (if given) as
+    ``step`` with the same ids, and the product is appended to ``pool``
+    and yielded.  The walk returns after ``max_failures`` consecutive
+    failed draws.
 
     Every draw comes from a ``_Pcg64Stream`` over ``rng``, so ``rng`` must
     be a ``Generator`` over ``PCG64`` (a ``ValueError`` otherwise), and
@@ -281,26 +284,19 @@ def _walk(pool, conditions, past, oracle, rng, dag, max_failures, step):
             if cond_ids is None:
                 cond_ids = picked[q] = tuple(ids[k] for k in q)
             outcome = synthesize_detailed(reagents, cond_ids, oracle)
-            new = []
-            if outcome is not None:
-                products, template = outcome
-                new = [
-                    p
-                    for p in sorted(products, key=lambda m: m.canonical_form)
-                    if p.canonical_form not in keys and p.canonical_form not in past
-                ]
-            if not new:
+            if outcome is None or outcome[0].canonical_form in keys:
                 failures += 1
                 continue
             failures = 0
+            product, template = outcome
             if dag is not None:
                 record_synthesis(
-                    dag, new, [r.canonical_form for r in reagents], template, cond_ids, step
+                    dag, product, [r.canonical_form for r in reagents], template, cond_ids, step
                 )
             step += 1
-            pool.extend(new)
-            keys.update(p.canonical_form for p in new)
-            yield new
+            pool.append(product)
+            keys.add(product.canonical_form)
+            yield product
     finally:
         stream.sync()
 
@@ -318,11 +314,11 @@ def explore_acquisition(
 ):
     """Random walk on the synthesis graph, then argmax of the scorer.
 
-    Runs until ``n`` successful steps (a success adds at least one
-    molecule outside ``past`` and the pool); products are appended to
-    ``pool`` in place so growth persists across outer iterations.  After
-    ``100 * n`` consecutive failed draws the walk stops early, stalled.
-    The argmax is over pool molecules outside ``past`` (None if none).
+    Runs until ``n`` successful steps (a success adds one molecule new
+    to the pool); each is appended to ``pool`` in place so growth
+    persists across outer iterations.  After ``100 * n`` consecutive
+    failed draws the walk stops early, stalled.  Only the argmax reads
+    ``past``: it is over pool molecules outside it (None if none).
     The walk is closed before the scorer runs, so ``rng`` then stands
     where numpy's own draws would have left it.
 
@@ -330,7 +326,7 @@ def explore_acquisition(
     """
     if not pool:
         raise ValueError("pool must not be empty")
-    walk = _walk(pool, conditions, past, oracle, rng, dag, STALL_FACTOR * n, start_step)
+    walk = _walk(pool, conditions, oracle, rng, dag, STALL_FACTOR * n, start_step)
     successes = sum(1 for _ in itertools.islice(walk, n))
     walk.close()
 
@@ -396,11 +392,12 @@ def _band_from_json(raw) -> Band:
 def objective_from_json(d: dict) -> Objective:
     """The objective of a header's ``objective`` object.  A partial
     ``contribution_table`` or ``qed_bands`` merges over the defaults;
-    contributions keep the numbers given."""
+    contributions keep the numbers given.  ``Objective`` and ``Band``
+    check each table's ranges as it is read."""
     objective = Objective(kind=_entry(d, "kind", ObjectiveKind, ObjectiveKind.QED),
                           target=_entry(d, "target", _INT, 25))
-    table = _entry(d, "contribution_table",
-                   lambda t: {k: _NUMBER(v) for k, v in _OBJECT(t).items()}, {})
+    table = _entry(d, "contribution_table", lambda t: replace(objective, contributions={
+        k: _NUMBER(v) for k, v in _OBJECT(t).items()}).contributions, {})
     bands = _entry(d, "qed_bands",
                    lambda t: {k: _entry(t, k, _band_from_json) for k in _OBJECT(t)}, {})
     return replace(objective, contributions={**objective.contributions, **table},
@@ -564,7 +561,7 @@ def _make_scorer(kind, gp_post, best, t, model_rng):
             return np.atleast_1d(ei(mu, sigma, best))
         if kind is AcquisitionKind.UCB:
             return np.atleast_1d(ucb(mu, sigma, ucb_beta_schedule(t)))
-        return ttei(list(zip(mu, sigma)), best, DEFAULT_TT_EPSILON, model_rng)
+        return ttei(mu, sigma, best, DEFAULT_TT_EPSILON, model_rng)
 
     return scorer
 
@@ -616,23 +613,18 @@ def _guided(cfg, pool, dag, evaluated, molecules, rate, explore_rng, model_rng) 
     return any_stall
 
 
-def _random(cfg, pool, dag, evaluated, rate, explore_rng) -> bool:
-    """The random-search body: one walk for the whole run, every new
-    product rated directly, one budget unit per rating, until ``budget_t``
-    ratings are spent.  The walk stalls after ``100 * explorer_steps``
-    consecutive failed draws.  Returns whether it stalled first."""
-    left = cfg.budget_t
-    if left == 0:
-        return False
-    walk = _walk(pool, cfg.conditions, evaluated, cfg.oracle, explore_rng, dag,
+def _random(cfg, pool, dag, rate, explore_rng) -> bool:
+    """The random-search body: one walk for the whole run, each molecule
+    it pools rated directly, until ``budget_t`` ratings are spent.  The
+    walk stalls after ``100 * explorer_steps`` consecutive failed draws.
+    Returns whether it stalled first."""
+    walk = _walk(pool, cfg.conditions, cfg.oracle, explore_rng, dag,
                  STALL_FACTOR * cfg.explorer_steps, 1)
-    for new in walk:
-        for mol in new:
-            rate(mol, None)
-            left -= 1
-            if left == 0:
-                return False
-    return True
+    rated = 0
+    for mol in itertools.islice(walk, cfg.budget_t):
+        rate(mol, None)
+        rated += 1
+    return rated < cfg.budget_t
 
 
 def run(cfg: RunConfig, log_path=None) -> RunResult:
@@ -674,7 +666,7 @@ def run(cfg: RunConfig, log_path=None) -> RunResult:
             stalled = _guided(cfg, pool, dag, evaluated, molecules, rate,
                               explore_rng, model_rng)
         else:
-            stalled = _random(cfg, pool, dag, evaluated, rate, explore_rng)
+            stalled = _random(cfg, pool, dag, rate, explore_rng)
     finally:
         if writer:
             writer.close()

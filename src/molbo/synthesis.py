@@ -1,10 +1,10 @@
 """Synthesis oracles, the synthesis DAG, and recipe extraction.
 
 The oracle contract, ``synthesize_detailed``, maps (reagents, process
-conditions) to a predicted product set and the name of the rule that
-fired, or None when no reaction applies.  One deterministic rule loop
-serves both oracles, each a library of ``ReactionTemplate`` rules gated
-on required conditions:
+conditions) to one predicted product (every rule bonds one site pair)
+and the name of the rule that fired, or None when no reaction applies.
+One deterministic rule loop serves both oracles, each a library of
+``ReactionTemplate`` rules gated on required conditions:
 
 * TEMPLATE: five bimolecular rewrite rules (esterification, amide
   coupling, Williamson ether, imine formation, N-alkylation); the
@@ -304,11 +304,11 @@ def _memo_rules(conditions: tuple):
 
 
 def synthesize_detailed(reagents, conditions, oracle: OracleKind):
-    """The oracle: ``(products, name of the rule that fired)`` for the
+    """The oracle: ``(product, name of the rule that fired)`` for the
     reagents under the conditions (``Condition`` objects or their id
     strings), or None when no reaction applies.  Reagents may be
-    hydrogen-expanded; products are heavy-atom molecules whose hydrogens
-    are implicit.
+    hydrogen-expanded; the product is a heavy-atom molecule whose
+    hydrogens are implicit.
 
     The rules the conditions allow are resolved once per distinct
     conditions tuple, and a draw loops over only those; a draw none of
@@ -353,7 +353,7 @@ def synthesize_detailed(reagents, conditions, oracle: OracleKind):
                                          template.order, leaving)
             except (ValenceExceeded, InvalidMolecule):
                 continue  # template reports no-fire on invalid output
-            return {product}, template.name
+            return product, template.name
     return None
 
 
@@ -391,9 +391,9 @@ class SynthesisDag:
 
 
 def record_synthesis(
-    dag: SynthesisDag, products, parents, template, conditions, step: int
+    dag: SynthesisDag, product, parents, template, conditions, step: int
 ) -> SynthesisDag:
-    """Insert product nodes; a product already reachable keeps its
+    """Insert the product's node; a product already reachable keeps its
     earliest recipe.  Parents must already be present."""
     parent_keys = tuple(_canon(p) for p in parents)
     for key in parent_keys:
@@ -404,11 +404,9 @@ def record_synthesis(
                 f"step {step} does not follow parent step {dag.nodes[key].step}"
             )
     cond_ids = _condition_ids(conditions)
-    for product in products:
-        key = _canon(product)
-        existing = dag.nodes.get(key)
-        if existing is not None and existing.step <= step:
-            continue
+    key = _canon(product)
+    existing = dag.nodes.get(key)
+    if existing is None or existing.step > step:
         dag.nodes[key] = SynthesisNode(key, parent_keys, template, cond_ids, step)
     return dag
 
@@ -456,30 +454,24 @@ def replay_recipe(steps: list[RecipeStep], oracle: OracleKind) -> Molecule:
     """Re-run a recipe's reactions and return the final product, a
     heavy-atom molecule whose hydrogens are implicit.
 
-    Raises if any step fails to regenerate its recorded molecule.
+    Raises ``InvalidMolecule`` if a step does not fire or makes another
+    molecule than its recorded one, which the error then names.
     """
     made: dict[str, Molecule] = {}
     last = None
     for step in steps:
         if step.from_pool:
-            made[step.molecule] = parse_smiles(step.molecule)
-            last = made[step.molecule]
-            continue
-        reagents = [made[p] for p in step.parents]
-        outcome = synthesize_detailed(reagents, step.conditions, oracle)
-        if outcome is None:
-            raise InvalidMolecule(f"recipe step for {step.molecule!r} failed to fire")
-        products = outcome[0]
-        match = next(
-            (p for p in products if p.canonical_form == step.molecule), None
-        )
-        if match is None:
-            raise InvalidMolecule(
-                f"recipe step regenerated {[p.canonical_form for p in products]}, "
-                f"expected {step.molecule!r}"
-            )
-        made[step.molecule] = match
-        last = match
+            last = parse_smiles(step.molecule)
+        else:
+            outcome = synthesize_detailed([made[p] for p in step.parents], step.conditions,
+                                          oracle)
+            if outcome is None:
+                raise InvalidMolecule(f"recipe step for {step.molecule!r} failed to fire")
+            last = outcome[0]
+            if last.canonical_form != step.molecule:
+                raise InvalidMolecule(f"recipe step regenerated {last.canonical_form!r}, "
+                                      f"expected {step.molecule!r}")
+        made[step.molecule] = last
     return last
 
 

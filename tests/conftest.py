@@ -84,13 +84,13 @@ def template_walk_molecules(template_pool_path) -> list[Molecule]:
 
     def recording(reagents, conditions, oracle):
         outcome = synthesize_detailed(reagents, conditions, oracle)
-        for mol in [*reagents, *(outcome[0] if outcome else ())]:
+        for mol in [*reagents, outcome[0]] if outcome else reagents:
             seen.setdefault(id(mol), mol)
         return outcome
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimizer, "synthesize_detailed", recording)
-        walk = optimizer._walk(load_pool(template_pool_path), CONDITION_LIBRARY, set(),
+        walk = optimizer._walk(load_pool(template_pool_path), CONDITION_LIBRARY,
                                OracleKind.TEMPLATE, np.random.default_rng(101), None, 1000, 1)
         assert sum(1 for _ in itertools.islice(walk, 150)) == 150
         walk.close()

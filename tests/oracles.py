@@ -490,7 +490,7 @@ def pick_by_choice(rng: np.random.Generator, n: int, size: int) -> list[int]:
     return rng.choice(n, size=size, replace=False).tolist()
 
 
-def walk_by_choice(pool, conditions, past, oracle, rng, dag, max_failures, step):
+def walk_by_choice(pool, conditions, oracle, rng, dag, max_failures, step):
     """The synthesis-graph walk of ``optimizer._walk``, every draw a call
     on ``rng`` itself: ``random()`` for the reagent count,
     ``integers(1, 3)`` for the condition count and ``pick_by_choice`` for
@@ -504,22 +504,18 @@ def walk_by_choice(pool, conditions, past, oracle, rng, dag, max_failures, step)
         q_size = min(int(rng.integers(1, 3)), len(conditions))
         conds = [conditions[k] for k in sorted(pick_by_choice(rng, len(conditions), q_size))]
         outcome = synthesize_detailed(reagents, conds, oracle)
-        new = []
-        if outcome is not None:
-            products, template = outcome
-            new = [p for p in sorted(products, key=lambda m: m.canonical_form)
-                   if p.canonical_form not in keys and p.canonical_form not in past]
-        if not new:
+        if outcome is None or outcome[0].canonical_form in keys:
             failures += 1
             continue
         failures = 0
+        product, template = outcome
         if dag is not None:
-            record_synthesis(dag, new, [r.canonical_form for r in reagents], template, conds,
-                             step)
+            record_synthesis(dag, product, [r.canonical_form for r in reagents], template,
+                             conds, step)
         step += 1
-        pool.extend(new)
-        keys.update(p.canonical_form for p in new)
-        yield new
+        pool.append(product)
+        keys.add(product.canonical_form)
+        yield product
 
 
 def psd_project_by_eigh(values: np.ndarray, floor: float) -> np.ndarray:

@@ -80,32 +80,41 @@ class TestUcb:
 
 
 class TestTtei:
+    MU, SIGMA = np.array([0.5, 1.5, -0.2]), np.array([1.0, 0.3, 2.0])
+
     def test_epsilon_zero_is_ei(self):
-        cands = [(0.5, 1.0), (1.5, 0.3), (-0.2, 2.0)]
         rng = np.random.default_rng(0)
-        scores = ttei(cands, 1.0, 0.0, rng)
-        want = [ei(m, s, 1.0) for m, s in cands]
+        scores = ttei(self.MU, self.SIGMA, 1.0, 0.0, rng)
+        want = [ei(m, s, 1.0) for m, s in zip(self.MU, self.SIGMA)]
         assert np.allclose(scores, want)
+        assert np.array_equal(scores, ei(self.MU, self.SIGMA, 1.0))
 
     def test_single_candidate_reanchored(self):
         rng = np.random.default_rng(0)
-        scores = ttei([(2.0, 1.0)], 0.5, 1.0, rng)  # epsilon 1 forces re-anchor
+        scores = ttei(2.0, 1.0, 0.5, 1.0, rng)  # epsilon 1 forces re-anchor
         assert scores[0] == pytest.approx(ei(2.0, 1.0, 2.0), abs=1e-12)
 
     def test_reanchor_uses_incumbent_when_higher(self):
         rng = np.random.default_rng(0)
-        scores = ttei([(1.0, 1.0)], 5.0, 1.0, rng)
+        scores = ttei([1.0], [1.0], 5.0, 1.0, rng)
         assert scores[0] == pytest.approx(ei(1.0, 1.0, 5.0), abs=1e-12)
 
     def test_deterministic_given_seed(self):
-        cands = [(0.5, 1.0), (1.5, 0.3)]
-        a = ttei(cands, 0.4, 0.3, np.random.default_rng(7))
-        b = ttei(cands, 0.4, 0.3, np.random.default_rng(7))
+        a = ttei(self.MU[:2], self.SIGMA[:2], 0.4, 0.3, np.random.default_rng(7))
+        b = ttei(self.MU[:2], self.SIGMA[:2], 0.4, 0.3, np.random.default_rng(7))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])
+    def test_one_draw_per_call(self, epsilon):
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(5):
+            ttei(self.MU, self.SIGMA, 0.4, epsilon, rng)
+            ref.random()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            ttei([], 0.0, 0.3, np.random.default_rng(0))
+            ttei([], [], 0.0, 0.3, np.random.default_rng(0))
 
 
 class TestEnsemble:

@@ -246,11 +246,16 @@ class TestOptimize:
         ({"alpha1": 20, "kernel": "sum"}, "'alpha1'"),
         ({"betas": [1, 2, 3, math.nan]}, "'betas'"),
         ({"betas": [1, 2, 3, math.inf], "kernel": "sum"}, "'betas'"),
+        ({"qed_bands": {"mass": {"a": 0, "b": 1, "c": 2, "d": 3, "floor": 4}}},
+         "'qed_bands'"),
+        ({"qed_bands": {"mass": {"a": 3, "b": 2, "c": 1, "d": 0}}}, "'qed_bands'"),
+        ({"contribution_table": {"C": math.nan}}, "'contribution_table'"),
     ], ids=["not-an-object", "betas", "qed-bands", "contribution-table", "condition",
             "budget-list", "budget-bool", "target-float", "seed-string",
             "explorer-steps-null", "alpha1-list", "alpha2-bool", "conditions-int",
             "conditions-not-names", "pool-list", "pool-int", "n-bits-range",
-            "max-path-len-range", "alpha1-range", "betas-nan", "betas-inf"])
+            "max-path-len-range", "alpha1-range", "betas-nan", "betas-inf",
+            "band-floor-above-one", "band-unordered", "contribution-nan"])
     def test_malformed_config_exit_2(self, capsys, small_pool_path, tmp_path, config,
                                      named):
         cfg_path = tmp_path / "bad.json"
@@ -324,6 +329,19 @@ class TestOptimize:
         assert code == 0
         assert json.loads(out.read_text().splitlines()[0])["config"]["kernel"] == {
             "family": "fingerprint", "n_bits": 512, "max_path_len": 3}
+
+
+@pytest.mark.parametrize("command", ["optimize", "explore", "analyze"])
+def test_negative_seed_exit_2_naming_the_key(capsys, small_pool_path, tmp_path, command):
+    out = tmp_path / "neg.jsonl"
+    extra = (["--sample-pairs", "3"] if command == "analyze"
+             else ["--oracle", "join", "--out", str(out)])
+    code, text, err = run_cli(capsys, command, "--pool", str(small_pool_path),
+                              "--seed", "-5", *extra)
+    assert code == 2
+    assert not text
+    assert "seed must be nonnegative" in err
+    assert not out.exists()
 
 
 class TestExplore:
@@ -448,6 +466,24 @@ class TestAnalyze:
         assert by_file == run_cli(capsys, "analyze", *pool, "--objective", "heavy_atom",
                                   "--target", "4", "--seed", "9")[1]
         assert by_file != run_cli(capsys, "analyze", *pool)[1]  # qed, seed 0
+
+    @pytest.mark.parametrize("config,named", [
+        ({"qed_bands": {"mass": {"a": 0, "b": 1, "c": 2, "d": 3, "floor": 4}}}, "floor"),
+        ({"qed_bands": {"mass": {"a": 0, "b": 1, "c": 2, "d": 3, "floor": 0}}}, "floor"),
+        ({"qed_bands": {"logp": {"a": 0, "b": 2, "c": 1, "d": 3}}}, "a <= b <= c <= d"),
+        ({"qed_bands": {"logp": {"a": math.nan, "b": 1, "c": 2, "d": 3}}}, "finite"),
+        ({"contribution_table": {"C": math.nan}, "objective": "logp"}, "finite"),
+    ], ids=["floor-above-one", "floor-zero", "unordered", "corner-nan", "contribution-nan"])
+    def test_out_of_range_objective_exit_2(self, capsys, small_pool_path, tmp_path, config,
+                                          named):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "analyze", "--pool", str(small_pool_path),
+                                 "--sample-pairs", "3", "--config", str(cfg_path))
+        assert code == 2
+        assert not out
+        key = "'contribution_table'" if "contribution_table" in config else "'qed_bands'"
+        assert key in err and named in err
 
     def test_pair_of_index_is_the_enumeration(self):
         for n in range(2, 61):

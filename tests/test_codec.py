@@ -203,11 +203,28 @@ class TestMalformed:
         (with_entry(["kernel", "betas"], [1, 2, 3, math.nan]), ["'betas'", "finite"]),
         (with_entry(["kernel", "betas"], [1, 2, math.inf, 3]), ["'betas'", "finite"]),
         (with_entry(["kernel", "betas"], [-math.inf, 1, 2, 3]), ["'betas'", "finite"]),
+        (with_entry(["objective", "qed_bands", "mass"],
+                    {"a": 0, "b": 1, "c": 2, "d": 3, "floor": 4}),
+         ["'qed_bands'", "'mass'", "floor"]),
+        (with_entry(["objective", "qed_bands", "logp"],
+                    {"a": 0, "b": 1, "c": 2, "d": 3, "floor": 0}),
+         ["'qed_bands'", "'logp'", "floor"]),
+        (with_entry(["objective", "qed_bands", "donors"], {"a": 2, "b": 1, "c": 3, "d": 4}),
+         ["'qed_bands'", "'donors'", "a <= b <= c <= d"]),
+        (with_entry(["objective", "qed_bands", "mass"], {"a": math.nan, "b": 1, "c": 2, "d": 3}),
+         ["'qed_bands'", "'mass'", "finite"]),
+        (with_entry(["objective", "contribution_table"], {"C": math.nan}),
+         ["'contribution_table'", "'C'", "finite"]),
+        (with_entry(["objective", "contribution_table"], {"O": -math.inf}),
+         ["'contribution_table'", "'O'", "finite"]),
+        (with_entry(["seed"], -5), ["seed must be nonnegative"]),
     ], ids=["budget-bool", "family", "three-betas", "band-without-c", "pool-string",
             "pool-not-strings", "objective-string", "seed-float", "n-bits-string",
             "method", "contribution-null", "alpha-out-of-range", "alpha2-out-of-range",
             "n-bits-out-of-range", "max-path-len-out-of-range", "no-pool", "no-seed",
-            "beta-nan", "beta-inf", "beta-minus-inf"])
+            "beta-nan", "beta-inf", "beta-minus-inf", "band-floor-above-one",
+            "band-floor-zero", "band-unordered", "band-nan", "contribution-nan",
+            "contribution-minus-inf", "seed-negative"])
     def test_rejected_naming_the_key(self, header, named):
         with pytest.raises(ValueError) as err:
             config_from_json(header)

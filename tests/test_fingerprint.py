@@ -170,11 +170,11 @@ class TestJoinInheritance:
 
     def test_only_joins_record_an_origin(self):
         acid, alcohol = parse_smiles("CC(=O)O"), parse_smiles("CCO")
-        (ester,), rule = synthesize_detailed([acid, alcohol], {"acid_cat"},
-                                             OracleKind.TEMPLATE)
+        ester, rule = synthesize_detailed([acid, alcohol], {"acid_cat"},
+                                          OracleKind.TEMPLATE)
         assert rule == "esterification" and ester._origin is None
         assert acid._origin is None
-        (joined,), rule = synthesize_detailed([acid, alcohol], {"join"}, OracleKind.JOIN)
+        joined, rule = synthesize_detailed([acid, alcohol], {"join"}, OracleKind.JOIN)
         reagent_a, reagent_b, u, v = joined._origin
         assert rule == "join" and {reagent_a, reagent_b} == {acid, alcohol}
         assert joined.bonds[(min(u, v), max(u, v))] is BondOrder.SINGLE
@@ -183,8 +183,8 @@ class TestJoinInheritance:
 
     def test_molecules_without_origin_are_enumerated_in_full(self, monkeypatch):
         acid, alcohol = parse_smiles("CC(=O)O"), parse_smiles("OCCCO")
-        (ester,), _ = synthesize_detailed([acid, alcohol], {"acid_cat"},
-                                          OracleKind.TEMPLATE)
+        ester, _ = synthesize_detailed([acid, alcohol], {"acid_cat"},
+                                       OracleKind.TEMPLATE)
         calls = []
         enumerate_in_full = molbo.fingerprint.path_descriptors
         monkeypatch.setattr(molbo.fingerprint, "path_descriptors",
@@ -276,7 +276,8 @@ class TestJoinInheritance:
 
         def recording(reagents, conditions, oracle):
             outcome = draw(reagents, conditions, oracle)
-            products.extend(outcome[0] if outcome else ())
+            if outcome:
+                products.append(outcome[0])
             return outcome
 
         monkeypatch.setattr(molbo.optimizer, "synthesize_detailed", recording)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -107,6 +108,34 @@ class TestQed:
         assert band.score(3.0) == 0.5
         assert band.score(-1.0) == 0.05
         assert band.score(9.0) == 0.05
+
+    @pytest.mark.parametrize("corners, floor", [
+        ((0.0, 1.0, 2.0, 3.0), 4.0),
+        ((0.0, 1.0, 2.0, 3.0), 1.0 + 1e-9),
+        ((0.0, 1.0, 2.0, 3.0), 0.0),
+        ((0.0, 1.0, 2.0, 3.0), -0.5),
+        ((0.0, 1.0, 2.0, 3.0), math.nan),
+        ((1.0, 0.0, 2.0, 3.0), 0.05),
+        ((0.0, 2.0, 1.0, 3.0), 0.05),
+        ((0.0, 1.0, 3.0, 2.0), 0.05),
+        ((math.nan, 1.0, 2.0, 3.0), 0.05),
+        ((0.0, 1.0, 2.0, math.nan), 0.05),
+        ((-math.inf, 1.0, 2.0, 3.0), 0.05),
+        ((0.0, 1.0, 2.0, math.inf), 0.05),
+    ])
+    def test_band_out_of_range_rejected(self, corners, floor):
+        with pytest.raises(ValueError, match="band"):
+            Band(*corners, floor=floor)
+
+    def test_band_limits_accepted(self):
+        # equal corners and a floor of 1 are in range
+        band = Band(1.0, 1.0, 1.0, 1.0, floor=1.0)
+        assert band.score(1.0) == band.score(5.0) == 1.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_contribution_rejected(self, value):
+        with pytest.raises(ValueError, match="'C'.*finite"):
+            Objective(kind=ObjectiveKind.LOGP, contributions={**DEFAULT_CONTRIBUTIONS, "C": value})
 
     def test_prefers_mid_sized_molecules(self):
         obj = Objective(kind=ObjectiveKind.QED)

@@ -19,6 +19,7 @@ from molbo.synthesis import (
     dag_to_json,
     recipe,
     replay_recipe,
+    save_dag,
     synthesize_detailed,
 )
 
@@ -45,6 +46,15 @@ def join_config(**overrides):
 
 def expanded_pool():
     return [add_explicit_hydrogens(parse_smiles(s)) for s in JOIN_POOL]
+
+
+def run_digests(tmp_path, cfg):
+    """The result of ``run(cfg)`` and the sha256 of its log and of its
+    DAG as ``save_dag`` writes it."""
+    log, dag = tmp_path / "run.jsonl", tmp_path / "run.dag.json"
+    result = run(cfg, log_path=log)
+    save_dag(result.dag, dag)
+    return result, tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (log, dag))
 
 
 class TestExploreAcquisition:
@@ -179,8 +189,7 @@ class TestPick:
     def test_walk_rejects_other_bit_generators(self):
         pool = expanded_pool()
         rng = np.random.Generator(np.random.MT19937(0))
-        walk = optimizer._walk(pool, (Condition("join"),), set(), OracleKind.JOIN, rng,
-                               None, 10, 1)
+        walk = optimizer._walk(pool, (Condition("join"),), OracleKind.JOIN, rng, None, 10, 1)
         with pytest.raises(ValueError, match="MT19937"):
             next(walk)
         with pytest.raises(ValueError, match="MT19937"):
@@ -226,9 +235,8 @@ class TestPick:
         def take(walk_fn, k):
             pool = load_pool(template_pool_path)
             rng = np.random.default_rng(11)
-            walk = walk_fn(pool, CONDITION_LIBRARY, set(), OracleKind.TEMPLATE, rng,
-                           None, 100, 1)
-            products = [[m.canonical_form for m in new] for new in itertools.islice(walk, k)]
+            walk = walk_fn(pool, CONDITION_LIBRARY, OracleKind.TEMPLATE, rng, None, 100, 1)
+            products = [m.canonical_form for m in itertools.islice(walk, k)]
             walk.close()  # closing the walk draws nothing
             return products, rng.bit_generator.state, len(pool)
 
@@ -280,7 +288,7 @@ class TestPick:
                                 (oracles, oracles.walk_by_choice)):
             monkeypatch.setattr(module, "synthesize_detailed", failing_on(40))
             rng = np.random.default_rng(11)
-            walk = walk_fn(load_pool(template_pool_path), CONDITION_LIBRARY, set(),
+            walk = walk_fn(load_pool(template_pool_path), CONDITION_LIBRARY,
                            OracleKind.TEMPLATE, rng, None, 100, 1)
             successes = 0
             with pytest.raises(RuntimeError, match="oracle failed"):
@@ -328,7 +336,7 @@ class TestDrawPath:
         dag = SynthesisDag()
         for mol in pool:
             dag.add_initial(mol)
-        walk = optimizer._walk(pool, CONDITION_LIBRARY, set(), OracleKind.TEMPLATE,
+        walk = optimizer._walk(pool, CONDITION_LIBRARY, OracleKind.TEMPLATE,
                                np.random.default_rng(101), dag, 5000, 1)
         for _ in walk:
             if draws[0] >= 2000:
@@ -358,8 +366,8 @@ class TestDrawPath:
                     assert by_id is None
                     continue
                 fired += 1
-                (made,), rule = by_object
-                (made_by_id,), rule_by_id = by_id
+                made, rule = by_object
+                made_by_id, rule_by_id = by_id
                 assert rule_by_id == rule
                 assert (made_by_id.atoms, made_by_id.bonds) == (made.atoms, made.bonds)
         assert fired > 100
@@ -466,23 +474,25 @@ class TestRandRun:
         # with numpy 2.4.6, whose Generator.choice the walk's draws match
         pool = tuple(line for line in template_pool_path.read_text().splitlines()
                      if line and not line.startswith("#"))
-        path = tmp_path / "run.jsonl"
         cfg = join_config(initial_pool=pool, objective=Objective(kind=ObjectiveKind.QED),
                           budget_t=30, seed=101000, method=Method.RAND,
                           oracle=OracleKind.TEMPLATE, conditions=CONDITION_LIBRARY,
                           explorer_steps=20)
-        result = run(cfg, log_path=path)
+        result, digests = run_digests(tmp_path, cfg)
         assert len(result.records) == 30 and not result.stalled
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-            "47cdc768ca088a0249fc7ce63b4c109bceb26cc6af235cfca79241b7f9f7dbfc"
+        assert digests == (
+            "47cdc768ca088a0249fc7ce63b4c109bceb26cc6af235cfca79241b7f9f7dbfc",
+            "3d90c15980db522336ee4977387703909d51785c1a74708f3d88aa1970760343",
+        )
 
     def test_pinned_join_log_budget_30(self, tmp_path):
         # 44 walk draws over pools of 10 to 39 molecules
-        path = tmp_path / "run.jsonl"
-        result = run(join_config(budget_t=30, method=Method.RAND), log_path=path)
+        result, digests = run_digests(tmp_path, join_config(budget_t=30, method=Method.RAND))
         assert len(result.records) == 30 and not result.stalled
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-            "fd1ac3925b9ba553e902a096e7fd0e0b07d6eecccdbc25e51dd8ded5419197e1"
+        assert digests == (
+            "fd1ac3925b9ba553e902a096e7fd0e0b07d6eecccdbc25e51dd8ded5419197e1",
+            "607fedbc205a38da49d4f75c02f5eb03cf4cd6598b41b850878a2c81bf1688ff",
+        )
 
     def test_paired_seed_shares_exploration_stream(self):
         # the same seed produces the same early synthesis products in both
@@ -542,6 +552,9 @@ class TestRunLog:
                 "pool_size_after": rec.pool_size_after,
             }
 
+    # the three kernels share the exploration stream, and hence the DAG
+    GUIDED_DAG = "7ebe97f3903d5655456571fa802d21ba3bdf692f468ddda359312dcf54e17b8d"
+
     @pytest.mark.parametrize("family,digest", [
         (FingerprintTanimoto(),
          "0496393992114e5be89e9bab6f582710b3ce3f309767cda775869b04d56eaad2"),
@@ -554,22 +567,22 @@ class TestRunLog:
         # the acceptance join config at budget 4; the guided choice rests on
         # GP floats, so these digests were recorded with numpy 2.4.6 wheels
         # on x86-64 (the versions tier-1 CI installs)
-        path = tmp_path / "run.jsonl"
-        run(join_config(objective=HEAVY_25, kernel_family=family, budget_t=4,
-                        seed=11, explorer_steps=20), log_path=path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        _, digests = run_digests(tmp_path, join_config(
+            objective=HEAVY_25, kernel_family=family, budget_t=4, seed=11, explorer_steps=20))
+        assert digests == (digest, self.GUIDED_DAG)
 
     def test_pinned_template_qed_log(self, tmp_path, template_pool_path):
         # objective floats (mass, logP, donors) of template products with
         # implicit hydrogens; the random baseline involves no BLAS, so this
         # digest holds on any machine
         pool = tuple(m.canonical_form for m in load_pool(template_pool_path))
-        path = tmp_path / "run.jsonl"
-        run(join_config(initial_pool=pool, objective=Objective(kind=ObjectiveKind.QED),
-                        budget_t=8, method=Method.RAND, oracle=OracleKind.TEMPLATE,
-                        conditions=CONDITION_LIBRARY), log_path=path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-            "e3371792b002fd5de1f4be5501abb645be224a91c7bd20b6e43f403735b0b53f"
+        _, digests = run_digests(tmp_path, join_config(
+            initial_pool=pool, objective=Objective(kind=ObjectiveKind.QED), budget_t=8,
+            method=Method.RAND, oracle=OracleKind.TEMPLATE, conditions=CONDITION_LIBRARY))
+        assert digests == (
+            "e3371792b002fd5de1f4be5501abb645be224a91c7bd20b6e43f403735b0b53f",
+            "8a6b94c4bff153a020359b034159344c010f796906672b010c9e716275df2d69",
+        )
 
     def test_byte_identical_logs(self, tmp_path):
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -49,12 +49,11 @@ def canon(text):
 
 class TestJoinOracle:
     def test_methane_pair_gives_ethane(self):
-        products, template = synthesize_detailed(
+        ethane, template = synthesize_detailed(
             [expand("C"), expand("C")], {"join"}, OracleKind.JOIN
         )
         assert template == "join"
-        assert products is not None and len(products) == 1
-        ethane = next(iter(products))
+        assert isinstance(ethane, Molecule)
         assert ethane.canonical_form == canon("CC")
         assert (ethane.n_atoms, len(ethane.bonds)) == (2, 1)
         assert [ethane.free_valence(i) for i in range(2)] == [3, 3]
@@ -74,20 +73,19 @@ class TestJoinOracle:
 
     def test_pure(self):
         args = ([expand("CCO"), expand("CN")], {"join"}, OracleKind.JOIN)
-        first = {m.canonical_form for m in synthesize_detailed(*args)[0]}
-        second = {m.canonical_form for m in synthesize_detailed(*args)[0]}
+        first = synthesize_detailed(*args)[0].canonical_form
+        second = synthesize_detailed(*args)[0].canonical_form
         assert first == second
 
     def test_products_hold_no_hydrogen_and_expand_validly(self):
-        products = synthesize_detailed(
+        p = synthesize_detailed(
             [expand("CCO"), expand("CCN")], {"join"}, OracleKind.JOIN
         )[0]
-        for p in products:
-            assert p.heavy_atom_count() == p.n_atoms == 6
-            expanded = add_explicit_hydrogens(p)
-            assert expanded.n_atoms == 6 + 6 + 7 - 2  # the new bond takes one H from each
-            assert all(expanded.free_valence(i) == 0 for i in range(expanded.n_atoms))
-            assert expanded.canonical_form == p.canonical_form
+        assert p.heavy_atom_count() == p.n_atoms == 6
+        expanded = add_explicit_hydrogens(p)
+        assert expanded.n_atoms == 6 + 6 + 7 - 2  # the new bond takes one H from each
+        assert all(expanded.free_valence(i) == 0 for i in range(expanded.n_atoms))
+        assert expanded.canonical_form == p.canonical_form
 
 
 def constructed_join(mol_a, mol_b, u, v, order):
@@ -189,14 +187,14 @@ class TestJoinAssembly:
         construct = Molecule.__init__
         monkeypatch.setattr(Molecule, "__init__",
                             lambda mol, *args: built.append(mol) or construct(mol, *args))
-        (joined,), _ = synthesize_detailed([acid, alcohol], {"join"}, OracleKind.JOIN)
+        joined, _ = synthesize_detailed([acid, alcohol], {"join"}, OracleKind.JOIN)
         assert joined._origin is not None
         fired = 0
         for conditions in ({"acid_cat"}, {"heat", "base"}):
             for reagents in itertools.permutations(pool, 2):
                 outcome = synthesize_detailed(reagents, conditions, OracleKind.TEMPLATE)
                 fired += outcome is not None
-                assert outcome is None or next(iter(outcome[0]))._origin is None
+                assert outcome is None or outcome[0]._origin is None
         assert fired > 10 and built == []
 
 
@@ -300,40 +298,40 @@ class TestTemplateAssembly:
 
 class TestTemplateOracle:
     def test_esterification(self):
-        products = synthesize_detailed(
+        product = synthesize_detailed(
             [expand("CC(=O)O"), expand("CCO")], {"acid_cat"}, OracleKind.TEMPLATE
         )[0]
-        assert {m.canonical_form for m in products} == {canon("CC(=O)OCC")}
+        assert product.canonical_form == canon("CC(=O)OCC")
 
     def test_esterification_reagent_order_irrelevant(self):
-        products = synthesize_detailed(
+        product = synthesize_detailed(
             [expand("CCO"), expand("CC(=O)O")], {"acid_cat"}, OracleKind.TEMPLATE
         )[0]
-        assert {m.canonical_form for m in products} == {canon("CC(=O)OCC")}
+        assert product.canonical_form == canon("CC(=O)OCC")
 
     def test_amide_coupling(self):
-        products = synthesize_detailed(
+        product = synthesize_detailed(
             [expand("CC(=O)O"), expand("CN")], {"heat"}, OracleKind.TEMPLATE
         )[0]
-        assert {m.canonical_form for m in products} == {canon("CC(=O)NC")}
+        assert product.canonical_form == canon("CC(=O)NC")
 
     def test_williamson_ether(self):
-        products = synthesize_detailed(
+        product = synthesize_detailed(
             [expand("CCO"), expand("CBr")], {"base"}, OracleKind.TEMPLATE
         )[0]
-        assert {m.canonical_form for m in products} == {canon("CCOC")}
+        assert product.canonical_form == canon("CCOC")
 
     def test_imine_formation(self):
-        products = synthesize_detailed(
+        product = synthesize_detailed(
             [expand("CC=O"), expand("CN")], {"acid_cat"}, OracleKind.TEMPLATE
         )[0]
-        assert {m.canonical_form for m in products} == {canon("CC=NC")}
+        assert product.canonical_form == canon("CC=NC")
 
     def test_n_alkylation(self):
-        products = synthesize_detailed(
+        product = synthesize_detailed(
             [expand("CN"), expand("CCl")], {"base"}, OracleKind.TEMPLATE
         )[0]
-        assert {m.canonical_form for m in products} == {canon("CNC")}
+        assert product.canonical_form == canon("CNC")
 
     def test_condition_gating(self):
         # ester partners under the wrong condition do not react
@@ -348,10 +346,10 @@ class TestTemplateOracle:
 
     def test_library_order_breaks_overlaps(self):
         # acid + amino-alcohol under acid_cat: esterification fires first
-        products = synthesize_detailed(
+        product = synthesize_detailed(
             [expand("CC(=O)O"), expand("NCCO")], {"acid_cat"}, OracleKind.TEMPLATE
         )[0]
-        assert {m.canonical_form for m in products} == {canon("CC(=O)OCCN")}
+        assert product.canonical_form == canon("CC(=O)OCCN")
 
     @pytest.mark.parametrize("text, pattern, count", [
         ("OC(=O)CCC(=O)O", synthesis.find_carboxylic_acids, 2),
@@ -374,7 +372,7 @@ class TestTemplateOracle:
                                 OracleKind.TEMPLATE)[0]
         b = synthesize_detailed([expand("CC(=O)O"), expand("OCCCO")], {"acid_cat"},
                                 OracleKind.TEMPLATE)[0]
-        assert {m.canonical_form for m in a} == {m.canonical_form for m in b}
+        assert a.canonical_form == b.canonical_form
 
     def test_single_reagent_never_fires(self):
         assert synthesize_detailed(
@@ -448,7 +446,7 @@ class TestDag:
         dag = SynthesisDag()
         dag.add_initial(canon("CC(=O)O"))
         dag.add_initial(canon("CCO"))
-        record_synthesis(dag, [canon("CC(=O)OCC")],
+        record_synthesis(dag, canon("CC(=O)OCC"),
                          [canon("CC(=O)O"), canon("CCO")],
                          "esterification", {"acid_cat"}, 1)
         node = dag.nodes[canon("CC(=O)OCC")]
@@ -459,9 +457,9 @@ class TestDag:
         dag = SynthesisDag()
         dag.add_initial("A" if False else canon("C"))
         dag.add_initial(canon("CC"))
-        record_synthesis(dag, [canon("CCC")], [canon("C"), canon("CC")],
+        record_synthesis(dag, canon("CCC"), [canon("C"), canon("CC")],
                          "join", {"join"}, 1)
-        record_synthesis(dag, [canon("CCC")], [canon("CC"), canon("C")],
+        record_synthesis(dag, canon("CCC"), [canon("CC"), canon("C")],
                          "join", {"join"}, 5)
         assert dag.nodes[canon("CCC")].step == 1
 
@@ -469,17 +467,17 @@ class TestDag:
         dag = SynthesisDag()
         dag.add_initial(canon("C"))
         with pytest.raises(UnknownMolecule):
-            record_synthesis(dag, [canon("CC")], [canon("CCCC")], "join",
+            record_synthesis(dag, canon("CC"), [canon("CCCC")], "join",
                              {"join"}, 1)
 
     def test_non_increasing_step_rejected(self):
         dag = SynthesisDag()
         dag.add_initial(canon("C"))
         dag.add_initial(canon("CC"))
-        record_synthesis(dag, [canon("CCC")], [canon("C"), canon("CC")],
+        record_synthesis(dag, canon("CCC"), [canon("C"), canon("CC")],
                          "join", {"join"}, 1)
         with pytest.raises(CycleDetected):
-            record_synthesis(dag, [canon("CCCC")], [canon("CCC")], "join",
+            record_synthesis(dag, canon("CCCC"), [canon("CCC")], "join",
                              {"join"}, 1)
 
 
@@ -492,9 +490,8 @@ class TestRecipe:
         current = mols["C"]
         partners = [mols["N"], mols["O"], mols["N"]]
         for step, partner in enumerate(partners, start=1):
-            products = synthesize_detailed([current, partner], {"join"}, OracleKind.JOIN)[0]
-            product = next(iter(products))
-            record_synthesis(dag, [product],
+            product = synthesize_detailed([current, partner], {"join"}, OracleKind.JOIN)[0]
+            record_synthesis(dag, product,
                              [current.canonical_form, partner.canonical_form],
                              "join", {"join"}, step)
             current = product
@@ -511,7 +508,7 @@ class TestRecipe:
         dag = SynthesisDag()
         dag.add_initial(canon("C"))
         dag.add_initial(canon("N"))
-        record_synthesis(dag, [canon("CN")], [canon("C"), canon("N")],
+        record_synthesis(dag, canon("CN"), [canon("C"), canon("N")],
                          "join", {"join"}, 1)
         steps = recipe(dag, canon("CN"))
         reactions = [s for s in steps if not s.from_pool]
@@ -541,13 +538,31 @@ class TestRecipe:
         with pytest.raises(UnknownMolecule):
             recipe(dag, canon("CCCC"))
 
+    def test_replay_names_a_product_other_than_the_recorded_one(self):
+        dag = SynthesisDag()
+        dag.add_initial(canon("C"))
+        dag.add_initial(canon("N"))
+        record_synthesis(dag, canon("CCC"), [canon("C"), canon("N")], "join", {"join"}, 1)
+        with pytest.raises(InvalidMolecule) as info:
+            replay_recipe(recipe(dag, canon("CCC")), OracleKind.JOIN)
+        assert str(info.value) == \
+            f"recipe step regenerated {canon('CN')!r}, expected {canon('CCC')!r}"
+
+    def test_replay_of_a_step_that_does_not_fire(self):
+        dag = SynthesisDag()
+        dag.add_initial(canon("C"))
+        dag.add_initial(canon("N"))
+        record_synthesis(dag, canon("CN"), [canon("C"), canon("N")], "join", {"heat"}, 1)
+        with pytest.raises(InvalidMolecule, match="failed to fire"):
+            replay_recipe(recipe(dag, canon("CN")), OracleKind.JOIN)
+
 
 class TestSerialization:
     def test_recipe_json_field_names(self):
         dag = SynthesisDag()
         dag.add_initial(canon("C"))
         dag.add_initial(canon("N"))
-        record_synthesis(dag, [canon("CN")], [canon("C"), canon("N")],
+        record_synthesis(dag, canon("CN"), [canon("C"), canon("N")],
                          "join", {"join"}, 1)
         payload = recipe_to_json(canon("CN"), recipe(dag, canon("CN")))
         assert set(payload) == {"target", "steps"}
@@ -558,7 +573,7 @@ class TestSerialization:
         dag = SynthesisDag()
         dag.add_initial(canon("C"))
         dag.add_initial(canon("N"))
-        record_synthesis(dag, [canon("CN")], [canon("C"), canon("N")],
+        record_synthesis(dag, canon("CN"), [canon("C"), canon("N")],
                          "join", {"join"}, 1)
         text = recipe_to_graph_text(recipe(dag, canon("CN")))
         lines = text.splitlines()
@@ -569,7 +584,7 @@ class TestSerialization:
         dag = SynthesisDag()
         dag.add_initial(canon("C"))
         dag.add_initial(canon("N"))
-        record_synthesis(dag, [canon("CN")], [canon("C"), canon("N")],
+        record_synthesis(dag, canon("CN"), [canon("C"), canon("N")],
                          "join", {"join"}, 1)
         clone = dag_from_json(dag_to_json(dag))
         assert clone.nodes == dag.nodes
@@ -603,7 +618,8 @@ SATURATED = "FC(F)(F)F"
 def test_reaction_table_is_pinned(template_pool_path):
     """Every ordered reagent pair under every condition subset of size
     0-2, for both oracles: how many calls fire, and a digest of each
-    call's sorted products and rule name (or None)."""
+    call's product (a one-element list of its canonical form) and rule
+    name (or None)."""
     texts = [m.canonical_form for m in load_pool(template_pool_path)]
     texts += [canon(t) for t in JOIN_POOL + (SATURATED,)]
     reagents = [expand(t) for t in dict.fromkeys(texts)]
@@ -615,8 +631,8 @@ def test_reaction_table_is_pinned(template_pool_path):
             for conditions in subsets:
                 outcome = synthesize_detailed([a, b], conditions, oracle)
                 if outcome is not None:
-                    products, name = outcome
-                    outcome = [sorted(p.canonical_form for p in products), name]
+                    product, name = outcome
+                    outcome = [[product.canonical_form], name]
                 outcomes.append(outcome)
     fired = sum(o is not None for o in outcomes)
     digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
